@@ -2,31 +2,31 @@
 multi-factor pruning, first-order-decoding complexity accounting, and an
 AWGN Monte Carlo harness."""
 
-from .codes import (CodeParams, build_generator, build_generator_recursive,
-                    encode, enumerate_codewords, is_codeword,
-                    ml_decode_oracle)
+from .codes import (CodeParams, build_generator, encode,
+                    enumerate_codewords, is_codeword, ml_decode_oracle)
 from .geometry import (LLR_CLAMP, CosetMap, aggregate, boxplus,
                        build_coset_map, project_hard, project_llr)
 from .fod import FodCounter, fht, fht_decode
-from .decoder import (DecodeResult, PruningConfig, analytic_fod_count,
-                      check_convergence, decode, decode_batch, delta,
-                      explicit_schedule_config, literal_formula_fod_count,
-                      num_projections, preset, select_projection_indices)
+from .decoder import (DecodePlan, DecodeResult, PruningConfig,
+                      analytic_fod_count, check_convergence, decode,
+                      decode_batch, decode_plan, delta,
+                      explicit_schedule_config, num_projections, preset,
+                      select_projection_indices)
 from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
                       csv_string, llr_from_channel, points_to_csv,
                       points_to_json, run_sweep, transmit,
                       two_proportion_pvalue)
 
 __all__ = [
-    "CodeParams", "build_generator", "build_generator_recursive", "encode",
-    "enumerate_codewords", "is_codeword", "ml_decode_oracle",
+    "CodeParams", "build_generator", "encode", "enumerate_codewords",
+    "is_codeword", "ml_decode_oracle",
     "LLR_CLAMP", "CosetMap", "aggregate", "boxplus", "build_coset_map",
     "project_hard", "project_llr",
     "FodCounter", "fht", "fht_decode",
-    "DecodeResult", "PruningConfig", "analytic_fod_count",
-    "check_convergence", "decode", "decode_batch", "delta",
-    "explicit_schedule_config", "literal_formula_fod_count",
-    "num_projections", "preset", "select_projection_indices",
+    "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",
+    "check_convergence", "decode", "decode_batch", "decode_plan", "delta",
+    "explicit_schedule_config", "num_projections", "preset",
+    "select_projection_indices",
     "ChannelConfig", "FerPoint", "SimConfig", "binomial_ci", "csv_string",
     "llr_from_channel", "points_to_csv", "points_to_json", "run_sweep",
     "transmit", "two_proportion_pvalue",

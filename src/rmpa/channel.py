@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .codes import CodeParams, build_generator, encode
-from .decoder import PruningConfig, decode, decode_batch
+from .decoder import PruningConfig, decode, decode_batch, decode_plan
 from .fod import FodCounter
 from .geometry import LLR_CLAMP
 
@@ -124,8 +124,11 @@ def _run_chunk(cfg: SimConfig, gen: np.ndarray, ch: ChannelConfig,
     else:
         counter = FodCounter()
         decoded = decode_batch(llrs, cfg.code, cfg.decoder, counter)
-        assert counter.total % count == 0
-        frame_fods = np.full(count, counter.total // count, dtype=np.int64)
+        fods = decode_plan(cfg.code, cfg.decoder).fods
+        if counter.total != count * fods:
+            raise RuntimeError(f"decoder counted {counter.total} FODs for "
+                               f"{count} frames of {fods} each")
+        frame_fods = np.full(count, fods, dtype=np.int64)
     bit_errs = np.sum(decoded != sent, axis=1)
     return bit_errs, frame_fods
 

@@ -50,47 +50,45 @@ def _parse_bits(text: str, k: int) -> np.ndarray:
     return np.array([int(ch) for ch in text], dtype=np.uint8)
 
 
+# the parameters each preset takes
+PRESET_KEYS = {"rpa": (), "srpa": ("q",), "rpa_sch": ("d",),
+               "mfp": ("gamma", "delta_itr", "delta_rec")}
+DECODER_KEYS = {"preset", "q", "d", "gamma", "delta_itr", "delta_rec",
+                "schedule", "n_max", "early_stop_theta"}
+
+
 def _decoder_from_args(args, r: int) -> PruningConfig:
-    kwargs = {"n_max": args.nmax}
-    if getattr(args, "theta", None) is not None:
-        kwargs["early_stop_theta"] = args.theta
-    if getattr(args, "schedule", None) is not None:
-        counts = [int(c) for c in args.schedule.split(",")]
-        return explicit_schedule_config(counts, r, **{
-            k: v for k, v in kwargs.items() if k != "n_max"})
-    if args.preset is not None:
-        return preset(args.preset, q=_fraction(args.q) if args.q else None,
-                      d=args.d, **kwargs)
-    if args.gamma is None:
-        return preset("rpa", **kwargs)
-    if args.ditr is None or args.drec is None:
-        raise SpecError("raw factors require --gamma, --ditr and --drec")
-    return preset("mfp", gamma=_fraction(args.gamma),
-                  delta_itr=_fraction(args.ditr),
-                  delta_rec=_fraction(args.drec), **kwargs)
+    spec = {key: value for key, value in vars(args).items()
+            if key in DECODER_KEYS and value is not None}
+    if "schedule" in spec:
+        spec["schedule"] = [int(c) for c in spec["schedule"].split(",")]
+    return _decoder_from_spec(spec, r)
 
 
 def _decoder_from_spec(obj: dict, r: int) -> PruningConfig:
-    allowed = {"preset", "q", "d", "gamma", "delta_itr", "delta_rec",
-               "schedule", "n_max", "early_stop_theta"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SpecError(f"unknown decoder keys: {sorted(unknown)}")
-    kwargs = {"n_max": int(obj.get("n_max", 3))}
-    if obj.get("early_stop_theta") is not None:
-        kwargs["early_stop_theta"] = float(obj["early_stop_theta"])
+    """The one path from decoder keys, of a spec or of CLI flags, to a
+    PruningConfig.  The decoder is a schedule, or a preset with its own
+    parameters; no preset means mfp if factors are given and rpa if not.
+    Keys the chosen decoder does not use are errors, never ignored."""
     if "schedule" in obj:
-        return explicit_schedule_config(obj["schedule"], r, **{
-            k: v for k, v in kwargs.items() if k != "n_max"})
-    if "preset" in obj:
-        q = _fraction(obj["q"]) if "q" in obj else None
-        return preset(obj["preset"], q=q, d=obj.get("d"), **kwargs)
-    try:
-        return preset("mfp", gamma=_fraction(obj["gamma"]),
-                      delta_itr=_fraction(obj["delta_itr"]),
-                      delta_rec=_fraction(obj["delta_rec"]), **kwargs)
-    except KeyError as exc:
-        raise SpecError(f"decoder spec missing {exc}") from exc
+        name, takes = "schedule", {"schedule"}
+    else:
+        name = obj.get("preset", "mfp" if set(obj) & set(PRESET_KEYS["mfp"])
+                       else "rpa")
+        # preset() rejects an unknown name
+        takes = {"preset", *PRESET_KEYS.get(name, ())}
+    unused = set(obj) - takes - {"n_max", "early_stop_theta"}
+    if unused:
+        raise SpecError(f"decoder keys {sorted(unused)} are unknown or do "
+                        f"not apply to {name}")
+    kwargs = {key: cast(obj[key]) for key, cast in
+              (("n_max", int), ("early_stop_theta", float))
+              if obj.get(key) is not None}
+    if name == "schedule":
+        return explicit_schedule_config(obj["schedule"], r, **kwargs)
+    factors = {k: _fraction(obj[k]) for k in ("q", *PRESET_KEYS["mfp"])
+               if k in obj}
+    return preset(name, d=obj.get("d"), **factors, **kwargs)
 
 
 def load_experiment_spec(obj: dict):
@@ -205,31 +203,22 @@ TABLE1_REFERENCE = {
 def cmd_table1(args) -> int:
     if args.preset is not None:
         params = CodeParams(m=args.m, r=args.r)
-        cfg = preset(args.preset, q=_fraction(args.q) if args.q else None,
-                     d=args.d, n_max=args.nmax)
-        count = analytic_fod_count(params, cfg)
+        count = analytic_fod_count(params, _decoder_from_args(args, args.r))
         print(count)
         ref = TABLE1_REFERENCE.get((args.preset, args.m, args.r))
         if ref is not None and ref != count:
             print(f"note: published table reports {ref}; the uniform "
                   f"ceiling schedule gives {count}", file=sys.stderr)
         return EXIT_OK
-    rows = [
-        ("RPA", "RM(7,2)",
-         analytic_fod_count(CodeParams(7, 2), preset("rpa"))),
-        ("RPA", "RM(8,3)",
-         analytic_fod_count(CodeParams(8, 3), preset("rpa"))),
-        ("MFP(2/3,1/4,1/2)", "RM(7,2)",
-         analytic_fod_count(CodeParams(7, 2), preset(
-             "mfp", gamma=Fraction(2, 3), delta_itr=Fraction(1, 4),
-             delta_rec=Fraction(1, 2)))),
-        ("MFP(3/4,1/3,3/4)", "RM(8,3)",
-         analytic_fod_count(CodeParams(8, 3), preset(
-             "mfp", gamma=Fraction(3, 4), delta_itr=Fraction(1, 3),
-             delta_rec=Fraction(3, 4)))),
-    ]
-    for name, code, count in rows:
-        print(f"{name}\t{code}\t{count}")
+    rows = [("RPA", 7, 2, {}), ("RPA", 8, 3, {}),
+            ("MFP(2/3,1/4,1/2)", 7, 2,
+             {"gamma": "2/3", "delta_itr": "1/4", "delta_rec": "1/2"}),
+            ("MFP(3/4,1/3,3/4)", 8, 3,
+             {"gamma": "3/4", "delta_itr": "1/3", "delta_rec": "3/4"})]
+    for name, m, r, decoder in rows:
+        count = analytic_fod_count(CodeParams(m, r),
+                                   _decoder_from_spec(decoder, r))
+        print(f"{name}\tRM({m},{r})\t{count}")
     for (name, m, r), count in TABLE1_REFERENCE.items():
         print(f"{name}\tRM({m},{r})\t{count}\t(reference value, not computed)")
     return EXIT_OK
@@ -245,11 +234,15 @@ def _add_decoder_args(p):
     p.add_argument("--q", help="srpa keep fraction, e.g. 1/8")
     p.add_argument("--d", type=float, help="rpa_sch decay factor")
     p.add_argument("--gamma", help="starting factor, e.g. 2/3")
-    p.add_argument("--ditr", help="iteration factor, e.g. 1/4")
-    p.add_argument("--drec", help="recursion factor, e.g. 1/2")
+    p.add_argument("--ditr", dest="delta_itr",
+                   help="iteration factor, e.g. 1/4")
+    p.add_argument("--drec", dest="delta_rec",
+                   help="recursion factor, e.g. 1/2")
     p.add_argument("--schedule", help="explicit per-level counts, e.g. 4,8")
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--theta", type=float, help="early-stop threshold")
+    p.add_argument("--nmax", dest="n_max", type=int, help="iterations per "
+                   "level (default 1 with --schedule, else 3)")
+    p.add_argument("--theta", dest="early_stop_theta", type=float,
+                   help="early-stop threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float)
     p.add_argument("--m", type=int, default=7)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--nmax", dest="n_max", type=int)
     p.set_defaults(func=cmd_table1)
     return parser
 

@@ -63,32 +63,6 @@ def build_generator(params: CodeParams) -> np.ndarray:
     return rows
 
 
-def build_generator_recursive(params: CodeParams) -> np.ndarray:
-    """Same matrix via the recursive block construction
-    G(m,r) = [[G(m-1,r), G(m-1,r)], [0, G(m-1,r-1)]], rows re-sorted into
-    the canonical order.  Cross-check for build_generator."""
-
-    def rec(m, r):
-        # returns (rows, kron indices) in recursion order
-        if m == 0:
-            return np.array([[1]], dtype=np.uint8), [0]
-        top, top_idx = rec(m - 1, min(r, m - 1))
-        if r == 0:
-            # repetition code: single all-ones row
-            row = np.ones((1, 1 << m), dtype=np.uint8)
-            return row, [0]
-        bot, bot_idx = rec(m - 1, r - 1)
-        upper = np.hstack([top, top])
-        lower = np.hstack([np.zeros_like(bot), bot])
-        rows = np.vstack([upper, lower])
-        idx = top_idx + [a | (1 << (m - 1)) for a in bot_idx]
-        return rows, idx
-
-    rows, idx = rec(params.m, params.r)
-    perm = sorted(range(len(idx)), key=lambda t: (bin(idx[t]).count("1"), idx[t]))
-    return rows[perm]
-
-
 def encode(msg: np.ndarray, gen: np.ndarray) -> np.ndarray:
     """c = u G over F_2."""
     msg = np.asarray(msg, dtype=np.uint8)

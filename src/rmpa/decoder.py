@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .codes import CodeParams
 from .fod import FodCounter, fht_decode
-from .geometry import build_coset_map, clamp_llr, project_llr
+from .geometry import aggregate, build_coset_map, clamp_llr, project_llr
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +45,12 @@ class PruningConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.explicit_schedule is not None:
-            for level, count in self.explicit_schedule.items():
-                if level < 2 or count < 1:
-                    raise ValueError(
-                        f"bad schedule entry level={level} count={count}")
+        schedule = self.explicit_schedule
+        if schedule is not None and (
+                sorted(schedule) != list(range(2, len(schedule) + 2))
+                or min(schedule.values(), default=1) < 1):
+            raise ValueError("schedule must map levels 2..L, without gaps, "
+                             f"to counts >= 1, got {schedule}")
         if self.early_stop_theta is not None and self.early_stop_theta <= 0:
             raise ValueError("early-stop threshold must be positive")
 
@@ -61,9 +63,22 @@ class DecodeResult:
     converged_early: bool
 
 
+@dataclass(frozen=True)
+class DecodePlan:
+    """One decode of RM(m, r) under a PruningConfig, fixed in advance.
+
+    steps holds one (kept subspace indices, plan of RM(m-1, r-1)) pair per
+    iteration; it is empty at r == 1, where a decode is one FHT.  fods is
+    the first-order-decoding cost of one decode with early stopping off."""
+
+    m: int
+    steps: tuple
+    fods: int
+
+
 def preset(name: str, *, q=None, d=None, gamma=None, delta_itr=None,
-           delta_rec=None, n_max: int = 3, **kwargs) -> PruningConfig:
-    """Named decoder configurations.
+           delta_rec=None, **kwargs) -> PruningConfig:
+    """Named decoder configurations; kwargs go to PruningConfig.
 
     rpa     -> (1, 1, 1)
     srpa    -> (q, 1, 1)
@@ -72,52 +87,49 @@ def preset(name: str, *, q=None, d=None, gamma=None, delta_itr=None,
     """
     one = Fraction(1)
     if name == "rpa":
-        return PruningConfig(one, one, one, n_max=n_max, **kwargs)
-    if name == "srpa":
+        factors = (one, one, one)
+    elif name == "srpa":
         if q is None or not 0 < q <= 1:
             raise ValueError(f"srpa requires q in (0, 1], got {q}")
-        return PruningConfig(Fraction(q), one, one, n_max=n_max, **kwargs)
-    if name == "rpa_sch":
+        factors = (Fraction(q), one, one)
+    elif name == "rpa_sch":
         if d is None or d < 1:
             raise ValueError(f"rpa_sch requires d >= 1, got {d}")
-        return PruningConfig(one, Fraction(1, 1) / Fraction(d), one,
-                             n_max=n_max, **kwargs)
-    if name == "mfp":
+        factors = (one, one / Fraction(d), one)
+    elif name == "mfp":
         if gamma is None or delta_itr is None or delta_rec is None:
             raise ValueError("mfp requires gamma, delta_itr, delta_rec")
-        return PruningConfig(Fraction(gamma), Fraction(delta_itr),
-                             Fraction(delta_rec), n_max=n_max, **kwargs)
-    raise ValueError(f"unknown preset {name!r}")
+        factors = (Fraction(gamma), Fraction(delta_itr), Fraction(delta_rec))
+    else:
+        raise ValueError(f"unknown preset {name!r}")
+    return PruningConfig(*factors, **kwargs)
 
 
-def explicit_schedule_config(counts, r: int, **kwargs) -> PruningConfig:
+def explicit_schedule_config(counts, r: int, n_max: int = 1,
+                             **kwargs) -> PruningConfig:
     """Fixed projection counts per recursion level, given top level first
-    (level r down to level 2); single iteration."""
+    (level r down to level 2); a single iteration unless n_max says more."""
     counts = list(counts)
     if len(counts) != r - 1:
         raise ValueError(f"need {r - 1} schedule entries for r={r}, got {len(counts)}")
     schedule = {r - t: int(c) for t, c in enumerate(counts)}
-    return PruningConfig(explicit_schedule=schedule, n_max=1, **kwargs)
+    return PruningConfig(explicit_schedule=schedule, n_max=n_max, **kwargs)
 
 
-def delta(j: int, l: int, cfg: PruningConfig):
-    """Fraction of projections kept at iteration j, recursion level l."""
-    return cfg.gamma * cfg.delta_itr ** (j - 1) * cfg.delta_rec ** (l - 2)
+def delta(j: int, l: int, cfg: PruningConfig, gamma=None):
+    """Fraction of projections kept at iteration j, recursion level l;
+    gamma overrides cfg.gamma for the decayed factor handed to inner
+    recursion levels."""
+    g = cfg.gamma if gamma is None else gamma
+    return g * cfg.delta_itr ** (j - 1) * cfg.delta_rec ** (l - 2)
 
 
 def num_projections(n: int, j: int, l: int, cfg: PruningConfig,
                     gamma=None) -> int:
-    """ceil(pruning factor * (n-1)); gamma overrides cfg.gamma for the
-    decayed factor handed to inner recursion levels."""
+    """The schedule's count for level l, else ceil(delta * (n-1))."""
     if cfg.explicit_schedule is not None:
-        np_ = cfg.explicit_schedule[l]
-    else:
-        g = cfg.gamma if gamma is None else gamma
-        np_ = math.ceil(g * cfg.delta_itr ** (j - 1)
-                        * cfg.delta_rec ** (l - 2) * (n - 1))
-    if not 1 <= np_ <= n - 1:
-        raise ValueError(f"projection count {np_} outside [1, {n - 1}]")
-    return np_
+        return cfg.explicit_schedule[l]
+    return math.ceil(delta(j, l, cfg, gamma) * (n - 1))
 
 
 def select_projection_indices(n: int, np_: int, rng=None) -> list:
@@ -140,43 +152,62 @@ def check_convergence(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> boo
     return bool(np.all(np.abs(l_new - l_old) < theta * np.abs(l_old)))
 
 
-def _decode_batch(llr: np.ndarray, m: int, r: int, g, cfg: PruningConfig,
-                  counter: FodCounter, top: bool, rng=None):
-    """Core recursion over a batch axis; returns (bits, iterations, converged).
-    Early stopping applies only at the top invocation (inner decoders run
-    their full iteration budget) and only for batch size 1."""
-    if r == 1:
-        return fht_decode(llr, counter, level=m), 0, False
-    n = 1 << m
-    batch = llr.shape[0]
-    theta = cfg.early_stop_theta if top else None
+@lru_cache(maxsize=64)
+def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
+    """The plan every decode of params under cfg walks.  Seeded random
+    projection subsets are drawn here, in decoding order, so all decodes
+    under one config share them."""
+    if params.r < 1:
+        raise ValueError("decoding requires r >= 1")
+    if cfg.explicit_schedule is not None:
+        wrong = sorted(set(range(2, params.r + 1)) ^ set(cfg.explicit_schedule))
+        if wrong:
+            state = "missing" if wrong[0] <= params.r else "extra"
+            raise ValueError(f"RM({params.m},{params.r}) needs schedule levels "
+                             f"2..{params.r}: level {wrong[0]} is {state}")
+    rng = (np.random.default_rng(cfg.random_projection_seed)
+           if cfg.random_projection_seed is not None else None)
+
+    def compile_level(m, r, g) -> DecodePlan:
+        if r == 1:
+            return DecodePlan(m=m, steps=(), fods=1)
+        n = 1 << m
+        steps = []
+        for j in range(1, cfg.n_max + 1):
+            indices = tuple(select_projection_indices(
+                n, num_projections(n, j, r, cfg, gamma=g), rng=rng))
+            # inner levels start from the factor decayed to this iteration
+            steps.append((indices, compile_level(
+                m - 1, r - 1, g * cfg.delta_itr ** (j - 1))))
+        return DecodePlan(m=m, steps=tuple(steps), fods=sum(
+            len(idx) * inner.fods for idx, inner in steps))
+
+    return compile_level(params.m, params.r, cfg.gamma)
+
+
+def _walk(node: DecodePlan, llr: np.ndarray, cfg: PruningConfig,
+          counter: FodCounter | None, theta: float | None = None):
+    """Decode a (batch, 2^m) stack along node; returns (bits, iterations,
+    converged).  Only the top call passes theta (inner decoders run their
+    full iteration budget), and it tests row 0 alone (batch size 1)."""
+    if not node.steps:
+        return fht_decode(llr, counter, level=node.m), 0, False
+    half = 1 << (node.m - 1)
     llr = clamp_llr(llr)
-    iterations = 0
-    converged = False
-    for j in range(1, cfg.n_max + 1):
-        np_ = num_projections(n, j, r, cfg, gamma=g)
-        g_inner = g * cfg.delta_itr ** (j - 1)
-        indices = select_projection_indices(n, np_, rng=rng)
-        maps = [build_coset_map(m, i) for i in indices]
-        projected = np.stack([project_llr(llr, cm, min_sum=cfg.min_sum)
-                              for cm in maps])
-        flat = projected.reshape(np_ * batch, n // 2)
-        chat, _, _ = _decode_batch(flat, m - 1, r - 1, g_inner, cfg,
-                                   counter, top=False, rng=rng)
-        chat = chat.reshape(np_, batch, n // 2)
-        accu = np.zeros((batch, n))
-        for t, cm in enumerate(maps):
-            signs = 1.0 - 2.0 * chat[t][:, cm.coset_of]
-            accu += signs * llr[:, cm.partner_of]
-        llr_new = clamp_llr(accu / np_)
-        iterations = j
-        if theta is not None and check_convergence(llr[0], llr_new[0], theta):
-            llr = llr_new
-            converged = True
-            break
+    iterations, converged = 0, False
+    for iterations, (indices, inner) in enumerate(node.steps, 1):
+        projected = np.stack([
+            project_llr(llr, build_coset_map(node.m, i), min_sum=cfg.min_sum)
+            for i in indices])
+        chat, _, _ = _walk(inner, projected.reshape(-1, half), cfg, counter)
+        chat = chat.reshape(len(indices), llr.shape[0], half)
+        llr_new = clamp_llr(aggregate(llr, list(zip(indices, chat))))
+        converged = (theta is not None
+                     and check_convergence(llr[0], llr_new[0], theta))
         llr = llr_new
-    bits = (llr < 0).astype(np.uint8)
-    return bits, iterations, converged
+        if converged:
+            break
+    return (llr < 0).astype(np.uint8), iterations, converged
 
 
 def decode(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
@@ -185,15 +216,10 @@ def decode(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (params.n,):
         raise ValueError(f"LLR length {llr.shape} does not match n={params.n}")
-    if params.r < 1:
-        raise ValueError("decoding requires r >= 1")
-    if counter is None:
-        counter = FodCounter()
-    rng = (np.random.default_rng(cfg.random_projection_seed)
-           if cfg.random_projection_seed is not None else None)
-    bits, iterations, converged = _decode_batch(
-        llr[None, :], params.m, params.r, cfg.gamma, cfg, counter,
-        top=True, rng=rng)
+    counter = FodCounter() if counter is None else counter
+    bits, iterations, converged = _walk(
+        decode_plan(params, cfg), llr[None, :], cfg, counter,
+        cfg.early_stop_theta)
     return DecodeResult(codeword=bits[0], fods=counter.snapshot(),
                         iterations_run=iterations, converged_early=converged)
 
@@ -208,56 +234,11 @@ def decode_batch(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
     llr = np.asarray(llr, dtype=np.float64)
     if llr.ndim != 2 or llr.shape[1] != params.n:
         raise ValueError(f"expected shape (batch, {params.n}), got {llr.shape}")
-    if params.r < 1:
-        raise ValueError("decoding requires r >= 1")
-    if counter is None:
-        counter = FodCounter()
-    rng = (np.random.default_rng(cfg.random_projection_seed)
-           if cfg.random_projection_seed is not None else None)
-    bits, _, _ = _decode_batch(llr, params.m, params.r, cfg.gamma, cfg,
-                               counter, top=True, rng=rng)
+    bits, _, _ = _walk(decode_plan(params, cfg), llr, cfg, counter)
     return bits
 
 
 def analytic_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
-    """First-order-decoding count of a full decode with early stopping off;
-    must match the instrumented counter exactly."""
-    if params.r < 1:
-        raise ValueError("r >= 1 required")
-    if cfg.explicit_schedule is not None:
-        total = 1
-        for level in range(2, params.r + 1):
-            total *= cfg.explicit_schedule[level]
-        return cfg.n_max * total
-
-    def count(m, r, g):
-        if r == 1:
-            return 1
-        total = 0
-        for j in range(1, cfg.n_max + 1):
-            np_ = math.ceil(g * cfg.delta_itr ** (j - 1)
-                            * cfg.delta_rec ** (r - 2) * ((1 << m) - 1))
-            total += np_ * count(m - 1, r - 1, g * cfg.delta_itr ** (j - 1))
-        return total
-
-    return count(params.m, params.r, cfg.gamma)
-
-
-def literal_formula_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
-    """The closed-form count as a single sum-of-products over levels.
-
-    Documented for reference only: it applies the iteration decay twice
-    (once in the decayed starting factor and once in the pruning function)
-    and does not nest the per-level iteration loops, so it disagrees with
-    the decoder's actual count; analytic_fod_count is authoritative.
-    """
-    n = params.n
-    total = 0
-    for j in range(1, cfg.n_max + 1):
-        prod = 1
-        for l in range(2, params.r + 1):
-            g = cfg.gamma * cfg.delta_itr ** (j - 1)
-            factor = g * cfg.delta_itr ** (j - 1) * cfg.delta_rec ** (l - 2)
-            prod *= math.ceil(factor * (n // (1 << (params.r - l)) - 1))
-        total += prod
-    return total
+    """First-order-decoding count of a full decode with early stopping off,
+    read from the plan decode walks."""
+    return decode_plan(params, cfg).fods

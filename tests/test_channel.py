@@ -80,6 +80,18 @@ def test_sweep_fods_per_frame_constant():
         assert pt.fods_per_frame == 381.0
 
 
+def test_sweep_rejects_a_decoder_that_miscounts(monkeypatch):
+    import rmpa.channel as channel
+    real = channel.decode_batch
+
+    def uncounted(llrs, code, cfg, counter):
+        return real(llrs, code, cfg)
+
+    monkeypatch.setattr(channel, "decode_batch", uncounted)
+    with pytest.raises(RuntimeError, match="FODs"):
+        run_sweep(_small_sim(max_frames=64))
+
+
 def test_sweep_reproducible_across_workers_and_chunks():
     outs = []
     for workers, chunk in [(1, 64), (4, 64), (1, 7)]:

@@ -4,7 +4,7 @@ import stat
 
 import pytest
 
-from rmpa.cli import main
+from rmpa.cli import load_experiment_spec, main
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,73 @@ def test_fods_mfp_72_measured(capsys):
                            "--drec", "1/2", "--nmax", "3", "--measure")
     assert code == 0
     assert out.split() == ["113", "113"]
+
+
+def test_fods_schedule_honours_nmax(capsys):
+    code, out, _ = run_cli(capsys, "fods", "--m", "6", "--r", "3",
+                           "--schedule", "4,8", "--nmax", "2", "--measure")
+    assert code == 0
+    assert out.split() == ["128", "128"]
+
+
+@pytest.mark.parametrize("flags,count", [
+    ([], "381"),
+    (["--preset", "mfp", "--gamma", "2/3", "--ditr", "1/4", "--drec", "1/2"],
+     "113")])
+def test_fods_decoder_defaults(capsys, flags, count):
+    # no decoder flags mean rpa; mfp takes the three factors
+    code, out, _ = run_cli(capsys, "fods", "--m", "7", "--r", "2", *flags)
+    assert code == 0
+    assert out.strip() == count
+
+
+# each pair gives a key the chosen decoder would ignore, as CLI flags and
+# as a spec's decoder object
+INAPPLICABLE = [
+    (["--schedule", "4,8", "--preset", "rpa"],
+     {"schedule": [4, 8], "preset": "rpa"}),
+    (["--schedule", "4,8", "--gamma", "1/2"],
+     {"schedule": [4, 8], "gamma": "1/2"}),
+    (["--schedule", "4,8", "--q", "1/2"], {"schedule": [4, 8], "q": "1/2"}),
+    (["--preset", "rpa", "--gamma", "1/2"], {"preset": "rpa", "gamma": "1/2"}),
+    (["--preset", "srpa", "--q", "1/2", "--ditr", "1/2"],
+     {"preset": "srpa", "q": "1/2", "delta_itr": "1/2"}),
+    (["--preset", "rpa_sch", "--d", "2", "--drec", "1/2"],
+     {"preset": "rpa_sch", "d": 2, "delta_rec": "1/2"}),
+    (["--preset", "rpa", "--q", "1/2"], {"preset": "rpa", "q": "1/2"}),
+    (["--q", "1/2"], {"q": "1/2"}),
+    (["--preset", "rpa", "--d", "3"], {"preset": "rpa", "d": 3}),
+    (["--gamma", "1", "--ditr", "1", "--drec", "1", "--d", "3"],
+     {"gamma": "1", "delta_itr": "1", "delta_rec": "1", "d": 3}),
+]
+
+
+@pytest.mark.parametrize("flags,decoder", INAPPLICABLE)
+def test_inapplicable_decoder_keys_exit_2(tmp_path, capsys, flags, decoder):
+    code, out, err = run_cli(capsys, "fods", "--m", "6", "--r", "3", *flags)
+    assert (code, out) == (2, "")
+    assert "error" in err
+    spec = make_spec(tmp_path, code={"m": 6, "r": 3}, decoder=decoder)
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
+def test_simulate_unknown_decoder_key_exits_2(tmp_path, capsys):
+    spec = make_spec(tmp_path, decoder={"preset": "rpa", "gama": "2/3"})
+    code, _, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert code == 2
+    assert "gama" in err
+
+
+@pytest.mark.parametrize("decoder,n_max", [
+    ({"schedule": [4, 8], "n_max": 2}, 2), ({"schedule": [4, 8]}, 1),
+    ({"preset": "rpa"}, 3), ({}, 3)])
+def test_spec_n_max_and_its_default(decoder, n_max):
+    spec = {"schema_version": 1, "code": {"m": 6, "r": 3},
+            "decoder": decoder, "ebno_db": [3.0]}
+    cfg, _ = load_experiment_spec(spec)
+    assert cfg.decoder.n_max == n_max
 
 
 def test_fods_bad_fraction_exits_2(capsys):

@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_coset_map, build_generator, check_convergence, decode,
-                  decode_batch, delta, encode, explicit_schedule_config,
-                  fht_decode, is_codeword, literal_formula_fod_count,
+                  decode_batch, decode_plan, delta, encode,
+                  explicit_schedule_config, fht_decode, is_codeword,
                   ml_decode_oracle, num_projections, preset,
                   select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
@@ -14,6 +16,26 @@ from rmpa.geometry import aggregate, clamp_llr, project_llr
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
+
+
+def literal_formula_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
+    """The closed-form count as a single sum-of-products over levels.
+
+    Documented for reference only: it applies the iteration decay twice
+    (once in the decayed starting factor and once in the pruning function)
+    and does not nest the per-level iteration loops, so it disagrees with
+    the decoder's actual count; analytic_fod_count is authoritative.
+    """
+    n = params.n
+    total = 0
+    for j in range(1, cfg.n_max + 1):
+        prod = 1
+        for l in range(2, params.r + 1):
+            g = cfg.gamma * cfg.delta_itr ** (j - 1)
+            factor = g * cfg.delta_itr ** (j - 1) * cfg.delta_rec ** (l - 2)
+            prod *= math.ceil(factor * (n // (1 << (params.r - l)) - 1))
+        total += prod
+    return total
 
 
 def test_delta_examples():
@@ -127,6 +149,84 @@ def test_analytic_count_iteration_decay_ceiling():
 def test_analytic_count_explicit_schedule():
     cfg = explicit_schedule_config([4, 8], 3)
     assert analytic_fod_count(CodeParams(6, 3), cfg) == 32
+
+
+def test_schedule_with_n_max_repeats_every_level():
+    # the inner level runs n_max iterations too: 2 * 4 * (2 * 8)
+    p = CodeParams(6, 3)
+    cfg = PruningConfig(explicit_schedule={3: 4, 2: 8}, n_max=2)
+    counter = FodCounter()
+    decode(np.random.default_rng(0).normal(size=p.n), p, cfg, counter)
+    assert analytic_fod_count(p, cfg) == counter.total == 128
+    assert explicit_schedule_config([4, 8], 3, n_max=2).n_max == 2
+
+
+@pytest.mark.parametrize("schedule", [{3: 4}, {2: 4, 4: 2}, {2: 0}])
+def test_schedule_needs_levels_2_to_l_and_positive_counts(schedule):
+    with pytest.raises(ValueError):
+        PruningConfig(explicit_schedule=schedule)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p, cfg: decode(np.zeros(p.n), p, cfg),
+    lambda p, cfg: decode_batch(np.zeros((2, p.n)), p, cfg),
+    analytic_fod_count])
+def test_partial_schedule_names_the_missing_level(entry, monkeypatch):
+    # a projection would raise TypeError, so the error must come first
+    monkeypatch.setattr("rmpa.decoder.project_llr", None)
+    with pytest.raises(ValueError, match="level 3 is missing"):
+        entry(CodeParams(6, 3), PruningConfig(explicit_schedule={2: 8}))
+
+
+def test_schedule_deeper_than_the_code_is_rejected():
+    with pytest.raises(ValueError, match="level 3 is extra"):
+        analytic_fod_count(CodeParams(6, 2),
+                           PruningConfig(explicit_schedule={2: 8, 3: 4}))
+
+
+def test_plan_is_compiled_once_per_config():
+    p = CodeParams(5, 2)
+    plan = decode_plan(p, MFP_72)
+    assert decode_plan(p, MFP_72) is plan
+    assert plan.fods == sum(len(idx) * inner.fods for idx, inner in plan.steps)
+
+
+FACTORS = st.sampled_from([F(1), F(3, 4), F(2, 3), F(1, 2), F(1, 3),
+                           F(1, 4), F(1, 8)])
+
+
+@st.composite
+def code_and_config(draw):
+    m = draw(st.integers(2, 6))
+    r = draw(st.integers(1, min(m, 4)))
+    kwargs = {"n_max": draw(st.sampled_from([1, 2, 3])),
+              "min_sum": draw(st.booleans()),
+              "random_projection_seed": draw(st.none() | st.integers(0, 99))}
+    if draw(st.booleans()):
+        # level l decodes a code of length 2^(m - r + l)
+        kwargs["explicit_schedule"] = {
+            l: draw(st.integers(1, min(8, (1 << (m - r + l)) - 1)))
+            for l in range(2, r + 1)}
+    else:
+        kwargs.update(gamma=draw(FACTORS), delta_itr=draw(FACTORS),
+                      delta_rec=draw(FACTORS))
+    return CodeParams(m, r), PruningConfig(**kwargs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(code_and_config(), st.integers(0, 2 ** 32 - 1))
+def test_analytic_count_and_batch_match_the_decoder(case, seed):
+    p, cfg = case
+    expected = analytic_fod_count(p, cfg)
+    assume(expected <= 4000)
+    llrs = np.random.default_rng(seed).normal(size=(2, p.n)) * 2
+    batch_counter = FodCounter()
+    bits = decode_batch(llrs, p, cfg, batch_counter)
+    assert batch_counter.total == 2 * expected
+    for llr, row in zip(llrs, bits):
+        counter = FodCounter()
+        assert np.array_equal(decode(llr, p, cfg, counter).codeword, row)
+        assert counter.total == expected
 
 
 def test_literal_closed_form_disagrees_as_documented():
