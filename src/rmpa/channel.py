@@ -67,6 +67,8 @@ class SimConfig:
             raise ValueError(f"unknown message_mode {self.message_mode!r}")
         if self.chunk_frames < 1 or self.workers < 1:
             raise ValueError("chunk_frames and workers must be >= 1")
+        # a decoder that does not fit the code fails here, not mid-sweep
+        decode_plan(self.code, self.decoder)
 
 
 @dataclass

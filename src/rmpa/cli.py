@@ -17,8 +17,8 @@ import numpy as np
 
 from .codes import CodeParams, build_generator, encode
 from .channel import SimConfig, csv_string, points_to_json, run_sweep
-from .decoder import (PruningConfig, analytic_fod_count, decode,
-                      explicit_schedule_config, preset)
+from .decoder import (DECODERS, PruningConfig, analytic_fod_count, decode,
+                      decoder_config)
 from .fod import FodCounter
 
 SPEC_SCHEMA_VERSION = 1
@@ -43,6 +43,8 @@ def _parse_bits(text: str, k: int) -> np.ndarray:
     """Message as a binary string, or hex with an 0x prefix."""
     if text.startswith(("0x", "0X")):
         value = int(text, 16)
+        if not 0 <= value < 1 << k:
+            raise SpecError(f"message {text} does not fit in k={k} bits")
         bits = [(value >> (k - 1 - t)) & 1 for t in range(k)]
         return np.array(bits, dtype=np.uint8)
     if len(text) != k or set(text) - {"0", "1"}:
@@ -50,45 +52,32 @@ def _parse_bits(text: str, k: int) -> np.ndarray:
     return np.array([int(ch) for ch in text], dtype=np.uint8)
 
 
-# the parameters each preset takes
-PRESET_KEYS = {"rpa": (), "srpa": ("q",), "rpa_sch": ("d",),
-               "mfp": ("gamma", "delta_itr", "delta_rec")}
-DECODER_KEYS = {"preset", "q", "d", "gamma", "delta_itr", "delta_rec",
-                "schedule", "n_max", "early_stop_theta"}
+# how each decoder key of a spec or of the CLI flags is read; which keys a
+# decoder takes is rmpa.decoder's decision
+DECODER_VALUES = {"preset": str, "q": _fraction, "d": float,
+                  "gamma": _fraction, "delta_itr": _fraction,
+                  "delta_rec": _fraction,
+                  "schedule": lambda counts: [int(c) for c in counts],
+                  "n_max": int, "early_stop_theta": float}
 
 
-def _decoder_from_args(args, r: int) -> PruningConfig:
-    spec = {key: value for key, value in vars(args).items()
-            if key in DECODER_KEYS and value is not None}
-    if "schedule" in spec:
-        spec["schedule"] = [int(c) for c in spec["schedule"].split(",")]
-    return _decoder_from_spec(spec, r)
+def _decoder_from_args(args) -> PruningConfig:
+    spec = {key: getattr(args, key) for key in DECODER_VALUES}
+    if spec["schedule"] is not None:
+        spec["schedule"] = spec["schedule"].split(",")
+    return _decoder_from_spec(spec)
 
 
-def _decoder_from_spec(obj: dict, r: int) -> PruningConfig:
+def _decoder_from_spec(obj: dict) -> PruningConfig:
     """The one path from decoder keys, of a spec or of CLI flags, to a
-    PruningConfig.  The decoder is a schedule, or a preset with its own
-    parameters; no preset means mfp if factors are given and rpa if not.
-    Keys the chosen decoder does not use are errors, never ignored."""
-    if "schedule" in obj:
-        name, takes = "schedule", {"schedule"}
-    else:
-        name = obj.get("preset", "mfp" if set(obj) & set(PRESET_KEYS["mfp"])
-                       else "rpa")
-        # preset() rejects an unknown name
-        takes = {"preset", *PRESET_KEYS.get(name, ())}
-    unused = set(obj) - takes - {"n_max", "early_stop_theta"}
-    if unused:
-        raise SpecError(f"decoder keys {sorted(unused)} are unknown or do "
-                        f"not apply to {name}")
-    kwargs = {key: cast(obj[key]) for key, cast in
-              (("n_max", int), ("early_stop_theta", float))
-              if obj.get(key) is not None}
-    if name == "schedule":
-        return explicit_schedule_config(obj["schedule"], r, **kwargs)
-    factors = {k: _fraction(obj[k]) for k in ("q", *PRESET_KEYS["mfp"])
-               if k in obj}
-    return preset(name, d=obj.get("d"), **factors, **kwargs)
+    PruningConfig; rmpa.decoder.decoder_config rejects the keys the
+    chosen decoder would not use."""
+    unknown = set(obj) - set(DECODER_VALUES)
+    if unknown:
+        raise SpecError(f"unknown decoder keys {sorted(unknown)}")
+    return decoder_config(**{key: None if value is None else
+                             DECODER_VALUES[key](value)
+                             for key, value in obj.items()})
 
 
 def load_experiment_spec(obj: dict):
@@ -103,7 +92,7 @@ def load_experiment_spec(obj: dict):
         raise SpecError(f"spec schema_version must be {SPEC_SCHEMA_VERSION}")
     try:
         code = CodeParams(m=int(obj["code"]["m"]), r=int(obj["code"]["r"]))
-        decoder = _decoder_from_spec(obj["decoder"], code.r)
+        decoder = _decoder_from_spec(obj["decoder"])
         cfg = SimConfig(
             code=code, decoder=decoder,
             ebno_points=tuple(float(x) for x in obj["ebno_db"]),
@@ -133,7 +122,7 @@ def cmd_decode(args) -> int:
     llr = np.array([float(x) for x in args.llr.split(",")])
     if llr.shape != (params.n,):
         raise SpecError(f"need {params.n} LLR values, got {llr.size}")
-    cfg = _decoder_from_args(args, params.r)
+    cfg = _decoder_from_args(args)
     result = decode(llr, params, cfg)
     print("".join(str(int(b)) for b in result.codeword))
     return EXIT_OK
@@ -141,7 +130,7 @@ def cmd_decode(args) -> int:
 
 def cmd_fods(args) -> int:
     params = CodeParams(m=args.m, r=args.r)
-    cfg = _decoder_from_args(args, params.r)
+    cfg = _decoder_from_args(args)
     count = analytic_fod_count(params, cfg)
     print(count)
     if args.measure:
@@ -201,9 +190,9 @@ TABLE1_REFERENCE = {
 
 
 def cmd_table1(args) -> int:
-    if args.preset is not None:
+    if any(getattr(args, key) is not None for key in DECODER_VALUES):
         params = CodeParams(m=args.m, r=args.r)
-        count = analytic_fod_count(params, _decoder_from_args(args, args.r))
+        count = analytic_fod_count(params, _decoder_from_args(args))
         print(count)
         ref = TABLE1_REFERENCE.get((args.preset, args.m, args.r))
         if ref is not None and ref != count:
@@ -217,7 +206,7 @@ def cmd_table1(args) -> int:
              {"gamma": "3/4", "delta_itr": "1/3", "delta_rec": "3/4"})]
     for name, m, r, decoder in rows:
         count = analytic_fod_count(CodeParams(m, r),
-                                   _decoder_from_spec(decoder, r))
+                                   _decoder_from_spec(decoder))
         print(f"{name}\tRM({m},{r})\t{count}")
     for (name, m, r), count in TABLE1_REFERENCE.items():
         print(f"{name}\tRM({m},{r})\t{count}\t(reference value, not computed)")
@@ -230,7 +219,9 @@ def _add_code_args(p):
 
 
 def _add_decoder_args(p):
-    p.add_argument("--preset", choices=["rpa", "srpa", "rpa_sch", "mfp"])
+    # a schedule is selected by --schedule alone
+    p.add_argument("--preset",
+                   choices=[name for name in DECODERS if name != "schedule"])
     p.add_argument("--q", help="srpa keep fraction, e.g. 1/8")
     p.add_argument("--d", type=float, help="rpa_sch decay factor")
     p.add_argument("--gamma", help="starting factor, e.g. 2/3")
@@ -276,13 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write wall_seconds as 0 for byte-stable output")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("table1", help="print reference complexity counts")
-    p.add_argument("--preset", choices=["rpa", "srpa", "rpa_sch", "mfp"])
-    p.add_argument("--q")
-    p.add_argument("--d", type=float)
+    p = sub.add_parser("table1", help="print reference complexity counts; "
+                       "any decoder flag prints that decoder's count alone")
     p.add_argument("--m", type=int, default=7)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--nmax", dest="n_max", type=int)
+    _add_decoder_args(p)
     p.set_defaults(func=cmd_table1)
     return parser
 

@@ -35,32 +35,18 @@ class CodeParams:
         return self.k / self.n
 
 
-def _kron_power_rows(m: int) -> np.ndarray:
-    """Rows of F^{(x)m} with F = [[1,1],[0,1]], row/column index bit 0 = LSB."""
-    f = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-    g = np.array([[1]], dtype=np.uint8)
-    for _ in range(m):
-        g = np.kron(f, g)
-    return g
-
-
-def _canonical_order(row_indices):
-    # descending Hamming weight of the row = ascending popcount of its
-    # Kronecker index; stable by index within a weight group
-    return sorted(row_indices, key=lambda a: (bin(a).count("1"), a))
-
-
 def build_generator(params: CodeParams) -> np.ndarray:
     """Canonical k x n generator of RM(m, r).
 
-    Rows are the Kronecker-power rows with Hamming weight >= 2^(m-r),
-    ordered by descending weight group (stable by Kronecker row index).
+    Row a (a subset of the m coordinates, popcount(a) <= r) evaluates the
+    monomial prod_{b in a} z_b: G[a, z] = 1 iff a is a subset of z.  Rows
+    are ordered by popcount, then by a, so the weight groups descend.
     """
-    full = _kron_power_rows(params.m)
-    selected = [a for a in range(params.n) if bin(a).count("1") <= params.r]
-    rows = full[_canonical_order(selected)]
-    assert rows.shape == (params.k, params.n)
-    return rows
+    rows = np.array(sorted((a for a in range(params.n)
+                            if bin(a).count("1") <= params.r),
+                           key=lambda a: (bin(a).count("1"), a)))[:, None]
+    z = np.arange(params.n)
+    return ((rows & z) == rows).astype(np.uint8)
 
 
 def encode(msg: np.ndarray, gen: np.ndarray) -> np.ndarray:
@@ -71,61 +57,29 @@ def encode(msg: np.ndarray, gen: np.ndarray) -> np.ndarray:
     return (msg @ gen) % 2
 
 
-def gf2_rref(matrix: np.ndarray):
-    """Reduced row echelon form over F_2; returns (rref rows, pivot columns)."""
-    a = (np.asarray(matrix, dtype=np.uint8) % 2).copy()
-    pivots = []
-    row = 0
-    for col in range(a.shape[1]):
-        if row >= a.shape[0]:
-            break
-        hits = np.nonzero(a[row:, col])[0]
-        if hits.size == 0:
-            continue
-        pivot = row + hits[0]
-        if pivot != row:
-            a[[row, pivot]] = a[[pivot, row]]
-        elim = np.nonzero(a[:, col])[0]
-        for t in elim:
-            if t != row:
-                a[t] ^= a[row]
-        pivots.append(col)
-        row += 1
-    return a[:row], pivots
-
-
 def is_codeword(c: np.ndarray, params: CodeParams) -> bool:
-    """Membership in the row space of the canonical generator."""
+    """Membership in RM(m, r)."""
     c = np.asarray(c, dtype=np.uint8)
     if c.shape != (params.n,):
         raise ValueError(f"vector length {c.shape} does not match n={params.n}")
-    rref, pivots = _rref_cache(params)
-    return bool(np.all(_reduce(c[None, :], rref, pivots) == 0))
+    return bool(in_row_space_batch(c[None, :], params)[0])
 
 
 def in_row_space_batch(vectors: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Vectorized membership test; vectors has shape (batch, n)."""
+    """Vectorized membership test; vectors has shape (batch, n).
+
+    The binary Moebius transform, the GF(2) twin of fht, turns each word
+    into its coefficients over the monomials; a word is in RM(m, r) iff
+    none of degree > r is present."""
     v = np.asarray(vectors, dtype=np.uint8) % 2
-    rref, pivots = _rref_cache(params)
-    return ~np.any(_reduce(v, rref, pivots), axis=1)
-
-
-def _reduce(v: np.ndarray, rref: np.ndarray, pivots) -> np.ndarray:
-    v = v.copy()
-    for row, col in zip(rref, pivots):
-        mask = v[:, col] == 1
-        v[mask] ^= row
-    return v
-
-
-_RREF_CACHE: dict = {}
-
-
-def _rref_cache(params: CodeParams):
-    key = (params.m, params.r)
-    if key not in _RREF_CACHE:
-        _RREF_CACHE[key] = gf2_rref(build_generator(params))
-    return _RREF_CACHE[key]
+    n = params.n
+    h = 1
+    while h < n:
+        w = v.reshape(v.shape[:-1] + (n // (2 * h), 2, h))
+        w[..., 1, :] ^= w[..., 0, :]
+        h *= 2
+    degree = np.array([bin(a).count("1") for a in range(n)])
+    return ~np.any(v[:, degree > params.r], axis=1)
 
 
 def enumerate_codewords(params: CodeParams) -> np.ndarray:

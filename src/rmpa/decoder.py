@@ -20,6 +20,8 @@ from .codes import CodeParams
 from .fod import FodCounter, fht_decode
 from .geometry import aggregate, build_coset_map, clamp_llr, project_llr
 
+FACTORS = ("gamma", "delta_itr", "delta_rec")
+
 
 @dataclass(frozen=True, eq=False)
 class PruningConfig:
@@ -29,28 +31,36 @@ class PruningConfig:
     gamma: Fraction | float = Fraction(1)
     delta_itr: Fraction | float = Fraction(1)
     delta_rec: Fraction | float = Fraction(1)
-    n_max: int = 3
-    # per-recursion-level projection counts {level: count}; overrides the
-    # factor form and is iteration-independent
-    explicit_schedule: dict | None = None
+    # 1 with an explicit schedule, else 3
+    n_max: int | None = None
+    # projection counts per recursion level, from level r down to level 2;
+    # replaces the factors, which must then stay 1
+    explicit_schedule: tuple | None = None
     early_stop_theta: float | None = None
     min_sum: bool = False
     # seeded random projection subsets instead of uniform striding
     random_projection_seed: int | None = None
 
     def __post_init__(self):
-        for name in ("gamma", "delta_itr", "delta_rec"):
+        schedule = self.explicit_schedule
+        if schedule is not None:
+            if isinstance(schedule, dict):
+                raise ValueError("a schedule lists its counts from level r "
+                                 f"down to level 2, got the dict {schedule}")
+            schedule = tuple(schedule)
+            object.__setattr__(self, "explicit_schedule", schedule)
+            if min(schedule, default=1) < 1:
+                raise ValueError(f"schedule counts must be >= 1, got {schedule}")
+        if self.n_max is None:
+            object.__setattr__(self, "n_max", 3 if schedule is None else 1)
+        for name in FACTORS:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
+            if schedule is not None and v != 1:
+                raise ValueError(f"{name} does not apply beside a schedule")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        schedule = self.explicit_schedule
-        if schedule is not None and (
-                sorted(schedule) != list(range(2, len(schedule) + 2))
-                or min(schedule.values(), default=1) < 1):
-            raise ValueError("schedule must map levels 2..L, without gaps, "
-                             f"to counts >= 1, got {schedule}")
         if self.early_stop_theta is not None and self.early_stop_theta <= 0:
             raise ValueError("early-stop threshold must be positive")
 
@@ -76,44 +86,69 @@ class DecodePlan:
     fods: int
 
 
-def preset(name: str, *, q=None, d=None, gamma=None, delta_itr=None,
-           delta_rec=None, **kwargs) -> PruningConfig:
-    """Named decoder configurations; kwargs go to PruningConfig.
+# Each decoder: the keys it takes and the factor triple they give.  A
+# schedule keeps the factors at 1 and sets fixed counts per level instead.
+DECODERS = {
+    "rpa": ((), lambda: (1, 1, 1)),
+    "srpa": (("q",), lambda q: (q, 1, 1)),
+    "rpa_sch": (("d",), lambda d: (1, 1 / Fraction(d), 1)),
+    "mfp": (FACTORS, lambda gamma, delta_itr, delta_rec:
+            (gamma, delta_itr, delta_rec)),
+    "schedule": (("schedule",), lambda schedule: (1, 1, 1)),
+}
+# keys that go with every decoder
+SHARED_KEYS = ("n_max", "early_stop_theta", "min_sum",
+               "random_projection_seed")
+
+
+def decoder_config(preset: str | None = None, **keys) -> PruningConfig:
+    """The PruningConfig that decoder keys describe.
+
+    The decoder is the named preset; without one it is a schedule if one
+    is given, else mfp if a factor is, else rpa.  A key set to None counts
+    as not given.  Keys the decoder would not use raise ValueError, which
+    names all of them."""
+    keys = {key: value for key, value in keys.items() if value is not None}
+    name = preset or ("schedule" if "schedule" in keys else
+                      "mfp" if keys.keys() & set(FACTORS) else "rpa")
+    if name not in DECODERS:
+        raise ValueError(f"unknown decoder {name!r}")
+    takes, factors = DECODERS[name]
+    unused = keys.keys() - set(takes) - set(SHARED_KEYS)
+    if unused:
+        raise ValueError(f"decoder keys {sorted(unused)} are unknown or do "
+                         f"not apply to {name}")
+    missing = [key for key in takes if key not in keys]
+    if missing:
+        raise ValueError(f"{name} requires {', '.join(missing)}")
+    given = {key: keys.pop(key) for key in takes}
+    try:
+        triple = [Fraction(x) for x in factors(**given)]
+    except (ArithmeticError, TypeError) as exc:
+        raise ValueError(f"bad {name} parameters {given}: {exc}") from exc
+    return PruningConfig(*triple, explicit_schedule=given.get("schedule"),
+                         **keys)
+
+
+def preset(name: str, **kwargs) -> PruningConfig:
+    """Named decoder configurations; kwargs are the keys DECODERS lists
+    for name, plus any of SHARED_KEYS.
 
     rpa     -> (1, 1, 1)
     srpa    -> (q, 1, 1)
     rpa_sch -> (1, 1/d, 1)
     mfp     -> (gamma, delta_itr, delta_rec)
     """
-    one = Fraction(1)
-    if name == "rpa":
-        factors = (one, one, one)
-    elif name == "srpa":
-        if q is None or not 0 < q <= 1:
-            raise ValueError(f"srpa requires q in (0, 1], got {q}")
-        factors = (Fraction(q), one, one)
-    elif name == "rpa_sch":
-        if d is None or d < 1:
-            raise ValueError(f"rpa_sch requires d >= 1, got {d}")
-        factors = (one, one / Fraction(d), one)
-    elif name == "mfp":
-        if gamma is None or delta_itr is None or delta_rec is None:
-            raise ValueError("mfp requires gamma, delta_itr, delta_rec")
-        factors = (Fraction(gamma), Fraction(delta_itr), Fraction(delta_rec))
-    else:
-        raise ValueError(f"unknown preset {name!r}")
-    return PruningConfig(*factors, **kwargs)
+    return decoder_config(name, **kwargs)
 
 
-def explicit_schedule_config(counts, r: int, n_max: int = 1,
-                             **kwargs) -> PruningConfig:
+def explicit_schedule_config(counts, r: int, **kwargs) -> PruningConfig:
     """Fixed projection counts per recursion level, given top level first
     (level r down to level 2); a single iteration unless n_max says more."""
-    counts = list(counts)
+    counts = tuple(int(c) for c in counts)
     if len(counts) != r - 1:
         raise ValueError(f"need {r - 1} schedule entries for r={r}, got {len(counts)}")
-    schedule = {r - t: int(c) for t, c in enumerate(counts)}
-    return PruningConfig(explicit_schedule=schedule, n_max=n_max, **kwargs)
+    return decoder_config(schedule=counts, **kwargs)
 
 
 def delta(j: int, l: int, cfg: PruningConfig, gamma=None):
@@ -128,7 +163,8 @@ def num_projections(n: int, j: int, l: int, cfg: PruningConfig,
                     gamma=None) -> int:
     """The schedule's count for level l, else ceil(delta * (n-1))."""
     if cfg.explicit_schedule is not None:
-        return cfg.explicit_schedule[l]
+        # the schedule ends with level 2
+        return cfg.explicit_schedule[1 - l]
     return math.ceil(delta(j, l, cfg, gamma) * (n - 1))
 
 
@@ -159,12 +195,11 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     under one config share them."""
     if params.r < 1:
         raise ValueError("decoding requires r >= 1")
-    if cfg.explicit_schedule is not None:
-        wrong = sorted(set(range(2, params.r + 1)) ^ set(cfg.explicit_schedule))
-        if wrong:
-            state = "missing" if wrong[0] <= params.r else "extra"
-            raise ValueError(f"RM({params.m},{params.r}) needs schedule levels "
-                             f"2..{params.r}: level {wrong[0]} is {state}")
+    schedule = cfg.explicit_schedule
+    if schedule is not None and len(schedule) != params.r - 1:
+        raise ValueError(f"RM({params.m},{params.r}) needs {params.r - 1} "
+                         f"schedule counts (levels {params.r} down to 2), "
+                         f"got {len(schedule)}")
     rng = (np.random.default_rng(cfg.random_projection_seed)
            if cfg.random_projection_seed is not None else None)
 
@@ -216,6 +251,8 @@ def decode(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (params.n,):
         raise ValueError(f"LLR length {llr.shape} does not match n={params.n}")
+    if not np.isfinite(llr).all():
+        raise ValueError("LLRs must be finite, not NaN or inf")
     counter = FodCounter() if counter is None else counter
     bits, iterations, converged = _walk(
         decode_plan(params, cfg), llr[None, :], cfg, counter,
@@ -234,6 +271,8 @@ def decode_batch(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
     llr = np.asarray(llr, dtype=np.float64)
     if llr.ndim != 2 or llr.shape[1] != params.n:
         raise ValueError(f"expected shape (batch, {params.n}), got {llr.shape}")
+    if not np.isfinite(llr).all():
+        raise ValueError("LLRs must be finite, not NaN or inf")
     bits, _, _ = _walk(decode_plan(params, cfg), llr, cfg, counter)
     return bits
 

@@ -1,8 +1,10 @@
 import json
 import os
 import stat
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmpa.cli import load_experiment_spec, main
 
@@ -40,6 +42,24 @@ def test_encode_bad_length_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+def test_encode_hex_message_too_wide_exits_2(capsys):
+    # k = 3, so 0x7 is the largest message
+    code, out, err = run_cli(capsys, "encode", "--m", "2", "--r", "1",
+                             "--msg", "0xff")
+    assert (code, out) == (2, "")
+    assert "0xff" in err
+    code, out, _ = run_cli(capsys, "encode", "--m", "2", "--r", "1",
+                           "--msg", "0x7")
+    assert (code, out.strip()) == (0, "1001")
+
+
+@pytest.mark.parametrize("llr", ["--llr=nan,1,1,1", "--llr=inf,-inf,1,1"])
+def test_decode_non_finite_llr_exits_2(capsys, llr):
+    code, out, err = run_cli(capsys, "decode", "--m", "2", "--r", "1", llr)
+    assert (code, out) == (2, "")
+    assert "finite" in err
 
 
 def test_decode_noiseless(capsys):
@@ -124,6 +144,25 @@ def test_inapplicable_decoder_keys_exit_2(tmp_path, capsys, flags, decoder):
     assert "error" in err
 
 
+def test_schedule_of_the_wrong_length_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "fods", "--m", "6", "--r", "3",
+                             "--schedule", "8")
+    assert (code, out) == (2, "")
+    assert "needs 2 schedule counts" in err
+    # a spec fails when it loads, before any frame is simulated
+    spec = {"schema_version": 1, "code": {"m": 6, "r": 3},
+            "decoder": {"schedule": [8]}, "ebno_db": [3.0]}
+    with pytest.raises(ValueError, match="needs 2 schedule counts"):
+        load_experiment_spec(spec)
+
+
+def test_rpa_sch_with_d_0_exits_2(capsys):
+    code, out, err = run_cli(capsys, "fods", "--m", "7", "--r", "2",
+                             "--preset", "rpa_sch", "--d", "0")
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
 def test_simulate_unknown_decoder_key_exits_2(tmp_path, capsys):
     spec = make_spec(tmp_path, decoder={"preset": "rpa", "gama": "2/3"})
     code, _, err = run_cli(capsys, "simulate", "--spec", spec)
@@ -158,6 +197,16 @@ def test_table1_default(capsys):
     # external cells present as references
     assert any(row[0] == "rpa_sch" and row[2] == "221" for row in lines)
     assert any(row[0] == "2-srpa" and row[2] == "36433" for row in lines)
+
+
+@pytest.mark.parametrize("flags,count", [
+    (["--preset", "mfp", "--gamma", "2/3", "--ditr", "1/4", "--drec", "1/2"],
+     "113"),
+    (["--m", "6", "--r", "3", "--schedule", "4,8"], "32")])
+def test_table1_takes_the_decoder_flags(capsys, flags, count):
+    code, out, _ = run_cli(capsys, "table1", *flags)
+    assert code == 0
+    assert out.strip() == count
 
 
 def test_table1_rpa_sch_ceiling_note(capsys):
@@ -251,3 +300,65 @@ def test_simulate_unwritable_directory_path_exits_3(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--spec", spec,
                          "--output", str(tmp_path))
     assert code == 3
+
+
+# the keys each decoder takes, besides n_max and early_stop_theta
+TAKES = {"rpa": set(), "srpa": {"q"}, "rpa_sch": {"d"},
+         "mfp": {"gamma", "delta_itr", "delta_rec"}, "schedule": {"schedule"}}
+SPEC_FACTORS = st.sampled_from(["1", "3/4", "2/3", "1/2", "1/3", "1/8"])
+
+
+@st.composite
+def decoder_dicts(draw):
+    r = draw(st.integers(2, 3))
+    values = {"preset": st.sampled_from(["rpa", "srpa", "rpa_sch", "mfp"]),
+              "q": SPEC_FACTORS, "d": st.integers(1, 4),
+              "gamma": SPEC_FACTORS, "delta_itr": SPEC_FACTORS,
+              "delta_rec": SPEC_FACTORS,
+              "schedule": st.lists(st.integers(1, 15), min_size=r - 1,
+                                   max_size=r - 1),
+              "n_max": st.integers(1, 3),
+              "early_stop_theta": st.sampled_from([0.01, 0.05, 0.5])}
+    # a decoder with its keys, or with one key too many or too few
+    name = draw(st.sampled_from(sorted(TAKES)))
+    keys = TAKES[name] | set(draw(st.lists(
+        st.sampled_from(["n_max", "early_stop_theta"]), unique=True)))
+    decoder = {key: draw(values[key]) for key in sorted(keys)}
+    if name in ("srpa", "rpa_sch") or (name in ("rpa", "mfp")
+                                       and draw(st.booleans())):
+        decoder["preset"] = name
+    flip = draw(st.none() | st.sampled_from(sorted(values)))
+    if flip in decoder:
+        del decoder[flip]
+    elif flip is not None:
+        decoder[flip] = draw(values[flip])
+    return r, decoder
+
+
+@settings(deadline=None, max_examples=200)
+@given(decoder_dicts())
+def test_spec_decoder_round_trip(case):
+    r, decoder = case
+    name = decoder.get("preset") or (
+        "schedule" if "schedule" in decoder else
+        "mfp" if decoder.keys() & TAKES["mfp"] else "rpa")
+    applies = (set(decoder) - {"preset", "n_max", "early_stop_theta"}
+               == TAKES[name])
+    spec = {"schema_version": 1, "code": {"m": 6, "r": r},
+            "decoder": decoder, "ebno_db": [3.0]}
+    if not applies:
+        with pytest.raises(ValueError):
+            load_experiment_spec(spec)
+        return
+    cfg = load_experiment_spec(spec)[0].decoder
+    one = F(1)
+    factors = {"rpa": (one, one, one), "schedule": (one, one, one),
+               "srpa": (F(decoder.get("q", 1)), one, one),
+               "rpa_sch": (one, one / decoder.get("d", 1), one),
+               "mfp": tuple(F(decoder.get(k, 1)) for k in
+                            ("gamma", "delta_itr", "delta_rec"))}[name]
+    assert (cfg.gamma, cfg.delta_itr, cfg.delta_rec) == factors
+    assert cfg.explicit_schedule == (tuple(decoder["schedule"])
+                                     if name == "schedule" else None)
+    assert cfg.n_max == decoder.get("n_max", 1 if name == "schedule" else 3)
+    assert cfg.early_stop_theta == decoder.get("early_stop_theta")

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rmpa import (CodeParams, build_generator, encode, enumerate_codewords,
                   fht_decode, is_codeword, ml_decode_oracle)
+from rmpa.codes import in_row_space_batch
 
 
 def build_generator_recursive(params: CodeParams) -> np.ndarray:
@@ -111,6 +113,27 @@ def test_is_codeword_examples():
     assert len(words) == 8
     for bits in itertools.product([0, 1], repeat=4):
         assert is_codeword(np.array(bits, dtype=np.uint8), p) == (bits in words)
+
+
+def test_build_generator_memory_stays_linear_in_n():
+    # k x n output: 14 x 8192 bytes; an n x n intermediate would be 64 MiB
+    tracemalloc.start()
+    try:
+        build_generator(CodeParams(13, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_membership_agrees_with_the_enumerated_code(m):
+    words = ((np.arange(1 << (1 << m))[:, None] >> np.arange(1 << m)) & 1)
+    for r in range(m + 1):
+        p = CodeParams(m, r)
+        code = {tuple(w) for w in enumerate_codewords(p)}
+        expected = [tuple(w) in code for w in words]
+        assert in_row_space_batch(words, p).tolist() == expected
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -122,6 +122,26 @@ def test_presets():
         preset("no_such_decoder")
 
 
+@pytest.mark.parametrize("name,kwargs,unused", [
+    ("rpa", {"gamma": F(1, 2)}, "gamma"),
+    ("srpa", {"q": F(1, 2), "d": 4}, "d"),
+    ("rpa_sch", {"d": 2, "q": F(1, 2), "delta_rec": F(1, 2)}, "delta_rec"),
+    ("mfp", {"gamma": F(1, 2), "delta_itr": 1, "delta_rec": 1,
+             "schedule": (4, 8)}, "schedule"),
+    ("rpa", {"gama": F(1, 2)}, "gama")])
+def test_preset_rejects_keys_it_would_not_use(name, kwargs, unused):
+    with pytest.raises(ValueError, match=unused):
+        preset(name, **kwargs)
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("srpa", {}), ("rpa_sch", {"d": 0}), ("rpa_sch", {"d": float("inf")}),
+    ("mfp", {"gamma": F(1, 2)})])
+def test_preset_missing_or_bad_parameter_is_a_value_error(name, kwargs):
+    with pytest.raises(ValueError):
+        preset(name, **kwargs)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PruningConfig(gamma=0)
@@ -131,6 +151,13 @@ def test_config_validation():
         PruningConfig(n_max=0)
     with pytest.raises(ValueError):
         explicit_schedule_config([4], 3)
+
+
+@pytest.mark.parametrize("factor", ["gamma", "delta_itr", "delta_rec"])
+def test_factors_other_than_1_beside_a_schedule_are_rejected(factor):
+    with pytest.raises(ValueError, match=factor):
+        PruningConfig(explicit_schedule=(4, 8), **{factor: F(1, 2)})
+    assert PruningConfig(explicit_schedule=(4, 8), **{factor: 1}).n_max == 1
 
 
 def test_analytic_counts_match_published_table():
@@ -149,19 +176,24 @@ def test_analytic_count_iteration_decay_ceiling():
 def test_analytic_count_explicit_schedule():
     cfg = explicit_schedule_config([4, 8], 3)
     assert analytic_fod_count(CodeParams(6, 3), cfg) == 32
+    # the library and the CLI share the n_max default: 1 with a schedule
+    cfg = PruningConfig(explicit_schedule=(4, 8))
+    assert cfg.n_max == 1
+    assert analytic_fod_count(CodeParams(6, 3), cfg) == 32
+    assert PruningConfig().n_max == 3
 
 
 def test_schedule_with_n_max_repeats_every_level():
     # the inner level runs n_max iterations too: 2 * 4 * (2 * 8)
     p = CodeParams(6, 3)
-    cfg = PruningConfig(explicit_schedule={3: 4, 2: 8}, n_max=2)
+    cfg = PruningConfig(explicit_schedule=(4, 8), n_max=2)
     counter = FodCounter()
     decode(np.random.default_rng(0).normal(size=p.n), p, cfg, counter)
     assert analytic_fod_count(p, cfg) == counter.total == 128
     assert explicit_schedule_config([4, 8], 3, n_max=2).n_max == 2
 
 
-@pytest.mark.parametrize("schedule", [{3: 4}, {2: 4, 4: 2}, {2: 0}])
+@pytest.mark.parametrize("schedule", [(0,), (4, 0), (8, -1), {3: 4, 2: 8}])
 def test_schedule_needs_levels_2_to_l_and_positive_counts(schedule):
     with pytest.raises(ValueError):
         PruningConfig(explicit_schedule=schedule)
@@ -174,14 +206,15 @@ def test_schedule_needs_levels_2_to_l_and_positive_counts(schedule):
 def test_partial_schedule_names_the_missing_level(entry, monkeypatch):
     # a projection would raise TypeError, so the error must come first
     monkeypatch.setattr("rmpa.decoder.project_llr", None)
-    with pytest.raises(ValueError, match="level 3 is missing"):
-        entry(CodeParams(6, 3), PruningConfig(explicit_schedule={2: 8}))
+    with pytest.raises(ValueError, match=r"needs 2 schedule counts \(levels "
+                       r"3 down to 2\), got 1"):
+        entry(CodeParams(6, 3), PruningConfig(explicit_schedule=(8,)))
 
 
 def test_schedule_deeper_than_the_code_is_rejected():
-    with pytest.raises(ValueError, match="level 3 is extra"):
+    with pytest.raises(ValueError, match="needs 1 schedule counts .*got 2"):
         analytic_fod_count(CodeParams(6, 2),
-                           PruningConfig(explicit_schedule={2: 8, 3: 4}))
+                           PruningConfig(explicit_schedule=(4, 8)))
 
 
 def test_plan_is_compiled_once_per_config():
@@ -204,9 +237,9 @@ def code_and_config(draw):
               "random_projection_seed": draw(st.none() | st.integers(0, 99))}
     if draw(st.booleans()):
         # level l decodes a code of length 2^(m - r + l)
-        kwargs["explicit_schedule"] = {
-            l: draw(st.integers(1, min(8, (1 << (m - r + l)) - 1)))
-            for l in range(2, r + 1)}
+        kwargs["explicit_schedule"] = tuple(
+            draw(st.integers(1, min(8, (1 << (m - r + l)) - 1)))
+            for l in range(r, 1, -1))
     else:
         kwargs.update(gamma=draw(FACTORS), delta_itr=draw(FACTORS),
                       delta_rec=draw(FACTORS))
@@ -331,6 +364,18 @@ def test_decode_batch_rejects_early_stop():
     cfg = PruningConfig(early_stop_theta=0.05)
     with pytest.raises(ValueError):
         decode_batch(np.zeros((2, 16)), p, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decoders_reject_non_finite_llrs(bad, monkeypatch):
+    monkeypatch.setattr("rmpa.decoder.project_llr", None)
+    p = CodeParams(4, 2)
+    llr = np.ones(p.n)
+    llr[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decode(llr, p, preset("rpa"))
+    with pytest.raises(ValueError, match="finite"):
+        decode_batch(np.stack([np.ones(p.n), llr]), p, preset("rpa"))
 
 
 def textbook_rpa_order2(llr, m, n_max):
