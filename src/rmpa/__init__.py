@@ -5,7 +5,8 @@ AWGN Monte Carlo harness."""
 from .codes import (CodeParams, build_generator, encode,
                     enumerate_codewords, is_codeword, ml_decode_oracle)
 from .geometry import (LLR_CLAMP, CosetMap, aggregate, boxplus,
-                       build_coset_map, project_hard, project_llr)
+                       build_coset_map, project_hard, project_llr,
+                       stack_coset_maps)
 from .fod import FodCounter, fht, fht_decode
 from .decoder import (DecodePlan, DecodeResult, PruningConfig,
                       analytic_fod_count, check_convergence, decode,
@@ -21,7 +22,7 @@ __all__ = [
     "CodeParams", "build_generator", "encode", "enumerate_codewords",
     "is_codeword", "ml_decode_oracle",
     "LLR_CLAMP", "CosetMap", "aggregate", "boxplus", "build_coset_map",
-    "project_hard", "project_llr",
+    "project_hard", "project_llr", "stack_coset_maps",
     "FodCounter", "fht", "fht_decode",
     "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",
     "check_convergence", "decode", "decode_batch", "decode_plan", "delta",

@@ -39,6 +39,21 @@ def _fraction(text: str) -> Fraction:
         raise SpecError(f"bad fraction {text!r}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """An integer from a JSON number or a decimal string (a flag's text or
+    RMPA_WORKERS); bools, fractional numbers and other text are SpecError."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SpecError(f"expected an integer, got {value!r}")
+
+
 def _parse_bits(text: str, k: int) -> np.ndarray:
     """Message as a binary string, or hex with an 0x prefix."""
     if text.startswith(("0x", "0X")):
@@ -57,8 +72,8 @@ def _parse_bits(text: str, k: int) -> np.ndarray:
 DECODER_VALUES = {"preset": str, "q": _fraction, "d": float,
                   "gamma": _fraction, "delta_itr": _fraction,
                   "delta_rec": _fraction,
-                  "schedule": lambda counts: [int(c) for c in counts],
-                  "n_max": int, "early_stop_theta": float}
+                  "schedule": lambda counts: [_integer(c) for c in counts],
+                  "n_max": _integer, "early_stop_theta": float}
 
 
 def _decoder_from_args(args) -> PruningConfig:
@@ -91,18 +106,19 @@ def load_experiment_spec(obj: dict):
     if obj.get("schema_version") != SPEC_SCHEMA_VERSION:
         raise SpecError(f"spec schema_version must be {SPEC_SCHEMA_VERSION}")
     try:
-        code = CodeParams(m=int(obj["code"]["m"]), r=int(obj["code"]["r"]))
+        code = CodeParams(m=_integer(obj["code"]["m"]),
+                          r=_integer(obj["code"]["r"]))
         decoder = _decoder_from_spec(obj["decoder"])
         cfg = SimConfig(
             code=code, decoder=decoder,
             ebno_points=tuple(float(x) for x in obj["ebno_db"]),
-            min_frame_errors=int(obj.get("min_frame_errors", 100)),
-            max_frames=int(obj.get("max_frames", 10 ** 7)),
-            seed=int(obj.get("seed", 0)),
+            min_frame_errors=_integer(obj.get("min_frame_errors", 100)),
+            max_frames=_integer(obj.get("max_frames", 10 ** 7)),
+            seed=_integer(obj.get("seed", 0)),
             message_mode=obj.get("message_mode", "random"),
-            chunk_frames=int(obj.get("chunk_frames", 64)),
-            workers=int(obj.get("workers",
-                                os.environ.get("RMPA_WORKERS", 1))),
+            chunk_frames=_integer(obj.get("chunk_frames", 64)),
+            workers=_integer(obj.get("workers",
+                                     os.environ.get("RMPA_WORKERS", 1))),
             record_timing=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(str(exc)) from exc

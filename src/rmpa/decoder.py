@@ -18,7 +18,7 @@ import numpy as np
 
 from .codes import CodeParams
 from .fod import FodCounter, fht_decode
-from .geometry import aggregate, build_coset_map, clamp_llr, project_llr
+from .geometry import aggregate, clamp_llr, project_llr, stack_coset_maps
 
 FACTORS = ("gamma", "delta_itr", "delta_rec")
 
@@ -38,7 +38,9 @@ class PruningConfig:
     explicit_schedule: tuple | None = None
     early_stop_theta: float | None = None
     min_sum: bool = False
-    # seeded random projection subsets instead of uniform striding
+    # seeded random projection subsets instead of uniform striding: one
+    # subset per (recursion level, iteration), drawn when the plan compiles
+    # and shared by every frame and every sibling sub-decoder
     random_projection_seed: int | None = None
 
     def __post_init__(self):
@@ -77,13 +79,23 @@ class DecodeResult:
 class DecodePlan:
     """One decode of RM(m, r) under a PruningConfig, fixed in advance.
 
-    steps holds one (kept subspace indices, plan of RM(m-1, r-1)) pair per
-    iteration; it is empty at r == 1, where a decode is one FHT.  fods is
-    the first-order-decoding cost of one decode with early stopping off."""
+    steps holds one (stacked coset maps of the kept projections, plan of
+    RM(m-1, r-1)) pair per iteration; it is empty at r == 1, where a decode
+    is one FHT.  fods is the first-order-decoding cost of one decode with
+    early stopping off; row_bytes is the size of the first-order inputs
+    that one row of this plan holds at once (one iteration's worth)."""
 
     m: int
     steps: tuple
     fods: int
+    row_bytes: int
+
+
+# Bytes of first-order inputs one block of rows may hold at a time.  The
+# FHT's two buffers and the aggregation terms make a block's working set two
+# to three times this, which still fits a 2 MiB L2 cache.  Rows and
+# projections decode independently, so the block size changes no result.
+BLOCK_BYTES = 1 << 20
 
 
 # Each decoder: the keys it takes and the factor triple they give.  A
@@ -188,6 +200,11 @@ def check_convergence(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> boo
     return bool(np.all(np.abs(l_new - l_old) < theta * np.abs(l_old)))
 
 
+# Plans that keep the same subspaces, in one decode or in plans of equal
+# configs, share one stack of maps: a full-RPA stack holds 24 n^2 bytes.
+_stacked_maps = lru_cache(maxsize=128)(stack_coset_maps)
+
+
 @lru_cache(maxsize=64)
 def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     """The plan every decode of params under cfg walks.  Seeded random
@@ -205,17 +222,20 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
 
     def compile_level(m, r, g) -> DecodePlan:
         if r == 1:
-            return DecodePlan(m=m, steps=(), fods=1)
+            return DecodePlan(m=m, steps=(), fods=1, row_bytes=8 << m)
         n = 1 << m
         steps = []
         for j in range(1, cfg.n_max + 1):
-            indices = tuple(select_projection_indices(
-                n, num_projections(n, j, r, cfg, gamma=g), rng=rng))
+            cmap = _stacked_maps(m, tuple(select_projection_indices(
+                n, num_projections(n, j, r, cfg, gamma=g), rng=rng)))
             # inner levels start from the factor decayed to this iteration
-            steps.append((indices, compile_level(
+            steps.append((cmap, compile_level(
                 m - 1, r - 1, g * cfg.delta_itr ** (j - 1))))
-        return DecodePlan(m=m, steps=tuple(steps), fods=sum(
-            len(idx) * inner.fods for idx, inner in steps))
+        return DecodePlan(
+            m=m, steps=tuple(steps),
+            fods=sum(len(cmap.i) * inner.fods for cmap, inner in steps),
+            row_bytes=max(len(cmap.i) * inner.row_bytes
+                          for cmap, inner in steps))
 
     return compile_level(params.m, params.r, cfg.gamma)
 
@@ -224,19 +244,26 @@ def _walk(node: DecodePlan, llr: np.ndarray, cfg: PruningConfig,
           counter: FodCounter | None, theta: float | None = None):
     """Decode a (batch, 2^m) stack along node; returns (bits, iterations,
     converged).  Only the top call passes theta (inner decoders run their
-    full iteration budget), and it tests row 0 alone (batch size 1)."""
+    full iteration budget), and it tests row 0 alone (batch size 1).
+
+    The rows go through in blocks: as many rows as keep the block's
+    first-order inputs within BLOCK_BYTES, and at least one.  Each block
+    runs every iteration before the next block starts."""
     if not node.steps:
         return fht_decode(llr, counter, level=node.m), 0, False
-    half = 1 << (node.m - 1)
+    rows = max(1, BLOCK_BYTES // node.row_bytes)
+    if len(llr) > rows:
+        return np.concatenate([
+            _walk(node, llr[start:start + rows], cfg, counter)[0]
+            for start in range(0, len(llr), rows)]), len(node.steps), False
     llr = clamp_llr(llr)
     iterations, converged = 0, False
-    for iterations, (indices, inner) in enumerate(node.steps, 1):
-        projected = np.stack([
-            project_llr(llr, build_coset_map(node.m, i), min_sum=cfg.min_sum)
-            for i in indices])
-        chat, _, _ = _walk(inner, projected.reshape(-1, half), cfg, counter)
-        chat = chat.reshape(len(indices), llr.shape[0], half)
-        llr_new = clamp_llr(aggregate(llr, list(zip(indices, chat))))
+    for iterations, (cmap, inner) in enumerate(node.steps, 1):
+        projected = project_llr(llr, cmap, min_sum=cfg.min_sum)
+        chat, _, _ = _walk(inner, projected.reshape(-1, projected.shape[-1]),
+                           cfg, counter)
+        llr_new = clamp_llr(aggregate(llr, cmap, chat.reshape(
+            projected.shape)))
         converged = (theta is not None
                      and check_convergence(llr[0], llr_new[0], theta))
         llr = llr_new

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,30 +34,59 @@ class FodCounter:
 
 def fht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis:
-    out[a] = sum_z (-1)^<a, z> values[z].  Butterfly, O(n log n)."""
-    x = np.array(values, dtype=np.float64)
+    out[a] = sum_z (-1)^<a, z> values[z].  Butterfly, O(n log n); values
+    itself is only read."""
+    x = np.asarray(values, dtype=np.float64)
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    lead = x.shape[:-1]
+    if n == 1:
+        return x.copy()
+    return np.moveaxis(_fht_first_axis(np.moveaxis(x, -1, 0)), 0, -1)
+
+
+def _fht_first_axis(x: np.ndarray) -> np.ndarray:
+    """The transform along the first axis, where each butterfly stage is a
+    few long contiguous passes.  Each stage reads one buffer and writes the
+    other, so x is only read."""
+    n = x.shape[0]
+    buffers = (np.empty(x.shape), np.empty(x.shape))
     h = 1
     while h < n:
-        v = x.reshape(lead + (n // (2 * h), 2, h))
-        a = v[..., 0, :] + v[..., 1, :]
-        b = v[..., 0, :] - v[..., 1, :]
-        v[..., 0, :] = a
-        v[..., 1, :] = b
+        src = x.reshape((n // (2 * h), 2, h) + x.shape[1:])
+        x = buffers[h.bit_length() % 2]
+        dst = x.reshape(src.shape)
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
         h *= 2
     return x
 
 
+# largest m whose Hadamard bit table is kept whole: 2^m x 2^m bytes
+HADAMARD_TABLE_M = 10
+
+
+@lru_cache(maxsize=None)
+def _hadamard_bits(m: int) -> np.ndarray:
+    """Bit table H[a, z] = <a, z> mod 2 over F_2^m, read-only."""
+    table = np.zeros((1, 1), dtype=np.uint8)
+    for _ in range(m):
+        # a new top bit of a and of z flips the product where both are 1
+        table = np.block([[table, table], [table, table ^ 1]])
+    table.setflags(write=False)
+    return table
+
+
 def _linear_form_bits(a: np.ndarray, m: int) -> np.ndarray:
-    """Bit matrix c[j, z] = <a[j], z> for all z in [0, 2^m)."""
-    z = np.arange(1 << m)
-    acc = np.zeros(a.shape + z.shape, dtype=np.uint8)
-    for bit in range(m):
-        acc ^= (((a[..., None] >> bit) & 1) & ((z >> bit) & 1)).astype(np.uint8)
-    return acc
+    """Bit matrix c[j, z] = <a[j], z> for all z in [0, 2^m): rows of the
+    Hadamard bit table.  Above HADAMARD_TABLE_M bits a row is the XOR of
+    a row over the high bits of z and one over the low bits."""
+    low = min(m, HADAMARD_TABLE_M)
+    bits = _hadamard_bits(low)[a & ((1 << low) - 1)]
+    if low == m:
+        return bits
+    high = _linear_form_bits(a >> low, m - low)
+    return (high[..., :, None] ^ bits[..., None, :]).reshape(a.shape + (-1,))
 
 
 def fht_decode(l: np.ndarray, counter: FodCounter | None = None,
@@ -74,10 +104,12 @@ def fht_decode(l: np.ndarray, counter: FodCounter | None = None,
     m = n.bit_length() - 1
     if n < 2 or n & (n - 1):
         raise ValueError(f"length must be a power of two >= 2, got {n}")
-    w = fht(batch)
-    a_star = np.argmax(np.abs(w), axis=-1)
-    u0 = (w[np.arange(batch.shape[0]), a_star] < 0).astype(np.uint8)
-    bits = _linear_form_bits(a_star, m) ^ u0[:, None]
+    # the spectrum of row j is column j
+    w = _fht_first_axis(batch.T)
+    a_star = np.argmax(np.abs(w), axis=0)
+    u0 = (w[a_star, np.arange(batch.shape[0])] < 0).astype(np.uint8)
+    bits = _linear_form_bits(a_star, m)
+    bits ^= u0[:, None]
     if counter is not None:
         counter.record(m if level is None else level, count=batch.shape[0])
     return bits[0] if single else bits

@@ -8,7 +8,6 @@ representative min(z, z^i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,32 +18,52 @@ LLR_CLAMP = 30.0
 
 @dataclass(frozen=True)
 class CosetMap:
-    """Coset structure of B_i = {0, i} inside F_2^m."""
+    """Coset structure of B_i = {0, i} inside F_2^m.
+
+    A stack of k maps (see stack_coset_maps) has i as a tuple and a leading
+    axis of length k on every array, and numbers the cosets of map t from
+    t*n/2, so a (..., k, n/2) stack of coset values flattens to one axis
+    that coset_of indexes."""
 
     m: int
-    i: int
+    i: int | tuple
     reps: np.ndarray      # canonical representatives, ascending (n/2,)
     partners: np.ndarray  # reps ^ i (n/2,)
     coset_of: np.ndarray  # coordinate z -> coset index (n,)
     partner_of: np.ndarray  # coordinate z -> z ^ i (n,)
 
 
-@lru_cache(maxsize=None)
-def build_coset_map(m: int, i: int) -> CosetMap:
+def stack_coset_maps(m: int, indices) -> CosetMap:
+    """The coset maps of the subspaces in indices, stacked along a first
+    axis; the arrays are read-only."""
     n = 1 << m
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"subspace index must be in [1, {n - 1}], got {i}")
+    i = np.array(indices, dtype=np.intp).reshape(-1, 1)
+    if i.size == 0 or not np.all((1 <= i) & (i <= n - 1)):
+        raise ValueError(f"subspace indices must be in [1, {n - 1}], "
+                         f"got {list(indices)}")
     z = np.arange(n)
     partner_of = z ^ i
-    reps = z[z < partner_of]
+    # each row keeps its n/2 coordinates below their partner, ascending
+    reps = np.broadcast_to(z, partner_of.shape)[z < partner_of].reshape(
+        len(i), n // 2)
     partners = reps ^ i
-    coset_of = np.empty(n, dtype=np.int64)
-    coset_of[reps] = np.arange(n // 2)
-    coset_of[partners] = np.arange(n // 2)
+    cosets = np.arange(i.size * (n // 2)).reshape(reps.shape)
+    coset_of = np.empty_like(partner_of)
+    np.put_along_axis(coset_of, reps, cosets, axis=1)
+    np.put_along_axis(coset_of, partners, cosets, axis=1)
     for a in (reps, partners, coset_of, partner_of):
         a.setflags(write=False)
-    return CosetMap(m=m, i=i, reps=reps, partners=partners,
-                    coset_of=coset_of, partner_of=partner_of)
+    return CosetMap(m=m, i=tuple(i.ravel().tolist()), reps=reps,
+                    partners=partners, coset_of=coset_of,
+                    partner_of=partner_of)
+
+
+def build_coset_map(m: int, i: int) -> CosetMap:
+    stacked = stack_coset_maps(m, [i])
+    return CosetMap(m=m, i=i, reps=stacked.reps[0],
+                    partners=stacked.partners[0],
+                    coset_of=stacked.coset_of[0],
+                    partner_of=stacked.partner_of[0])
 
 
 def project_hard(c: np.ndarray, cmap: CosetMap) -> np.ndarray:
@@ -75,20 +94,25 @@ def clamp_llr(l: np.ndarray) -> np.ndarray:
     return np.clip(l, -LLR_CLAMP, LLR_CLAMP)
 
 
-def aggregate(l: np.ndarray, decoded) -> np.ndarray:
+# the sign (-1)^bit of a decoded bit, by lookup
+_SIGN = np.array([1.0, -1.0])
+
+
+def aggregate(l: np.ndarray, cmap: CosetMap, chat: np.ndarray) -> np.ndarray:
     """Average the partner LLRs, sign-flipped by the decoded projection bits.
 
-    decoded is a non-empty list of (subspace index, length-n/2 bit vector);
-    output coordinate z is (1/np) * sum_i (1 - 2*chat_i[coset(z)]) * l[z^i].
+    cmap stacks the k maps of the projections (stack_coset_maps) and chat
+    holds their decoded bits, shape (..., k, n/2); output coordinate z is
+    (1/k) * sum_t (-1)^chat[t, coset_t(z)] * l[z ^ i_t], summed in the
+    order of the stack.
     """
     l = np.asarray(l, dtype=np.float64)
-    if len(decoded) == 0:
-        raise ValueError("aggregate requires at least one decoded projection")
-    m = int(np.log2(l.shape[-1]))
-    accu = np.zeros_like(l)
-    for i, chat in decoded:
-        cmap = build_coset_map(m, i)
-        chat = np.asarray(chat)
-        signs = 1.0 - 2.0 * chat[..., cmap.coset_of]
-        accu += signs * l[..., cmap.partner_of]
-    return accu / len(decoded)
+    chat = np.asarray(chat)
+    if chat.shape[-2:] != cmap.reps.shape:
+        raise ValueError(f"decoded bits of shape {chat.shape} do not match "
+                         f"{len(cmap.i)} projections of length "
+                         f"{l.shape[-1] // 2}")
+    flat = chat.reshape(chat.shape[:-2] + (cmap.reps.size,))
+    terms = _SIGN[flat[..., cmap.coset_of]]
+    terms *= l[..., cmap.partner_of]
+    return terms.sum(axis=-2) / len(cmap.i)

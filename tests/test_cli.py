@@ -180,6 +180,39 @@ def test_spec_n_max_and_its_default(decoder, n_max):
     assert cfg.decoder.n_max == n_max
 
 
+@pytest.mark.parametrize("overrides,bad", [
+    ({"decoder": {"schedule": [4.7, 8]}}, "4.7"),
+    ({"decoder": {"n_max": 2.5}}, "2.5"),
+    ({"decoder": {"schedule": [True, 8]}}, "True"),
+    ({"code": {"m": 6.9, "r": 3}}, "6.9"),
+    ({"chunk_frames": True}, "True"),
+    ({"seed": "seven"}, "'seven'"),
+    ({"max_frames": float("inf")}, "inf")])
+def test_spec_integers_are_read_strictly(tmp_path, capsys, overrides, bad):
+    spec = make_spec(tmp_path, **{"code": {"m": 6, "r": 3},
+                                  "decoder": {}, **overrides})
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert f"expected an integer, got {bad}" in err
+
+
+def test_spec_integers_take_ints_integral_floats_and_decimal_text(
+        monkeypatch):
+    monkeypatch.setenv("RMPA_WORKERS", "2")
+    spec = {"schema_version": 1, "code": {"m": 6.0, "r": "3"},
+            "decoder": {"schedule": ["4", 8.0], "n_max": "2"},
+            "ebno_db": [3.0], "max_frames": 1e7}
+    cfg, _ = load_experiment_spec(spec)
+    assert cfg.code.m == 6 and cfg.code.r == 3
+    assert cfg.decoder.explicit_schedule == (4, 8)
+    assert cfg.decoder.n_max == 2
+    assert (cfg.workers, cfg.max_frames) == (2, 10 ** 7)
+    assert type(cfg.max_frames) is int
+    monkeypatch.setenv("RMPA_WORKERS", "2.5")
+    with pytest.raises(ValueError, match="expected an integer, got '2.5'"):
+        load_experiment_spec(spec)
+
+
 def test_fods_bad_fraction_exits_2(capsys):
     code, _, err = run_cli(capsys, "fods", "--m", "7", "--r", "2",
                            "--gamma", "2/0", "--ditr", "1", "--drec", "1")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_coset_map, build_generator, check_convergence, decode,
                   decode_batch, decode_plan, delta, encode,
-                  explicit_schedule_config, fht_decode, is_codeword,
+                  explicit_schedule_config, fht, fht_decode, is_codeword,
                   ml_decode_oracle, num_projections, preset,
                   select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
-from rmpa.geometry import aggregate, clamp_llr, project_llr
+from rmpa.geometry import clamp_llr, project_llr
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
@@ -221,7 +222,16 @@ def test_plan_is_compiled_once_per_config():
     p = CodeParams(5, 2)
     plan = decode_plan(p, MFP_72)
     assert decode_plan(p, MFP_72) is plan
-    assert plan.fods == sum(len(idx) * inner.fods for idx, inner in plan.steps)
+    assert plan.fods == sum(len(cmap.i) * inner.fods
+                             for cmap, inner in plan.steps)
+
+
+def test_plans_of_equal_configs_share_their_coset_maps():
+    p = CodeParams(6, 2)
+    a, b = decode_plan(p, preset("rpa")), decode_plan(p, preset("rpa"))
+    assert a is not b
+    # full RPA keeps the same subspaces in every iteration
+    assert all(cmap is a.steps[0][0] for cmap, _ in a.steps + b.steps)
 
 
 FACTORS = st.sampled_from([F(1), F(3, 4), F(2, 3), F(1, 2), F(1, 3),
@@ -314,6 +324,21 @@ def test_decode_first_order_is_fht():
     assert is_codeword(res.codeword, p)
 
 
+@pytest.mark.parametrize("m,r", [(4, 1), (5, 2), (6, 3)])
+def test_decoders_leave_their_input_unchanged(m, r):
+    # at r == 1 decode hands the caller's row straight to the FHT
+    p = CodeParams(m, r)
+    llrs = np.random.default_rng(m).normal(size=(3, p.n)) * 20
+    before = llrs.copy()
+    decode(llrs[0], p, preset("rpa"))
+    decode_batch(llrs, p, preset("rpa"))
+    fht_decode(llrs)
+    fht_decode(llrs[1])
+    fht(llrs)
+    fht(llrs[2])
+    assert np.array_equal(llrs, before)
+
+
 def test_decode_matches_ml_oracle_at_high_snr():
     p = CodeParams(4, 2)
     gen = build_generator(p)
@@ -359,6 +384,42 @@ def test_decode_batch_matches_per_frame():
                               row_out)
 
 
+@pytest.mark.parametrize("block_bytes", [1, 1 << 40])
+def test_block_size_changes_no_result(block_bytes, monkeypatch):
+    # the default budget splits RM(7,2) RPA into blocks of 16 frames
+    p = CodeParams(7, 2)
+    llrs = np.random.default_rng(7).normal(size=(70, p.n)) * 2
+    default = FodCounter()
+    expected = decode_batch(llrs, p, preset("rpa"), default)
+    monkeypatch.setattr("rmpa.decoder.BLOCK_BYTES", block_bytes)
+    counter = FodCounter()
+    assert np.array_equal(decode_batch(llrs, p, preset("rpa"), counter),
+                          expected)
+    assert counter.per_level == default.per_level
+
+
+def test_decode_batch_memory_does_not_grow_with_the_batch():
+    p = CodeParams(8, 3)
+    llrs = np.random.default_rng(8).normal(size=(4, p.n))
+    decode_batch(llrs[:1], p, MFP_83)
+    tracemalloc.start()
+    try:
+        decode_batch(llrs, p, MFP_83)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("m,r", [(4, 1), (5, 2), (6, 3)])
+def test_decode_batch_of_no_frames(m, r):
+    counter = FodCounter()
+    bits = decode_batch(np.zeros((0, 1 << m)), CodeParams(m, r),
+                        preset("rpa"), counter)
+    assert bits.shape == (0, 1 << m)
+    assert counter.total == 0
+
+
 def test_decode_batch_rejects_early_stop():
     p = CodeParams(4, 2)
     cfg = PruningConfig(early_stop_theta=0.05)
@@ -385,11 +446,12 @@ def textbook_rpa_order2(llr, m, n_max):
     n = 1 << m
     level = clamp_llr(np.asarray(llr, dtype=np.float64))
     for _ in range(n_max):
-        decoded = []
+        accu = np.zeros_like(level)
         for i in range(1, n):
             cm = build_coset_map(m, i)
-            decoded.append((i, fht_decode(project_llr(level, cm))))
-        level = clamp_llr(aggregate(level, decoded))
+            chat = fht_decode(project_llr(level, cm))
+            accu += (1.0 - 2.0 * chat[cm.coset_of]) * level[cm.partner_of]
+        level = clamp_llr(accu / (n - 1))
     return (level < 0).astype(np.uint8)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,3 +114,25 @@ def test_batched_decode_matches_single():
     got = fht_decode(batch)
     for row_in, row_out in zip(batch, got):
         assert np.array_equal(fht_decode(row_in), row_out)
+
+
+def test_decoded_rows_past_the_whole_hadamard_table(monkeypatch):
+    # above HADAMARD_TABLE_M bits a row is built from two smaller tables
+    rng = np.random.default_rng(5)
+    llrs = {m: rng.normal(size=(20, 2 ** m)) for m in (3, 5, 7)}
+    expected = {m: fht_decode(x) for m, x in llrs.items()}
+    monkeypatch.setattr("rmpa.fod.HADAMARD_TABLE_M", 2)
+    for m, x in llrs.items():
+        assert np.array_equal(fht_decode(x), expected[m])
+
+
+def test_fht_decode_memory_stays_linear_in_n():
+    llr = np.random.default_rng(6).normal(size=2 ** 14)
+    tracemalloc.start()
+    try:
+        bits = fht_decode(llr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert np.array_equal(bits, fht_decode(llr[None, :])[0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, boxplus, build_coset_map,
                   build_generator, encode, is_codeword, project_hard,
-                  project_llr)
+                  project_llr, stack_coset_maps)
 from rmpa.codes import in_row_space_batch
 
 
@@ -137,38 +137,77 @@ def test_project_llr_never_nan_at_saturation():
 
 def test_aggregate_single_projection():
     l = np.array([1.0, 2.0, 3.0, 4.0])
-    zero_bits = np.zeros(2, dtype=np.uint8)
-    out = aggregate(l, [(1, zero_bits)])
+    cmap = stack_coset_maps(2, [1])
+    zero_bits = np.zeros((1, 2), dtype=np.uint8)
+    out = aggregate(l, cmap, zero_bits)
     # decoded coset bit 0 passes the partner LLR through
     assert out.tolist() == [2.0, 1.0, 4.0, 3.0]
-    out = aggregate(l, [(1, np.ones(2, dtype=np.uint8))])
+    out = aggregate(l, cmap, np.ones((1, 2), dtype=np.uint8))
     assert out.tolist() == [-2.0, -1.0, -4.0, -3.0]
 
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
-        aggregate(np.zeros(4), [])
+        aggregate(np.zeros(4), stack_coset_maps(2, []), np.zeros((0, 2)))
+
+
+def test_aggregate_rejects_bits_that_do_not_fit_the_maps():
+    with pytest.raises(ValueError, match="do not match"):
+        aggregate(np.zeros(8), stack_coset_maps(3, [1, 2]),
+                  np.zeros((3, 4), dtype=np.uint8))
 
 
 def test_aggregate_noiseless_reproduces_codeword():
     p = CodeParams(3, 2)
     gen = build_generator(p)
+    cmap = stack_coset_maps(p.m, range(1, p.n))
     rng = np.random.default_rng(2)
     for _ in range(20):
         c = encode(rng.integers(0, 2, p.k, dtype=np.uint8), gen)
         l = 20.0 * (1.0 - 2.0 * c)
-        decoded = []
-        for i in range(1, p.n):
-            cm = build_coset_map(p.m, i)
-            decoded.append((i, project_hard(c, cm)))
-        out = aggregate(l, decoded)
+        out = aggregate(l, cmap, project_hard(c, cmap))
         assert np.array_equal((out < 0).astype(np.uint8), c)
 
 
 def test_aggregate_linear_in_magnitude():
     rng = np.random.default_rng(9)
     l = rng.normal(size=8)
-    decoded = [(i, rng.integers(0, 2, 4, dtype=np.uint8)) for i in (1, 3, 6)]
-    out1 = aggregate(l, decoded)
-    out2 = aggregate(2.5 * l, decoded)
+    cmap = stack_coset_maps(3, (1, 3, 6))
+    chat = np.stack([rng.integers(0, 2, 4, dtype=np.uint8) for _ in range(3)])
+    out1 = aggregate(l, cmap, chat)
+    out2 = aggregate(2.5 * l, cmap, chat)
     assert np.allclose(out2, 2.5 * out1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7])
+def test_aggregate_equals_the_per_map_loop(m):
+    # stacked sum == 0 + term_1 + term_2 + ..., in float64, bit for bit
+    rng = np.random.default_rng(m)
+    n = 1 << m
+    indices = sorted(rng.choice(np.arange(1, n), size=max(1, n // 3),
+                                replace=False).tolist())
+    l = rng.normal(size=(5, n)) * 4
+    chat = rng.integers(0, 2, size=(5, len(indices), n // 2), dtype=np.uint8)
+    accu = np.zeros_like(l)
+    for t, i in enumerate(indices):
+        cm = build_coset_map(m, i)
+        accu += (1.0 - 2.0 * chat[:, t, cm.coset_of]) * l[:, cm.partner_of]
+    got = aggregate(l, stack_coset_maps(m, indices), chat)
+    assert np.array_equal(got, accu / len(indices))
+    assert np.array_equal(aggregate(l[2], stack_coset_maps(m, indices),
+                                    chat[2]), got[2])
+
+
+def test_stacked_maps_are_the_single_maps_with_offset_cosets():
+    m, indices = 4, (3, 5, 15)
+    stacked = stack_coset_maps(m, indices)
+    assert stacked.i == indices
+    for t, i in enumerate(indices):
+        single = build_coset_map(m, i)
+        assert np.array_equal(stacked.reps[t], single.reps)
+        assert np.array_equal(stacked.partners[t], single.partners)
+        assert np.array_equal(stacked.partner_of[t], single.partner_of)
+        assert np.array_equal(stacked.coset_of[t], single.coset_of + t * 8)
+    l = np.random.default_rng(3).normal(size=(2, 16))
+    assert np.array_equal(project_llr(l, stacked), np.stack(
+        [project_llr(l, build_coset_map(m, i)) for i in indices], axis=1))
