@@ -2,10 +2,8 @@
 multi-factor pruning, first-order-decoding complexity accounting, and an
 AWGN Monte Carlo harness."""
 
-from .codes import (CodeParams, build_generator, encode,
-                    enumerate_codewords, is_codeword, ml_decode_oracle)
-from .geometry import (LLR_CLAMP, CosetMap, aggregate, boxplus,
-                       build_coset_map, project_hard, project_llr,
+from .codes import CodeParams, build_generator, encode
+from .geometry import (LLR_CLAMP, CosetMap, aggregate, boxplus, project_llr,
                        stack_coset_maps)
 from .fod import FodCounter, fht, fht_decode
 from .decoder import (DecodePlan, DecodeResult, PruningConfig,
@@ -15,14 +13,12 @@ from .decoder import (DecodePlan, DecodeResult, PruningConfig,
                       select_projection_indices)
 from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
                       csv_string, llr_from_channel, points_to_csv,
-                      points_to_json, run_sweep, transmit,
-                      two_proportion_pvalue)
+                      points_to_json, run_sweep, transmit)
 
 __all__ = [
-    "CodeParams", "build_generator", "encode", "enumerate_codewords",
-    "is_codeword", "ml_decode_oracle",
-    "LLR_CLAMP", "CosetMap", "aggregate", "boxplus", "build_coset_map",
-    "project_hard", "project_llr", "stack_coset_maps",
+    "CodeParams", "build_generator", "encode",
+    "LLR_CLAMP", "CosetMap", "aggregate", "boxplus", "project_llr",
+    "stack_coset_maps",
     "FodCounter", "fht", "fht_decode",
     "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",
     "check_convergence", "decode", "decode_batch", "decode_plan", "delta",
@@ -30,7 +26,7 @@ __all__ = [
     "select_projection_indices",
     "ChannelConfig", "FerPoint", "SimConfig", "binomial_ci", "csv_string",
     "llr_from_channel", "points_to_csv", "points_to_json", "run_sweep",
-    "transmit", "two_proportion_pvalue",
+    "transmit",
 ]
 
 __version__ = "0.1.0"

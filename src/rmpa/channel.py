@@ -13,7 +13,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from statistics import NormalDist
 
 import numpy as np
@@ -228,14 +228,3 @@ def binomial_ci(errors: int, trials: int, confidence: float = 0.95):
     half = (z / denom) * (phat * (1 - phat) / trials
                           + z * z / (4 * trials * trials)) ** 0.5
     return center - half, center + half
-
-
-def two_proportion_pvalue(err1: int, n1: int, err2: int, n2: int) -> float:
-    """One-sided z-test p-value for H1: p1 < p2 (pooled variance)."""
-    p1, p2 = err1 / n1, err2 / n2
-    pooled = (err1 + err2) / (n1 + n2)
-    se = (pooled * (1 - pooled) * (1 / n1 + 1 / n2)) ** 0.5
-    if se == 0:
-        return 1.0
-    z = (p2 - p1) / se
-    return NormalDist().cdf(-z)

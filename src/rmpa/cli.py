@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -17,8 +18,7 @@ import numpy as np
 
 from .codes import CodeParams, build_generator, encode
 from .channel import SimConfig, csv_string, points_to_json, run_sweep
-from .decoder import (DECODERS, PruningConfig, analytic_fod_count, decode,
-                      decoder_config)
+from .decoder import DECODERS, PruningConfig, analytic_fod_count, decode, preset
 from .fod import FodCounter
 
 SPEC_SCHEMA_VERSION = 1
@@ -54,6 +54,30 @@ def _integer(value) -> int:
     raise SpecError(f"expected an integer, got {value!r}")
 
 
+def _real(value) -> float:
+    """A finite real from a JSON number or a decimal string (a flag's
+    text); bools, NaN, infinities and other text are SpecError."""
+    number = math.nan
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if not math.isfinite(number):
+        raise SpecError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _fields(obj, allowed, what: str) -> dict:
+    """obj, which must be a JSON object with no keys outside allowed."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{what} must be an object, got {obj!r}")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise SpecError(f"unknown {what} keys {sorted(unknown)}")
+    return obj
+
+
 def _parse_bits(text: str, k: int) -> np.ndarray:
     """Message as a binary string, or hex with an 0x prefix."""
     if text.startswith(("0x", "0X")):
@@ -69,11 +93,11 @@ def _parse_bits(text: str, k: int) -> np.ndarray:
 
 # how each decoder key of a spec or of the CLI flags is read; which keys a
 # decoder takes is rmpa.decoder's decision
-DECODER_VALUES = {"preset": str, "q": _fraction, "d": float,
+DECODER_VALUES = {"preset": str, "q": _fraction, "d": _real,
                   "gamma": _fraction, "delta_itr": _fraction,
                   "delta_rec": _fraction,
                   "schedule": lambda counts: [_integer(c) for c in counts],
-                  "n_max": _integer, "early_stop_theta": float}
+                  "n_max": _integer, "early_stop_theta": _real}
 
 
 def _decoder_from_args(args) -> PruningConfig:
@@ -85,33 +109,32 @@ def _decoder_from_args(args) -> PruningConfig:
 
 def _decoder_from_spec(obj: dict) -> PruningConfig:
     """The one path from decoder keys, of a spec or of CLI flags, to a
-    PruningConfig; rmpa.decoder.decoder_config rejects the keys the
-    chosen decoder would not use."""
-    unknown = set(obj) - set(DECODER_VALUES)
-    if unknown:
-        raise SpecError(f"unknown decoder keys {sorted(unknown)}")
-    return decoder_config(**{key: None if value is None else
-                             DECODER_VALUES[key](value)
-                             for key, value in obj.items()})
+    PruningConfig; rmpa.decoder.preset rejects the keys the chosen
+    decoder would not use."""
+    keys = {key: None if value is None else DECODER_VALUES[key](value)
+            for key, value in _fields(obj, DECODER_VALUES, "decoder").items()}
+    return preset(keys.pop("preset", None), **keys)
 
 
 def load_experiment_spec(obj: dict):
     """Parse a simulate spec; returns (SimConfig, output path or None)."""
-    allowed = {"schema_version", "code", "decoder", "ebno_db",
-               "min_frame_errors", "max_frames", "seed", "message_mode",
-               "output", "workers", "chunk_frames"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SpecError(f"unknown spec keys: {sorted(unknown)}")
+    _fields(obj, ("schema_version", "code", "decoder", "ebno_db",
+                  "min_frame_errors", "max_frames", "seed", "message_mode",
+                  "output", "workers", "chunk_frames"), "spec")
     if obj.get("schema_version") != SPEC_SCHEMA_VERSION:
         raise SpecError(f"spec schema_version must be {SPEC_SCHEMA_VERSION}")
+    output = obj.get("output")
+    if output is not None and not isinstance(output, str):
+        raise SpecError(f"output must be a path, got {output!r}")
     try:
-        code = CodeParams(m=_integer(obj["code"]["m"]),
-                          r=_integer(obj["code"]["r"]))
-        decoder = _decoder_from_spec(obj["decoder"])
+        code = _fields(obj["code"], ("m", "r"), "code")
+        ebno = obj["ebno_db"]
+        if not isinstance(ebno, list) or not ebno:
+            raise SpecError(f"ebno_db must be a non-empty list, got {ebno!r}")
         cfg = SimConfig(
-            code=code, decoder=decoder,
-            ebno_points=tuple(float(x) for x in obj["ebno_db"]),
+            code=CodeParams(m=_integer(code["m"]), r=_integer(code["r"])),
+            decoder=_decoder_from_spec(obj["decoder"]),
+            ebno_points=tuple(_real(x) for x in ebno),
             min_frame_errors=_integer(obj.get("min_frame_errors", 100)),
             max_frames=_integer(obj.get("max_frames", 10 ** 7)),
             seed=_integer(obj.get("seed", 0)),
@@ -122,7 +145,7 @@ def load_experiment_spec(obj: dict):
             record_timing=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(str(exc)) from exc
-    return cfg, obj.get("output")
+    return cfg, output
 
 
 def cmd_encode(args) -> int:
@@ -136,10 +159,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     params = CodeParams(m=args.m, r=args.r)
     llr = np.array([float(x) for x in args.llr.split(",")])
-    if llr.shape != (params.n,):
-        raise SpecError(f"need {params.n} LLR values, got {llr.size}")
-    cfg = _decoder_from_args(args)
-    result = decode(llr, params, cfg)
+    result = decode(llr, params, _decoder_from_args(args))
     print("".join(str(int(b)) for b in result.codeword))
     return EXIT_OK
 
@@ -239,16 +259,16 @@ def _add_decoder_args(p):
     p.add_argument("--preset",
                    choices=[name for name in DECODERS if name != "schedule"])
     p.add_argument("--q", help="srpa keep fraction, e.g. 1/8")
-    p.add_argument("--d", type=float, help="rpa_sch decay factor")
+    p.add_argument("--d", help="rpa_sch decay factor")
     p.add_argument("--gamma", help="starting factor, e.g. 2/3")
     p.add_argument("--ditr", dest="delta_itr",
                    help="iteration factor, e.g. 1/4")
     p.add_argument("--drec", dest="delta_rec",
                    help="recursion factor, e.g. 1/2")
     p.add_argument("--schedule", help="explicit per-level counts, e.g. 4,8")
-    p.add_argument("--nmax", dest="n_max", type=int, help="iterations per "
+    p.add_argument("--nmax", dest="n_max", help="iterations per "
                    "level (default 1 with --schedule, else 3)")
-    p.add_argument("--theta", dest="early_stop_theta", type=float,
+    p.add_argument("--theta", dest="early_stop_theta",
                    help="early-stop threshold")
 
 

@@ -1,4 +1,4 @@
-"""Reed-Muller code construction, encoding, and small-scale ML decoding."""
+"""Reed-Muller code construction and encoding."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-ML_ORACLE_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -55,55 +53,3 @@ def encode(msg: np.ndarray, gen: np.ndarray) -> np.ndarray:
     if msg.shape != (gen.shape[0],):
         raise ValueError(f"message length {msg.shape} does not match k={gen.shape[0]}")
     return (msg @ gen) % 2
-
-
-def is_codeword(c: np.ndarray, params: CodeParams) -> bool:
-    """Membership in RM(m, r)."""
-    c = np.asarray(c, dtype=np.uint8)
-    if c.shape != (params.n,):
-        raise ValueError(f"vector length {c.shape} does not match n={params.n}")
-    return bool(in_row_space_batch(c[None, :], params)[0])
-
-
-def in_row_space_batch(vectors: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Vectorized membership test; vectors has shape (batch, n).
-
-    The binary Moebius transform, the GF(2) twin of fht, turns each word
-    into its coefficients over the monomials; a word is in RM(m, r) iff
-    none of degree > r is present."""
-    v = np.asarray(vectors, dtype=np.uint8) % 2
-    n = params.n
-    h = 1
-    while h < n:
-        w = v.reshape(v.shape[:-1] + (n // (2 * h), 2, h))
-        w[..., 1, :] ^= w[..., 0, :]
-        h *= 2
-    degree = np.array([bin(a).count("1") for a in range(n)])
-    return ~np.any(v[:, degree > params.r], axis=1)
-
-
-def enumerate_codewords(params: CodeParams) -> np.ndarray:
-    """All 2^k codewords (rows), message index order.  Small codes only."""
-    if 2 ** params.k > ML_ORACLE_CAP:
-        raise ValueError(f"2^k = 2^{params.k} exceeds exhaustive cap {ML_ORACLE_CAP}")
-    gen = build_generator(params)
-    k = params.k
-    msgs = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-    return (msgs @ gen) % 2
-
-
-def ml_decode_oracle(llr: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Exhaustive correlation-maximizing decoder; ties broken by the
-    lexicographically smallest codeword.  Test oracle, not for production use."""
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (params.n,):
-        raise ValueError(f"LLR length {llr.shape} does not match n={params.n}")
-    words = enumerate_codewords(params)
-    corr = (1.0 - 2.0 * words) @ llr
-    best = np.max(corr)
-    candidates = np.nonzero(corr == best)[0]
-    if candidates.size == 1:
-        return words[candidates[0]].copy()
-    rows = words[candidates]
-    order = np.lexsort(rows[:, ::-1].T)
-    return rows[order[0]].copy()

@@ -10,6 +10,7 @@ so the ceil() in the projection count is free of float rounding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,8 +52,9 @@ class PruningConfig:
                                  f"down to level 2, got the dict {schedule}")
             schedule = tuple(schedule)
             object.__setattr__(self, "explicit_schedule", schedule)
-            if min(schedule, default=1) < 1:
-                raise ValueError(f"schedule counts must be >= 1, got {schedule}")
+            if not all(_is_int(c) and c >= 1 for c in schedule):
+                raise ValueError("schedule counts must be integers >= 1, "
+                                 f"got {schedule}")
         if self.n_max is None:
             object.__setattr__(self, "n_max", 3 if schedule is None else 1)
         for name in FACTORS:
@@ -61,10 +63,16 @@ class PruningConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
             if schedule is not None and v != 1:
                 raise ValueError(f"{name} does not apply beside a schedule")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.early_stop_theta is not None and self.early_stop_theta <= 0:
-            raise ValueError("early-stop threshold must be positive")
+        if not (_is_int(self.n_max) and self.n_max >= 1):
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        theta = self.early_stop_theta
+        if theta is not None and not (math.isfinite(theta) and theta > 0):
+            raise ValueError("early-stop threshold must be positive and "
+                             f"finite, got {theta}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -79,11 +87,11 @@ class DecodeResult:
 class DecodePlan:
     """One decode of RM(m, r) under a PruningConfig, fixed in advance.
 
-    steps holds one (stacked coset maps of the kept projections, plan of
-    RM(m-1, r-1)) pair per iteration; it is empty at r == 1, where a decode
-    is one FHT.  fods is the first-order-decoding cost of one decode with
-    early stopping off; row_bytes is the size of the first-order inputs
-    that one row of this plan holds at once (one iteration's worth)."""
+    steps holds one (kept subspace indices, plan of RM(m-1, r-1)) pair per
+    iteration; it is empty at r == 1, where a decode is one FHT.  fods is
+    the first-order-decoding cost of one decode with early stopping off;
+    row_bytes is the size of the first-order inputs that one row of this
+    plan holds at once (one iteration's worth)."""
 
     m: int
     steps: tuple
@@ -113,16 +121,21 @@ SHARED_KEYS = ("n_max", "early_stop_theta", "min_sum",
                "random_projection_seed")
 
 
-def decoder_config(preset: str | None = None, **keys) -> PruningConfig:
-    """The PruningConfig that decoder keys describe.
+def preset(name: str | None = None, **keys) -> PruningConfig:
+    """The PruningConfig that decoder keys describe: the keys DECODERS
+    lists for the named decoder, plus any of SHARED_KEYS.
 
-    The decoder is the named preset; without one it is a schedule if one
-    is given, else mfp if a factor is, else rpa.  A key set to None counts
-    as not given.  Keys the decoder would not use raise ValueError, which
-    names all of them."""
+    rpa     -> (1, 1, 1)
+    srpa    -> (q, 1, 1)
+    rpa_sch -> (1, 1/d, 1)
+    mfp     -> (gamma, delta_itr, delta_rec)
+
+    Without a name the decoder is a schedule if one is given, else mfp if
+    a factor is, else rpa.  A key set to None counts as not given.  Keys
+    the decoder would not use raise ValueError, which names all of them."""
     keys = {key: value for key, value in keys.items() if value is not None}
-    name = preset or ("schedule" if "schedule" in keys else
-                      "mfp" if keys.keys() & set(FACTORS) else "rpa")
+    name = name or ("schedule" if "schedule" in keys else
+                    "mfp" if keys.keys() & set(FACTORS) else "rpa")
     if name not in DECODERS:
         raise ValueError(f"unknown decoder {name!r}")
     takes, factors = DECODERS[name]
@@ -142,25 +155,13 @@ def decoder_config(preset: str | None = None, **keys) -> PruningConfig:
                          **keys)
 
 
-def preset(name: str, **kwargs) -> PruningConfig:
-    """Named decoder configurations; kwargs are the keys DECODERS lists
-    for name, plus any of SHARED_KEYS.
-
-    rpa     -> (1, 1, 1)
-    srpa    -> (q, 1, 1)
-    rpa_sch -> (1, 1/d, 1)
-    mfp     -> (gamma, delta_itr, delta_rec)
-    """
-    return decoder_config(name, **kwargs)
-
-
 def explicit_schedule_config(counts, r: int, **kwargs) -> PruningConfig:
     """Fixed projection counts per recursion level, given top level first
     (level r down to level 2); a single iteration unless n_max says more."""
-    counts = tuple(int(c) for c in counts)
+    counts = tuple(counts)
     if len(counts) != r - 1:
         raise ValueError(f"need {r - 1} schedule entries for r={r}, got {len(counts)}")
-    return decoder_config(schedule=counts, **kwargs)
+    return preset(schedule=counts, **kwargs)
 
 
 def delta(j: int, l: int, cfg: PruningConfig, gamma=None):
@@ -200,8 +201,9 @@ def check_convergence(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> boo
     return bool(np.all(np.abs(l_new - l_old) < theta * np.abs(l_old)))
 
 
-# Plans that keep the same subspaces, in one decode or in plans of equal
-# configs, share one stack of maps: a full-RPA stack holds 24 n^2 bytes.
+# Walks that keep the same subspaces, in one decode or under equal configs,
+# share one stack of maps: a full-RPA stack holds 24 n^2 bytes.  Plans hold
+# only the indices, so compiling or counting a plan builds no stack.
 _stacked_maps = lru_cache(maxsize=128)(stack_coset_maps)
 
 
@@ -226,16 +228,16 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
         n = 1 << m
         steps = []
         for j in range(1, cfg.n_max + 1):
-            cmap = _stacked_maps(m, tuple(select_projection_indices(
-                n, num_projections(n, j, r, cfg, gamma=g), rng=rng)))
+            indices = tuple(select_projection_indices(
+                n, num_projections(n, j, r, cfg, gamma=g), rng=rng))
             # inner levels start from the factor decayed to this iteration
-            steps.append((cmap, compile_level(
+            steps.append((indices, compile_level(
                 m - 1, r - 1, g * cfg.delta_itr ** (j - 1))))
         return DecodePlan(
             m=m, steps=tuple(steps),
-            fods=sum(len(cmap.i) * inner.fods for cmap, inner in steps),
-            row_bytes=max(len(cmap.i) * inner.row_bytes
-                          for cmap, inner in steps))
+            fods=sum(len(indices) * inner.fods for indices, inner in steps),
+            row_bytes=max(len(indices) * inner.row_bytes
+                          for indices, inner in steps))
 
     return compile_level(params.m, params.r, cfg.gamma)
 
@@ -250,20 +252,19 @@ def _walk(node: DecodePlan, llr: np.ndarray, cfg: PruningConfig,
     first-order inputs within BLOCK_BYTES, and at least one.  Each block
     runs every iteration before the next block starts."""
     if not node.steps:
-        return fht_decode(llr, counter, level=node.m), 0, False
+        return fht_decode(llr, counter), 0, False
     rows = max(1, BLOCK_BYTES // node.row_bytes)
     if len(llr) > rows:
         return np.concatenate([
             _walk(node, llr[start:start + rows], cfg, counter)[0]
             for start in range(0, len(llr), rows)]), len(node.steps), False
-    llr = clamp_llr(llr)
     iterations, converged = 0, False
-    for iterations, (cmap, inner) in enumerate(node.steps, 1):
+    for iterations, (indices, inner) in enumerate(node.steps, 1):
+        cmap = _stacked_maps(node.m, indices)
         projected = project_llr(llr, cmap, min_sum=cfg.min_sum)
         chat, _, _ = _walk(inner, projected.reshape(-1, projected.shape[-1]),
                            cfg, counter)
-        llr_new = clamp_llr(aggregate(llr, cmap, chat.reshape(
-            projected.shape)))
+        llr_new = aggregate(llr, cmap, chat.reshape(projected.shape))
         converged = (theta is not None
                      and check_convergence(llr[0], llr_new[0], theta))
         llr = llr_new
@@ -272,18 +273,27 @@ def _walk(node: DecodePlan, llr: np.ndarray, cfg: PruningConfig,
     return (llr < 0).astype(np.uint8), iterations, converged
 
 
+def _start(llr: np.ndarray, params: CodeParams, cfg: PruningConfig):
+    """The plan of params under cfg, and llr checked finite and clamped
+    once: inner levels get boxplus output and later iterations the mean of
+    clamped values, which stay within the clamp.  A first-order code alone
+    is decoded from the LLRs as given."""
+    if not np.isfinite(llr).all():
+        raise ValueError("LLRs must be finite, not NaN or inf")
+    plan = decode_plan(params, cfg)
+    return plan, clamp_llr(llr) if plan.steps else llr
+
+
 def decode(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
            counter: FodCounter | None = None) -> DecodeResult:
     """Decode one LLR vector; see module docstring."""
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (params.n,):
         raise ValueError(f"LLR length {llr.shape} does not match n={params.n}")
-    if not np.isfinite(llr).all():
-        raise ValueError("LLRs must be finite, not NaN or inf")
+    plan, llr = _start(llr, params, cfg)
     counter = FodCounter() if counter is None else counter
-    bits, iterations, converged = _walk(
-        decode_plan(params, cfg), llr[None, :], cfg, counter,
-        cfg.early_stop_theta)
+    bits, iterations, converged = _walk(plan, llr[None, :], cfg, counter,
+                                        cfg.early_stop_theta)
     return DecodeResult(codeword=bits[0], fods=counter.snapshot(),
                         iterations_run=iterations, converged_early=converged)
 
@@ -298,9 +308,7 @@ def decode_batch(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
     llr = np.asarray(llr, dtype=np.float64)
     if llr.ndim != 2 or llr.shape[1] != params.n:
         raise ValueError(f"expected shape (batch, {params.n}), got {llr.shape}")
-    if not np.isfinite(llr).all():
-        raise ValueError("LLRs must be finite, not NaN or inf")
-    bits, _, _ = _walk(decode_plan(params, cfg), llr, cfg, counter)
+    bits, _, _ = _walk(*_start(llr, params, cfg), cfg, counter)
     return bits
 
 

@@ -6,7 +6,6 @@ which decoder complexity is counted.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -16,20 +15,18 @@ import numpy as np
 @dataclass
 class FodCounter:
     """Monotone tally of first-order decodings, broken down by the size
-    exponent m' of the decoded subcode."""
+    exponent m' of the decoded subcode.  A counter belongs to one decode
+    or one sweep chunk and is not shared between threads."""
 
     total: int = 0
     per_level: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def record(self, level: int, count: int = 1) -> None:
-        with self._lock:
-            self.total += count
-            self.per_level[level] = self.per_level.get(level, 0) + count
+        self.total += count
+        self.per_level[level] = self.per_level.get(level, 0) + count
 
     def snapshot(self) -> "FodCounter":
-        with self._lock:
-            return FodCounter(total=self.total, per_level=dict(self.per_level))
+        return FodCounter(total=self.total, per_level=dict(self.per_level))
 
 
 def fht(values: np.ndarray) -> np.ndarray:
@@ -89,8 +86,7 @@ def _linear_form_bits(a: np.ndarray, m: int) -> np.ndarray:
     return (high[..., :, None] ^ bits[..., None, :]).reshape(a.shape + (-1,))
 
 
-def fht_decode(l: np.ndarray, counter: FodCounter | None = None,
-               level: int | None = None) -> np.ndarray:
+def fht_decode(l: np.ndarray, counter: FodCounter | None = None) -> np.ndarray:
     """ML decoding of RM(m', 1) by Walsh-spectrum argmax.
 
     Returns the codeword c(z) = u0 ^ <a*, z> with a* = argmax_a |W[a]|
@@ -111,5 +107,5 @@ def fht_decode(l: np.ndarray, counter: FodCounter | None = None,
     bits = _linear_form_bits(a_star, m)
     bits ^= u0[:, None]
     if counter is not None:
-        counter.record(m if level is None else level, count=batch.shape[0])
+        counter.record(m, count=batch.shape[0])
     return bits[0] if single else bits

@@ -1,4 +1,4 @@
-"""One-dimensional subspace cosets, hard/soft projections, and aggregation.
+"""One-dimensional subspace cosets, soft projections, and aggregation.
 
 Coordinates are indexed by integers z in [0, 2^m); the subspace B_i = {0, i}
 partitions the index set into n/2 cosets {z, z^i}, ordered by their canonical
@@ -56,20 +56,6 @@ def stack_coset_maps(m: int, indices) -> CosetMap:
     return CosetMap(m=m, i=tuple(i.ravel().tolist()), reps=reps,
                     partners=partners, coset_of=coset_of,
                     partner_of=partner_of)
-
-
-def build_coset_map(m: int, i: int) -> CosetMap:
-    stacked = stack_coset_maps(m, [i])
-    return CosetMap(m=m, i=i, reps=stacked.reps[0],
-                    partners=stacked.partners[0],
-                    coset_of=stacked.coset_of[0],
-                    partner_of=stacked.partner_of[0])
-
-
-def project_hard(c: np.ndarray, cmap: CosetMap) -> np.ndarray:
-    """XOR the two members of each coset; length n -> n/2."""
-    c = np.asarray(c)
-    return c[..., cmap.reps] ^ c[..., cmap.partners]
 
 
 def boxplus(a, b, min_sum: bool = False):

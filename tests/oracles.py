@@ -1,0 +1,95 @@
+"""Reference implementations that the tests check rmpa against.
+
+None of these is on a decoding path: an exhaustive ML decoder, the code's
+membership test, single coset maps and hard projections, and a z-test for
+comparing two frame error rates.
+"""
+
+from __future__ import annotations
+
+from statistics import NormalDist
+
+import numpy as np
+
+from rmpa.codes import CodeParams, build_generator
+from rmpa.geometry import CosetMap, stack_coset_maps
+
+ML_ORACLE_CAP = 2 ** 20
+
+
+def is_codeword(c: np.ndarray, params: CodeParams) -> bool:
+    """Membership in RM(m, r)."""
+    c = np.asarray(c, dtype=np.uint8)
+    if c.shape != (params.n,):
+        raise ValueError(f"vector length {c.shape} does not match n={params.n}")
+    return bool(in_row_space_batch(c[None, :], params)[0])
+
+
+def in_row_space_batch(vectors: np.ndarray, params: CodeParams) -> np.ndarray:
+    """Vectorized membership test; vectors has shape (batch, n).
+
+    The binary Moebius transform, the GF(2) twin of fht, turns each word
+    into its coefficients over the monomials; a word is in RM(m, r) iff
+    none of degree > r is present."""
+    v = np.asarray(vectors, dtype=np.uint8) % 2
+    n = params.n
+    h = 1
+    while h < n:
+        w = v.reshape(v.shape[:-1] + (n // (2 * h), 2, h))
+        w[..., 1, :] ^= w[..., 0, :]
+        h *= 2
+    degree = np.array([bin(a).count("1") for a in range(n)])
+    return ~np.any(v[:, degree > params.r], axis=1)
+
+
+def enumerate_codewords(params: CodeParams) -> np.ndarray:
+    """All 2^k codewords (rows), message index order.  Small codes only."""
+    if 2 ** params.k > ML_ORACLE_CAP:
+        raise ValueError(f"2^k = 2^{params.k} exceeds exhaustive cap {ML_ORACLE_CAP}")
+    gen = build_generator(params)
+    k = params.k
+    msgs = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
+    return (msgs @ gen) % 2
+
+
+def ml_decode_oracle(llr: np.ndarray, params: CodeParams) -> np.ndarray:
+    """Exhaustive correlation-maximizing decoder; ties broken by the
+    lexicographically smallest codeword."""
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape != (params.n,):
+        raise ValueError(f"LLR length {llr.shape} does not match n={params.n}")
+    words = enumerate_codewords(params)
+    corr = (1.0 - 2.0 * words) @ llr
+    best = np.max(corr)
+    candidates = np.nonzero(corr == best)[0]
+    if candidates.size == 1:
+        return words[candidates[0]].copy()
+    rows = words[candidates]
+    order = np.lexsort(rows[:, ::-1].T)
+    return rows[order[0]].copy()
+
+
+def build_coset_map(m: int, i: int) -> CosetMap:
+    """The coset map of the one subspace {0, i}: one row of a stack."""
+    stacked = stack_coset_maps(m, [i])
+    return CosetMap(m=m, i=i, reps=stacked.reps[0],
+                    partners=stacked.partners[0],
+                    coset_of=stacked.coset_of[0],
+                    partner_of=stacked.partner_of[0])
+
+
+def project_hard(c: np.ndarray, cmap: CosetMap) -> np.ndarray:
+    """XOR the two members of each coset; length n -> n/2."""
+    c = np.asarray(c)
+    return c[..., cmap.reps] ^ c[..., cmap.partners]
+
+
+def two_proportion_pvalue(err1: int, n1: int, err2: int, n2: int) -> float:
+    """One-sided z-test p-value for H1: p1 < p2 (pooled variance)."""
+    p1, p2 = err1 / n1, err2 / n2
+    pooled = (err1 + err2) / (n1 + n2)
+    se = (pooled * (1 - pooled) * (1 / n1 + 1 / n2)) ** 0.5
+    if se == 0:
+        return 1.0
+    z = (p2 - p1) / se
+    return NormalDist().cdf(-z)

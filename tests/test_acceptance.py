@@ -10,12 +10,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import (build_coset_map, enumerate_codewords, in_row_space_batch,
+                     project_hard, two_proportion_pvalue)
 from rmpa import (CodeParams, FodCounter, SimConfig, analytic_fod_count,
-                  binomial_ci, build_coset_map, build_generator, csv_string,
-                  decode, enumerate_codewords, explicit_schedule_config,
-                  fht_decode, preset, project_hard, run_sweep,
-                  two_proportion_pvalue)
-from rmpa.codes import in_row_space_batch
+                  binomial_ci, build_generator, csv_string, decode,
+                  explicit_schedule_config, fht_decode, preset, run_sweep)
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))

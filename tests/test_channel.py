@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import two_proportion_pvalue
 from rmpa import (ChannelConfig, CodeParams, SimConfig, binomial_ci,
                   csv_string, llr_from_channel, points_to_json, preset,
-                  run_sweep, transmit, two_proportion_pvalue)
+                  run_sweep, transmit)
 from rmpa.channel import CSV_COLUMNS
 import json
 

@@ -213,6 +213,58 @@ def test_spec_integers_take_ints_integral_floats_and_decimal_text(
         load_experiment_spec(spec)
 
 
+@pytest.mark.parametrize("overrides,bad", [
+    ({"decoder": {"preset": "rpa_sch", "d": True}}, "True"),
+    ({"decoder": {"preset": "rpa_sch", "d": "two"}}, "'two'"),
+    ({"decoder": {"early_stop_theta": True}}, "True"),
+    ({"decoder": {"early_stop_theta": "nan"}}, "'nan'"),
+    ({"decoder": {"early_stop_theta": "inf"}}, "'inf'"),
+    ({"ebno_db": [True]}, "True"),
+    ({"ebno_db": ["inf"]}, "'inf'"),
+    ({"ebno_db": [2.0, "nan"]}, "'nan'"),
+    ({"ebno_db": [float("nan")]}, "nan")])
+def test_spec_reals_are_read_strictly(tmp_path, capsys, overrides, bad):
+    spec = make_spec(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert f"expected a finite number, got {bad}" in err
+
+
+@pytest.mark.parametrize("flags", [["--theta", "nan", "--measure"],
+                                   ["--theta", "inf"],
+                                   ["--preset", "rpa_sch", "--d", "inf"]])
+def test_real_flags_are_read_strictly(capsys, flags):
+    code, out, err = run_cli(capsys, "fods", "--m", "5", "--r", "2", *flags)
+    assert (code, out) == (2, "")
+    assert "expected a finite number" in err
+
+
+def test_spec_reals_take_numbers_and_decimal_text():
+    spec = {"schema_version": 1, "code": {"m": 7, "r": 2},
+            "decoder": {"preset": "rpa_sch", "d": "2",
+                        "early_stop_theta": "0.05"},
+            "ebno_db": [1, "2.5", 3.0]}
+    cfg, _ = load_experiment_spec(spec)
+    assert cfg.decoder.delta_itr == F(1, 2)
+    assert cfg.decoder.early_stop_theta == 0.05
+    assert cfg.ebno_points == (1.0, 2.5, 3.0)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"output": 5}, "output must be a path"),
+    ({"code": {"m": 5, "r": 2, "k": 99}}, "unknown code keys ['k']"),
+    ({"code": [5, 2]}, "code must be an object"),
+    ({"decoder": ["rpa"]}, "decoder must be an object"),
+    ({"ebno_db": []}, "ebno_db must be a non-empty list"),
+    ({"ebno_db": "12"}, "ebno_db must be a non-empty list")])
+def test_spec_inputs_that_would_be_ignored_or_crash_exit_2(
+        tmp_path, capsys, overrides, message):
+    spec = make_spec(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_fods_bad_fraction_exits_2(capsys):
     code, _, err = run_cli(capsys, "fods", "--m", "7", "--r", "2",
                            "--gamma", "2/0", "--ditr", "1", "--drec", "1")

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmpa import (CodeParams, build_generator, encode, enumerate_codewords,
-                  fht_decode, is_codeword, ml_decode_oracle)
-from rmpa.codes import in_row_space_batch
+from oracles import (enumerate_codewords, in_row_space_batch, is_codeword,
+                     ml_decode_oracle)
+from rmpa import CodeParams, build_generator, encode, fht_decode
 
 
 def build_generator_recursive(params: CodeParams) -> np.ndarray:

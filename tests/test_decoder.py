@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import build_coset_map, is_codeword, ml_decode_oracle
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
-                  build_coset_map, build_generator, check_convergence, decode,
-                  decode_batch, decode_plan, delta, encode,
-                  explicit_schedule_config, fht, fht_decode, is_codeword,
-                  ml_decode_oracle, num_projections, preset,
+                  build_generator, check_convergence, decode, decode_batch,
+                  decode_plan, delta, encode, explicit_schedule_config, fht,
+                  fht_decode, num_projections, preset,
                   select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.geometry import clamp_llr, project_llr
@@ -154,6 +154,30 @@ def test_config_validation():
         explicit_schedule_config([4], 3)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"explicit_schedule": (True, 8)}, {"explicit_schedule": (4.5, 8)},
+    {"explicit_schedule": (4.0, 8)}, {"n_max": 2.5}, {"n_max": True},
+    {"early_stop_theta": math.nan}, {"early_stop_theta": math.inf},
+    {"early_stop_theta": -math.inf}])
+def test_config_takes_only_integer_counts_and_a_finite_threshold(kwargs):
+    with pytest.raises(ValueError):
+        PruningConfig(**kwargs)
+
+
+def test_explicit_schedule_config_does_not_truncate():
+    with pytest.raises(ValueError, match="4.7"):
+        explicit_schedule_config([4.7, 8], 3)
+    cfg = explicit_schedule_config(np.array([4, 8]), 3)
+    assert analytic_fod_count(CodeParams(6, 3), cfg) == 32
+
+
+def test_preset_without_a_name_picks_the_decoder_from_its_keys():
+    assert preset().n_max == 3
+    assert (preset().gamma, preset().delta_itr, preset().delta_rec) == (1, 1, 1)
+    assert preset(schedule=(4, 8)).explicit_schedule == (4, 8)
+    assert preset(gamma=F(1, 2), delta_itr=1, delta_rec=1).gamma == F(1, 2)
+
+
 @pytest.mark.parametrize("factor", ["gamma", "delta_itr", "delta_rec"])
 def test_factors_other_than_1_beside_a_schedule_are_rejected(factor):
     with pytest.raises(ValueError, match=factor):
@@ -222,16 +246,27 @@ def test_plan_is_compiled_once_per_config():
     p = CodeParams(5, 2)
     plan = decode_plan(p, MFP_72)
     assert decode_plan(p, MFP_72) is plan
-    assert plan.fods == sum(len(cmap.i) * inner.fods
-                             for cmap, inner in plan.steps)
+    assert plan.fods == sum(len(indices) * inner.fods
+                             for indices, inner in plan.steps)
 
 
-def test_plans_of_equal_configs_share_their_coset_maps():
+def test_plans_of_equal_configs_share_their_coset_maps(monkeypatch):
     p = CodeParams(6, 2)
-    a, b = decode_plan(p, preset("rpa")), decode_plan(p, preset("rpa"))
-    assert a is not b
+    a, b = preset("rpa"), preset("rpa")
+    assert decode_plan(p, a) is not decode_plan(p, b)
+    seen = []
+
+    def recording_project_llr(llr, cmap, min_sum=False):
+        seen.append(cmap)
+        return project_llr(llr, cmap, min_sum=min_sum)
+
+    monkeypatch.setattr("rmpa.decoder.project_llr", recording_project_llr)
+    llr = np.random.default_rng(5).normal(size=(2, p.n))
+    decode_batch(llr, p, a)
+    decode_batch(llr, p, b)
     # full RPA keeps the same subspaces in every iteration
-    assert all(cmap is a.steps[0][0] for cmap, _ in a.steps + b.steps)
+    assert len(seen) == 2 * a.n_max
+    assert all(cmap is seen[0] for cmap in seen)
 
 
 FACTORS = st.sampled_from([F(1), F(3, 4), F(2, 3), F(1, 2), F(1, 3),
@@ -408,6 +443,18 @@ def test_decode_batch_memory_does_not_grow_with_the_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_counting_fods_builds_no_coset_maps():
+    # the stacked maps of RM(12, 2) full RPA would take 384 MiB
+    tracemalloc.start()
+    try:
+        count = analytic_fod_count(CodeParams(12, 2), preset("rpa"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 3 * 4095
     assert peak < 16 * 2 ** 20
 
 

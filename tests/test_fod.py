@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmpa import CodeParams, FodCounter, fht, fht_decode, ml_decode_oracle
+from oracles import ml_decode_oracle
+from rmpa import CodeParams, FodCounter, fht, fht_decode
 
 
 def naive_wht(values):
@@ -93,9 +94,9 @@ def test_fht_decode_tie_rule():
 def test_counter_increments_once_per_call():
     counter = FodCounter()
     rng = np.random.default_rng(0)
-    fht_decode(rng.normal(size=8), counter, level=3)
-    fht_decode(rng.normal(size=8), counter, level=3)
-    fht_decode(rng.normal(size=4), counter, level=2)
+    fht_decode(rng.normal(size=8), counter)
+    fht_decode(rng.normal(size=8), counter)
+    fht_decode(rng.normal(size=4), counter)
     assert counter.total == 3
     assert counter.per_level == {3: 2, 2: 1}
     assert counter.total == sum(counter.per_level.values())
@@ -104,7 +105,7 @@ def test_counter_increments_once_per_call():
 def test_counter_batch_counts_each_row():
     counter = FodCounter()
     rng = np.random.default_rng(1)
-    fht_decode(rng.normal(size=(17, 8)), counter, level=3)
+    fht_decode(rng.normal(size=(17, 8)), counter)
     assert counter.total == 17
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmpa import (CodeParams, LLR_CLAMP, aggregate, boxplus, build_coset_map,
-                  build_generator, encode, is_codeword, project_hard,
-                  project_llr, stack_coset_maps)
-from rmpa.codes import in_row_space_batch
+from oracles import (build_coset_map, in_row_space_batch, is_codeword,
+                     project_hard)
+from rmpa import (CodeParams, LLR_CLAMP, aggregate, boxplus, build_generator,
+                  encode, project_llr, stack_coset_maps)
 
 
 def test_coset_map_m2():
