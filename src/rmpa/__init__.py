@@ -3,7 +3,7 @@ multi-factor pruning, first-order-decoding complexity accounting, and an
 AWGN Monte Carlo harness."""
 
 from .codes import CodeParams, build_generator, encode
-from .geometry import (LLR_CLAMP, CosetMap, aggregate, boxplus, project_llr,
+from .geometry import (LLR_CLAMP, CosetMap, aggregate, project_llr,
                        stack_coset_maps)
 from .fod import FodCounter, fht, fht_decode
 from .decoder import (DecodePlan, DecodeResult, PruningConfig,
@@ -17,7 +17,7 @@ from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
 
 __all__ = [
     "CodeParams", "build_generator", "encode",
-    "LLR_CLAMP", "CosetMap", "aggregate", "boxplus", "project_llr",
+    "LLR_CLAMP", "CosetMap", "aggregate", "project_llr",
     "stack_coset_maps",
     "FodCounter", "fht", "fht_decode",
     "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",

@@ -121,8 +121,11 @@ def load_experiment_spec(obj: dict):
     _fields(obj, ("schema_version", "code", "decoder", "ebno_db",
                   "min_frame_errors", "max_frames", "seed", "message_mode",
                   "output", "workers", "chunk_frames"), "spec")
-    if obj.get("schema_version") != SPEC_SCHEMA_VERSION:
-        raise SpecError(f"spec schema_version must be {SPEC_SCHEMA_VERSION}")
+    version = obj.get("schema_version")
+    # the JSON integer itself: true and 1.0 equal 1 in Python, not in JSON
+    if type(version) is not int or version != SPEC_SCHEMA_VERSION:
+        raise SpecError(f"spec schema_version must be {SPEC_SCHEMA_VERSION}, "
+                        f"got {version!r}")
     output = obj.get("output")
     if output is not None and not isinstance(output, str):
         raise SpecError(f"output must be a path, got {output!r}")

@@ -59,20 +59,25 @@ class PruningConfig:
             object.__setattr__(self, "n_max", 3 if schedule is None else 1)
         for name in FACTORS:
             v = getattr(self, name)
-            if not 0 < v <= 1:
+            if not (_is_real(v) and 0 < v <= 1):
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
             if schedule is not None and v != 1:
                 raise ValueError(f"{name} does not apply beside a schedule")
         if not (_is_int(self.n_max) and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         theta = self.early_stop_theta
-        if theta is not None and not (math.isfinite(theta) and theta > 0):
+        if theta is not None and not (_is_real(theta) and math.isfinite(theta)
+                                      and theta > 0):
             raise ValueError("early-stop threshold must be positive and "
                              f"finite, got {theta}")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -147,6 +152,9 @@ def preset(name: str | None = None, **keys) -> PruningConfig:
     if missing:
         raise ValueError(f"{name} requires {', '.join(missing)}")
     given = {key: keys.pop(key) for key in takes}
+    flags = [key for key in takes if isinstance(given[key], bool)]
+    if flags:
+        raise ValueError(f"{name} takes numbers, not booleans, for {flags}")
     try:
         triple = [Fraction(x) for x in factors(**given)]
     except (ArithmeticError, TypeError) as exc:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Natural-log LLR saturation.  Beyond exp(-30) the error probabilities are
-# numerically irrelevant at the simulated SNRs, and atanh stays finite.
+# numerically irrelevant at the simulated SNRs, and the projection's
+# exp(-|l|) stays far above underflow, so its logs stay finite.
 LLR_CLAMP = 30.0
 
 
@@ -58,22 +59,33 @@ def stack_coset_maps(m: int, indices) -> CosetMap:
                     partner_of=partner_of)
 
 
-def boxplus(a, b, min_sum: bool = False):
-    """Soft XOR of two LLRs, 2*atanh(tanh(a/2)*tanh(b/2)), evaluated in the
-    stable log form ln((1 + e^(a+b)) / (e^a + e^b)).  Result clamped."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if min_sum:
-        out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    else:
-        out = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
-    return np.clip(out, -LLR_CLAMP, LLR_CLAMP)
-
-
 def project_llr(l: np.ndarray, cmap: CosetMap, min_sum: bool = False) -> np.ndarray:
-    """Boxplus the two members of each coset; length n -> n/2."""
+    """Soft XOR (boxplus) of the two members a, b of each coset,
+    2*atanh(tanh(a/2)*tanh(b/2)); length n -> n/2.
+
+    It is evaluated in the exp domain: u = exp(-|l|) is taken once per
+    coordinate, shared by all the stacked maps, and then
+    |a [+] b| = log1p(u_a*u_b) - log(u_a + u_b), signed by
+    sign(a)*sign(b).  min_sum takes min(|a|, |b|) for the magnitude instead.
+    LLRs beyond +-LLR_CLAMP count as +-LLR_CLAMP, as decode clamps them on
+    entry, so the output stays within the clamp up to rounding; a zero LLR
+    projects to 0.
+    """
     l = np.asarray(l, dtype=np.float64)
-    return boxplus(l[..., cmap.reps], l[..., cmap.partners], min_sum=min_sum)
+    mag = np.minimum(np.abs(l), LLR_CLAMP)
+    if min_sum:
+        out = np.minimum(mag[..., cmap.reps], mag[..., cmap.partners])
+    else:
+        u = np.exp(-mag)
+        ua, ub = u[..., cmap.reps], u[..., cmap.partners]
+        out = np.multiply(ua, ub)
+        np.log1p(out, out=out)
+        ua += ub
+        out -= np.log(ua, out=ua)
+    sign = np.sign(l)
+    out *= sign[..., cmap.reps]
+    out *= sign[..., cmap.partners]
+    return out
 
 
 def clamp_llr(l: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Reference implementations that the tests check rmpa against.
 
 None of these is on a decoding path: an exhaustive ML decoder, the code's
-membership test, single coset maps and hard projections, and a z-test for
-comparing two frame error rates.
+membership test, single coset maps, hard projections and the logaddexp form
+of the soft projection, and a z-test for comparing two frame error rates.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from statistics import NormalDist
 import numpy as np
 
 from rmpa.codes import CodeParams, build_generator
-from rmpa.geometry import CosetMap, stack_coset_maps
+from rmpa.geometry import LLR_CLAMP, CosetMap, stack_coset_maps
 
 ML_ORACLE_CAP = 2 ** 20
 
@@ -82,6 +82,21 @@ def project_hard(c: np.ndarray, cmap: CosetMap) -> np.ndarray:
     """XOR the two members of each coset; length n -> n/2."""
     c = np.asarray(c)
     return c[..., cmap.reps] ^ c[..., cmap.partners]
+
+
+def boxplus(a, b, min_sum: bool = False):
+    """Soft XOR of two LLRs, 2*atanh(tanh(a/2)*tanh(b/2)), evaluated in the
+    stable log form ln((1 + e^(a+b)) / (e^a + e^b)).  Result clamped.
+
+    The reference that rmpa.project_llr's exp-domain form is checked
+    against."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if min_sum:
+        out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    else:
+        out = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    return np.clip(out, -LLR_CLAMP, LLR_CLAMP)
 
 
 def two_proportion_pvalue(err1: int, n1: int, err2: int, n2: int) -> float:

@@ -213,6 +213,14 @@ def test_spec_integers_take_ints_integral_floats_and_decimal_text(
         load_experiment_spec(spec)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_spec_schema_version_is_the_json_integer_1(tmp_path, capsys, version):
+    spec = make_spec(tmp_path, schema_version=version)
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert f"spec schema_version must be 1, got {version!r}" in err
+
+
 @pytest.mark.parametrize("overrides,bad", [
     ({"decoder": {"preset": "rpa_sch", "d": True}}, "True"),
     ({"decoder": {"preset": "rpa_sch", "d": "two"}}, "'two'"),

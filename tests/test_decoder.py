@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 import pytest
@@ -162,6 +163,20 @@ def test_config_validation():
 def test_config_takes_only_integer_counts_and_a_finite_threshold(kwargs):
     with pytest.raises(ValueError):
         PruningConfig(**kwargs)
+
+
+@pytest.mark.parametrize("make,kwargs", [
+    (PruningConfig, {"early_stop_theta": True}),
+    (PruningConfig, {"gamma": True}),
+    (PruningConfig, {"delta_itr": True}),
+    (partial(preset, "rpa_sch"), {"d": True}),
+    (partial(preset, "srpa"), {"q": True}),
+    (partial(preset, "mfp"), {"gamma": 1, "delta_itr": True,
+                              "delta_rec": 1}),
+    (preset, {"early_stop_theta": True})])
+def test_a_bool_is_neither_a_factor_nor_a_threshold(make, kwargs):
+    with pytest.raises(ValueError, match="bool|True"):
+        make(**kwargs)
 
 
 def test_explicit_schedule_config_does_not_truncate():

@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import (build_coset_map, in_row_space_batch, is_codeword,
-                     project_hard)
-from rmpa import (CodeParams, LLR_CLAMP, aggregate, boxplus, build_generator,
+from oracles import (boxplus, build_coset_map, in_row_space_batch,
+                     is_codeword, project_hard)
+from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
                   encode, project_llr, stack_coset_maps)
+from rmpa.geometry import clamp_llr
 
 
 def test_coset_map_m2():
@@ -68,13 +71,24 @@ def test_projection_closure_sampled():
                 assert np.all(in_row_space_batch(proj, sub))
 
 
+def projected(a, b, min_sum=False):
+    """a [+] b by project_llr, on the one coset of F_2^1."""
+    return project_llr(np.array([a, b], dtype=np.float64),
+                       build_coset_map(1, 1), min_sum=min_sum)[0]
+
+
+# the logaddexp reference and the exp-domain projection it checks
+SOFT_XORS = (boxplus, projected)
+
+
 def test_boxplus_examples():
-    assert boxplus(0.0, 3.7) == pytest.approx(0.0, abs=1e-12)
-    assert boxplus(LLR_CLAMP, 4.0) == pytest.approx(4.0, abs=1e-6)
-    assert boxplus(LLR_CLAMP, -10.0) == pytest.approx(-10.0, abs=1e-6)
-    expected = 2.0 * math.atanh(math.tanh(1.0) ** 2)
-    assert boxplus(2.0, 2.0) == pytest.approx(expected, abs=1e-12)
-    assert boxplus(2.0, 2.0) == pytest.approx(1.32500, abs=1e-5)
+    for soft_xor in SOFT_XORS:
+        assert soft_xor(0.0, 3.7) == pytest.approx(0.0, abs=1e-12)
+        assert soft_xor(LLR_CLAMP, 4.0) == pytest.approx(4.0, abs=1e-6)
+        assert soft_xor(LLR_CLAMP, -10.0) == pytest.approx(-10.0, abs=1e-6)
+        expected = 2.0 * math.atanh(math.tanh(1.0) ** 2)
+        assert soft_xor(2.0, 2.0) == pytest.approx(expected, abs=1e-12)
+        assert soft_xor(2.0, 2.0) == pytest.approx(1.32500, abs=1e-5)
 
 
 def test_boxplus_stable_matches_literal_form():
@@ -88,29 +102,88 @@ def test_boxplus_stable_matches_literal_form():
         for b in grid:
             literal = float(2 * mp.atanh(mp.tanh(mp.mpf(a) / 2)
                                          * mp.tanh(mp.mpf(b) / 2)))
-            assert boxplus(a, b) == pytest.approx(literal, abs=1e-9)
+            for soft_xor in SOFT_XORS:
+                assert soft_xor(a, b) == pytest.approx(literal, abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-25, 25), st.floats(-25, 25))
 def test_boxplus_symmetry_and_odd_negation(a, b):
-    assert boxplus(a, b) == boxplus(b, a)
-    assert boxplus(-a, -b) == pytest.approx(boxplus(a, b), abs=1e-12)
-    assert boxplus(-a, b) == pytest.approx(-boxplus(a, b), abs=1e-12)
+    for soft_xor in SOFT_XORS:
+        assert soft_xor(a, b) == soft_xor(b, a)
+        assert soft_xor(-a, -b) == pytest.approx(soft_xor(a, b), abs=1e-12)
+        assert soft_xor(-a, b) == pytest.approx(-soft_xor(a, b), abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-25, 25), st.floats(-25, 25))
 def test_boxplus_sign_and_magnitude(a, b):
-    out = float(boxplus(a, b))
-    if abs(a) > 1e-6 and abs(b) > 1e-6:
-        assert math.copysign(1, out) == math.copysign(1, a) * math.copysign(1, b)
-    assert abs(out) <= min(abs(a), abs(b)) + 1e-9
+    for soft_xor in SOFT_XORS:
+        out = float(soft_xor(a, b))
+        if abs(a) > 1e-6 and abs(b) > 1e-6:
+            assert (math.copysign(1, out)
+                    == math.copysign(1, a) * math.copysign(1, b))
+        assert abs(out) <= min(abs(a), abs(b)) + 1e-9
 
 
 def test_boxplus_min_sum_mode():
-    assert boxplus(3.0, -5.0, min_sum=True) == -3.0
-    assert boxplus(-2.0, -7.0, min_sum=True) == 2.0
+    for soft_xor in SOFT_XORS:
+        assert soft_xor(3.0, -5.0, min_sum=True) == -3.0
+        assert soft_xor(-2.0, -7.0, min_sum=True) == 2.0
+
+
+# clamped LLRs, with the clamp itself and exact zeros drawn often
+CLAMPED_LLRS = st.one_of(st.floats(-LLR_CLAMP, LLR_CLAMP),
+                         st.sampled_from([LLR_CLAMP, -LLR_CLAMP, 0.0, -0.0]))
+
+
+@st.composite
+def stacked_inputs(draw):
+    m = draw(st.integers(1, 6))
+    n = 1 << m
+    indices = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6,
+                            unique=True))
+    l = draw(arrays(np.float64, (draw(st.integers(1, 3)), n),
+                    elements=CLAMPED_LLRS))
+    return l, stack_coset_maps(m, indices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_inputs(), st.booleans())
+def test_project_llr_matches_the_reference_on_stacked_maps(inputs, min_sum):
+    l, cmap = inputs
+    got = project_llr(l, cmap, min_sum=min_sum)
+    want = boxplus(l[..., cmap.reps], l[..., cmap.partners], min_sum=min_sum)
+    assert got.shape == want.shape == l.shape[:1] + cmap.reps.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_project_llr_takes_any_finite_llr_without_a_warning(min_sum):
+    # exp(-|l|) alone underflows to 0 past |l| = 745, and log(0) warns;
+    # LLRs beyond the clamp project as the clamped LLRs do
+    cmap = stack_coset_maps(2, [1, 2, 3])
+    l = np.array([[1e3, 1e3, -1e3, 800.0],
+                  [1e300, -1e300, 5.0, -1e300],
+                  [-1e300, 0.0, 1e-300, 31.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = project_llr(l, cmap, min_sum=min_sum)
+    c = clamp_llr(l)
+    want = boxplus(c[..., cmap.reps], c[..., cmap.partners], min_sum=min_sum)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.all(np.abs(got) <= LLR_CLAMP)
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_a_zero_llr_projects_to_zero(min_sum):
+    cmap = stack_coset_maps(3, range(1, 8))
+    l = np.array([0.0, -0.0, 3.0, -LLR_CLAMP, 0.5, LLR_CLAMP, 0.0, -2.5])
+    got = project_llr(l, cmap, min_sum=min_sum)
+    zero = (l[cmap.reps] == 0) | (l[cmap.partners] == 0)
+    assert zero.any() and not zero.all()
+    assert np.all(got[zero] == 0)
+    assert np.all(got[~zero] != 0)
 
 
 def test_project_llr_sign_consistency():

@@ -1,5 +1,6 @@
-"""Static checks of the package sources, with the standard library only:
-every imported name is used, and every exported name exists."""
+"""Static checks of the package sources and the test oracles, with the
+standard library only: every imported name is used, and every exported name
+exists."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import rmpa
 
 SRC = Path(rmpa.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ORACLES = Path(__file__).parent / "oracles.py"
 
 
 def unused_imports(source: str) -> list:
@@ -33,7 +35,7 @@ def test_the_checker_finds_an_unused_import():
     assert unused_imports(source) == ["isfinite", "threading"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ORACLES], ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
