@@ -267,12 +267,15 @@ def _walk(node: DecodePlan, llr: np.ndarray, cfg: PruningConfig,
             _walk(node, llr[start:start + rows], cfg, counter)[0]
             for start in range(0, len(llr), rows)]), len(node.steps), False
     iterations, converged = 0, False
+    half = llr.shape[-1] // 2
     for iterations, (indices, inner) in enumerate(node.steps, 1):
         cmap = _stacked_maps(node.m, indices)
-        projected = project_llr(llr, cmap, min_sum=cfg.min_sum)
-        chat, _, _ = _walk(inner, projected.reshape(-1, projected.shape[-1]),
-                           cfg, counter)
-        llr_new = aggregate(llr, cmap, chat.reshape(projected.shape))
+        # no reference to the projections outlives the inner walk, so they
+        # are freed before aggregate gathers
+        chat, _, _ = _walk(inner, project_llr(llr, cmap, min_sum=cfg.min_sum)
+                           .reshape(-1, half), cfg, counter)
+        llr_new = aggregate(llr, cmap,
+                            chat.reshape(len(llr), len(indices), half))
         converged = (theta is not None
                      and check_convergence(llr[0], llr_new[0], theta))
         llr = llr_new

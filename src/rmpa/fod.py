@@ -1,7 +1,10 @@
 """Fast Hadamard transform and ML decoding of first-order RM(m, 1) codes.
 
-One call to fht_decode is one "first-order decoding" (FOD), the unit in
-which decoder complexity is counted.
+The transform is a chain of products with the +-1 Hadamard matrix of
+RADIX_M bits, and the decoder ties spectrum magnitudes that agree to within
+TIE_RTOL, so that decoded bits do not depend on the order in which the
+matrix product sums.  One call to fht_decode is one "first-order decoding"
+(FOD) per row, the unit in which decoder complexity is counted.
 """
 
 from __future__ import annotations
@@ -29,34 +32,34 @@ class FodCounter:
         return FodCounter(total=self.total, per_level=dict(self.per_level))
 
 
+# bits of z that one product with the +-1 Hadamard matrix transforms
+RADIX_M = 6
+# relative band below max|W| within which a spectrum magnitude ties with
+# the max: BLAS kernels sum in their own order, so a tie may come out
+# unequal by rounding
+TIE_RTOL = 1e-12
+
+
 def fht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis:
-    out[a] = sum_z (-1)^<a, z> values[z].  Butterfly, O(n log n); values
-    itself is only read."""
+    out[a] = sum_z (-1)^<a, z> values[z]; values itself is only read.
+
+    One product with the 2^c x 2^c +-1 Hadamard matrix transforms
+    c <= RADIX_M bits of z, the lowest bits first, then each further digit.
+    A digit costs 2^c multiply-adds per value, more arithmetic than the c
+    passes of a butterfly, but in one BLAS call."""
     x = np.asarray(values, dtype=np.float64)
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    if n == 1:
-        return x.copy()
-    return np.moveaxis(_fht_first_axis(np.moveaxis(x, -1, 0)), 0, -1)
-
-
-def _fht_first_axis(x: np.ndarray) -> np.ndarray:
-    """The transform along the first axis, where each butterfly stage is a
-    few long contiguous passes.  Each stage reads one buffer and writes the
-    other, so x is only read."""
-    n = x.shape[0]
-    buffers = (np.empty(x.shape), np.empty(x.shape))
-    h = 1
-    while h < n:
-        src = x.reshape((n // (2 * h), 2, h) + x.shape[1:])
-        x = buffers[h.bit_length() % 2]
-        dst = x.reshape(src.shape)
-        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
-        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
-        h *= 2
-    return x
+    m = n.bit_length() - 1
+    done = min(m, RADIX_M)
+    out = x.reshape(-1, 1 << done) @ _hadamard(done)
+    while done < m:
+        c = min(m - done, RADIX_M)
+        out = np.matmul(_hadamard(c), out.reshape(-1, 1 << c, 1 << done))
+        done += c
+    return out.reshape(x.shape)
 
 
 # largest m whose Hadamard bit table is kept whole: 2^m x 2^m bytes
@@ -70,6 +73,14 @@ def _hadamard_bits(m: int) -> np.ndarray:
     for _ in range(m):
         # a new top bit of a and of z flips the product where both are 1
         table = np.block([[table, table], [table, table ^ 1]])
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _hadamard(m: int) -> np.ndarray:
+    """The +-1 Hadamard matrix (-1)^<a, z> over F_2^m, read-only."""
+    table = 1.0 - 2.0 * _hadamard_bits(m)
     table.setflags(write=False)
     return table
 
@@ -89,9 +100,10 @@ def _linear_form_bits(a: np.ndarray, m: int) -> np.ndarray:
 def fht_decode(l: np.ndarray, counter: FodCounter | None = None) -> np.ndarray:
     """ML decoding of RM(m', 1) by Walsh-spectrum argmax.
 
-    Returns the codeword c(z) = u0 ^ <a*, z> with a* = argmax_a |W[a]|
-    (ties to the smallest a) and u0 = 0 iff W[a*] >= 0.  Counts one FOD
-    per decoded vector.
+    Returns the codeword c(z) = u0 ^ <a*, z> with a* the smallest a whose
+    |W[a]| is within TIE_RTOL of max|W|, so that ties, exact or broken by
+    rounding, go to the smallest a, and u0 = 0 iff W[a*] >= 0.  Counts one
+    FOD per decoded vector.
     """
     l = np.asarray(l, dtype=np.float64)
     single = l.ndim == 1
@@ -100,12 +112,16 @@ def fht_decode(l: np.ndarray, counter: FodCounter | None = None) -> np.ndarray:
     m = n.bit_length() - 1
     if n < 2 or n & (n - 1):
         raise ValueError(f"length must be a power of two >= 2, got {n}")
-    # the spectrum of row j is column j
-    w = _fht_first_axis(batch.T)
-    a_star = np.argmax(np.abs(w), axis=0)
-    u0 = (w[a_star, np.arange(batch.shape[0])] < 0).astype(np.uint8)
+    # row j of w is the spectrum of row j
+    w = fht(batch)
+    rows = np.arange(len(w))
+    mag = np.abs(w)
+    peak = mag[rows, np.argmax(mag, axis=1)]
+    peak *= 1.0 - TIE_RTOL
+    a_star = np.argmax(mag >= peak[:, None], axis=1)
+    u0 = (w[rows, a_star] < 0).astype(np.uint8)
     bits = _linear_form_bits(a_star, m)
     bits ^= u0[:, None]
     if counter is not None:
-        counter.record(m, count=batch.shape[0])
+        counter.record(m, count=len(w))
     return bits[0] if single else bits

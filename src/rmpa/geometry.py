@@ -74,17 +74,19 @@ def project_llr(l: np.ndarray, cmap: CosetMap, min_sum: bool = False) -> np.ndar
     l = np.asarray(l, dtype=np.float64)
     mag = np.minimum(np.abs(l), LLR_CLAMP)
     if min_sum:
-        out = np.minimum(mag[..., cmap.reps], mag[..., cmap.partners])
+        out = np.minimum(np.take(mag, cmap.reps, axis=-1),
+                         np.take(mag, cmap.partners, axis=-1))
     else:
         u = np.exp(-mag)
-        ua, ub = u[..., cmap.reps], u[..., cmap.partners]
+        ua = np.take(u, cmap.reps, axis=-1)
+        ub = np.take(u, cmap.partners, axis=-1)
         out = np.multiply(ua, ub)
         np.log1p(out, out=out)
         ua += ub
         out -= np.log(ua, out=ua)
     sign = np.sign(l)
-    out *= sign[..., cmap.reps]
-    out *= sign[..., cmap.partners]
+    out *= np.take(sign, cmap.reps, axis=-1)
+    out *= np.take(sign, cmap.partners, axis=-1)
     return out
 
 
@@ -111,6 +113,7 @@ def aggregate(l: np.ndarray, cmap: CosetMap, chat: np.ndarray) -> np.ndarray:
                          f"{len(cmap.i)} projections of length "
                          f"{l.shape[-1] // 2}")
     flat = chat.reshape(chat.shape[:-2] + (cmap.reps.size,))
-    terms = _SIGN[flat[..., cmap.coset_of]]
-    terms *= l[..., cmap.partner_of]
+    # the signs of the n/2 cosets per map, then one gather to coordinates
+    terms = np.take(_SIGN.take(flat), cmap.coset_of, axis=-1)
+    terms *= np.take(l, cmap.partner_of, axis=-1)
     return terms.sum(axis=-2) / len(cmap.i)

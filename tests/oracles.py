@@ -1,8 +1,9 @@
 """Reference implementations that the tests check rmpa against.
 
 None of these is on a decoding path: an exhaustive ML decoder, the code's
-membership test, single coset maps, hard projections and the logaddexp form
-of the soft projection, and a z-test for comparing two frame error rates.
+membership test, single coset maps, hard projections, the logaddexp form
+of the soft projection, the butterfly form of the Walsh-Hadamard transform,
+and a z-test for comparing two frame error rates.
 """
 
 from __future__ import annotations
@@ -97,6 +98,26 @@ def boxplus(a, b, min_sum: bool = False):
     else:
         out = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
     return np.clip(out, -LLR_CLAMP, LLR_CLAMP)
+
+
+def fht_butterfly(x: np.ndarray) -> np.ndarray:
+    """The Walsh-Hadamard transform along the first axis, where each
+    butterfly stage is a few long contiguous passes.  Each stage reads one
+    buffer and writes the other, so x is only read.
+
+    The reference that rmpa.fht's Hadamard-product form is checked
+    against."""
+    n = x.shape[0]
+    buffers = (np.empty(x.shape), np.empty(x.shape))
+    h = 1
+    while h < n:
+        src = x.reshape((n // (2 * h), 2, h) + x.shape[1:])
+        x = buffers[h.bit_length() % 2]
+        dst = x.reshape(src.shape)
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        h *= 2
+    return x
 
 
 def two_proportion_pvalue(err1: int, n1: int, err2: int, n2: int) -> float:

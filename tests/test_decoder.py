@@ -374,6 +374,31 @@ def test_decode_first_order_is_fht():
     assert is_codeword(res.codeword, p)
 
 
+def test_decoding_calls_projection_and_fod_through_the_decoder_module(
+        monkeypatch):
+    # the benchmark's traced mode times these two names
+    import rmpa.decoder
+    calls = {"project_llr": 0, "fht_decode": 0}
+
+    def counting(name):
+        inner = getattr(rmpa.decoder, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rmpa.decoder, name, counting(name))
+    p = CodeParams(7, 2)
+    llrs = np.random.default_rng(3).normal(size=(2, p.n))
+    for run in (lambda: decode(llrs[0], p, MFP_72),
+                lambda: decode_batch(llrs, p, MFP_72)):
+        calls.update(project_llr=0, fht_decode=0)
+        run()
+        assert calls["project_llr"] > 0 and calls["fht_decode"] > 0
+
+
 @pytest.mark.parametrize("m,r", [(4, 1), (5, 2), (6, 3)])
 def test_decoders_leave_their_input_unchanged(m, r):
     # at r == 1 decode hands the caller's row straight to the FHT

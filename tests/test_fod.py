@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ml_decode_oracle
+from oracles import boxplus, fht_butterfly, ml_decode_oracle
 from rmpa import CodeParams, FodCounter, fht, fht_decode
+from rmpa.fod import TIE_RTOL
 
 
 def naive_wht(values):
@@ -50,6 +51,30 @@ def test_fht_involution(m, seed):
     assert np.allclose(fht(fht(v)), 2 ** m * v)
 
 
+def butterfly(values):
+    """The reference transform along the last axis."""
+    x = np.asarray(values, dtype=np.float64)
+    return np.moveaxis(fht_butterfly(np.moveaxis(x, -1, 0)), 0, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12), st.lists(st.integers(1, 3), max_size=2),
+       st.integers(0, 2 ** 31 - 1))
+def test_fht_matches_the_butterfly(m, lead, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=tuple(lead) + (2 ** m,)) * rng.choice([1e-3, 1, 1e3])
+    got = fht(x)
+    assert got.shape == x.shape
+    tol = 1e-13 * np.abs(x).max() * 2 ** m
+    assert np.abs(got - butterfly(x)).max() <= tol
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [np.inf, np.inf]])
+def test_fht_warns_on_overflow_and_inf_minus_inf(values):
+    with pytest.warns(RuntimeWarning):
+        fht(values)
+
+
 def test_fht_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         fht([1.0, 2.0, 3.0])
@@ -89,6 +114,48 @@ def test_fht_decode_tie_rule():
     w = fht(llr)
     assert np.abs(w).max() == w[0] == w[2]
     assert fht_decode(llr).tolist() == [0, 0, 0, 0]
+
+
+def tie_band_decode(rows):
+    """fht_decode's rule on the butterfly spectrum: a* is the smallest a
+    with |W[a]| within TIE_RTOL of max|W|."""
+    w = butterfly(rows)
+    mag = np.abs(w)
+    a_star = np.argmax(mag >= mag.max(axis=1, keepdims=True)
+                       * (1 - TIE_RTOL), axis=1)
+    z = np.arange(rows.shape[1])
+    bits = np.array([[bin(a & zz).count("1") % 2 for zz in z]
+                     for a in a_star], dtype=np.uint8)
+    return bits ^ (w[np.arange(len(w)), a_star] < 0)[:, None]
+
+
+def saturated_rows(m, count, seed):
+    """Random signs times v = 30 [+] 30, as a projection of a saturated
+    row gives: many spectrum magnitudes are equal up to rounding."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0],
+                                               size=(count, 2 ** m))
+    return signs * boxplus(30.0, 30.0)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 7])
+def test_ties_at_rounding_level_go_to_the_smallest_index(m):
+    rows = saturated_rows(m, 400, seed=m)
+    assert np.array_equal(fht_decode(rows), tie_band_decode(rows))
+
+
+def test_decoded_bits_do_not_depend_on_the_batch_size():
+    # BLAS may pick another kernel, and sum in another order, per shape
+    rng = np.random.default_rng(8)
+    rows = np.concatenate([saturated_rows(6, 1000, seed=9),
+                           rng.normal(size=(1016, 64)) * 3])
+    # integer rows tie exactly
+    rows[::5] = np.round(rows[::5])
+    whole = fht_decode(rows)
+    assert len(whole) == 2016
+    for size in (1, 7, 127):
+        parts = [fht_decode(rows[i:i + size])
+                 for i in range(0, len(rows), size)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_counter_increments_once_per_call():
