@@ -8,9 +8,8 @@ from .geometry import (LLR_CLAMP, CosetMap, aggregate, project_llr,
 from .fod import FodCounter, fht, fht_decode
 from .decoder import (DecodePlan, DecodeResult, PruningConfig,
                       analytic_fod_count, check_convergence, decode,
-                      decode_batch, decode_plan, delta,
-                      explicit_schedule_config, num_projections, preset,
-                      select_projection_indices)
+                      decode_batch, decode_plan, explicit_schedule_config,
+                      preset, select_projection_indices)
 from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
                       csv_string, llr_from_channel, points_to_csv,
                       points_to_json, run_sweep, transmit)
@@ -21,9 +20,8 @@ __all__ = [
     "stack_coset_maps",
     "FodCounter", "fht", "fht_decode",
     "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",
-    "check_convergence", "decode", "decode_batch", "decode_plan", "delta",
-    "explicit_schedule_config", "num_projections", "preset",
-    "select_projection_indices",
+    "check_convergence", "decode", "decode_batch", "decode_plan",
+    "explicit_schedule_config", "preset", "select_projection_indices",
     "ChannelConfig", "FerPoint", "SimConfig", "binomial_ci", "csv_string",
     "llr_from_channel", "points_to_csv", "points_to_json", "run_sweep",
     "transmit",

@@ -24,6 +24,8 @@ from .fod import FodCounter
 from .geometry import LLR_CLAMP
 
 RESULT_SCHEMA_VERSION = 1
+# each worker is a thread and runs one chunk per round
+MAX_WORKERS = 256
 CSV_COLUMNS = ["ebno_db", "frames", "frame_errors", "bit_errors", "fer",
                "ber", "fods_total", "fods_per_frame", "wall_seconds"]
 
@@ -65,8 +67,11 @@ class SimConfig:
             raise ValueError("max_frames must be >= min_frame_errors")
         if self.message_mode not in ("random", "all_zero"):
             raise ValueError(f"unknown message_mode {self.message_mode!r}")
-        if self.chunk_frames < 1 or self.workers < 1:
-            raise ValueError("chunk_frames and workers must be >= 1")
+        if self.chunk_frames < 1:
+            raise ValueError("chunk_frames must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in [1, {MAX_WORKERS}], "
+                             f"got {self.workers}")
         # a decoder that does not fit the code fails here, not mid-sweep
         decode_plan(self.code, self.decoder)
 
@@ -84,10 +89,11 @@ class FerPoint:
     wall_seconds: float
 
 
-def transmit(c: np.ndarray, ch: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    """BPSK-modulate and add white Gaussian noise."""
-    c = np.asarray(c)
-    return (1.0 - 2.0 * c) + rng.normal(0.0, ch.sigma, size=c.shape)
+def transmit(c: np.ndarray, ch: ChannelConfig,
+             noise: np.ndarray) -> np.ndarray:
+    """BPSK-modulate c and add white Gaussian noise; noise holds
+    standard-normal draws of c's shape."""
+    return (1.0 - 2.0 * np.asarray(c)) + ch.sigma * np.asarray(noise)
 
 
 def llr_from_channel(y: np.ndarray, ch: ChannelConfig) -> np.ndarray:
@@ -101,78 +107,75 @@ def _frame_rng(seed: int, point: int, frame: int) -> np.random.Generator:
 
 
 def _run_chunk(cfg: SimConfig, gen: np.ndarray, ch: ChannelConfig,
-               point: int, start: int, count: int):
-    """Simulate frames [start, start+count); returns per-frame error stats."""
-    n = cfg.code.n
-    k = cfg.code.k
-    sent = np.empty((count, n), dtype=np.uint8)
-    llrs = np.empty((count, n))
-    for t in range(count):
-        rng = _frame_rng(cfg.seed, point, start + t)
+               point: int, frames: range):
+    """Simulate the given frames; returns per-frame bit errors and FODs.
+
+    Only the draws are made frame by frame, each from its frame's own RNG:
+    the message (random mode only), then the noise.  Encoding, modulation
+    and the LLRs take one pass over the chunk."""
+    code = cfg.code
+    msgs = np.zeros((len(frames), code.k), dtype=np.uint8)
+    noise = np.empty((len(frames), code.n))
+    for t, frame in enumerate(frames):
+        rng = _frame_rng(cfg.seed, point, frame)
         if cfg.message_mode == "random":
-            msg = rng.integers(0, 2, size=k, dtype=np.uint8)
-        else:
-            msg = np.zeros(k, dtype=np.uint8)
-        sent[t] = encode(msg, gen)
-        llrs[t] = llr_from_channel(transmit(sent[t], ch, rng), ch)
+            msgs[t] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+        rng.standard_normal(out=noise[t])
+    sent = encode(msgs, gen)
+    llrs = llr_from_channel(transmit(sent, ch, noise), ch)
     if cfg.decoder.early_stop_theta is not None:
-        rows = []
-        frame_fods = np.empty(count, dtype=np.int64)
-        for t in range(count):
-            res = decode(llrs[t], cfg.code, cfg.decoder)
-            rows.append(res.codeword)
-            frame_fods[t] = res.fods.total
-        decoded = np.stack(rows)
+        results = [decode(llr, code, cfg.decoder) for llr in llrs]
+        decoded = np.stack([res.codeword for res in results])
+        frame_fods = np.array([res.fods.total for res in results])
     else:
         counter = FodCounter()
-        decoded = decode_batch(llrs, cfg.code, cfg.decoder, counter)
-        fods = decode_plan(cfg.code, cfg.decoder).fods
-        if counter.total != count * fods:
+        decoded = decode_batch(llrs, code, cfg.decoder, counter)
+        fods = decode_plan(code, cfg.decoder).fods
+        if counter.total != len(frames) * fods:
             raise RuntimeError(f"decoder counted {counter.total} FODs for "
-                               f"{count} frames of {fods} each")
-        frame_fods = np.full(count, fods, dtype=np.int64)
-    bit_errs = np.sum(decoded != sent, axis=1)
-    return bit_errs, frame_fods
+                               f"{len(frames)} frames of {fods} each")
+        frame_fods = np.full(len(frames), fods)
+    return np.sum(decoded != sent, axis=1), frame_fods
 
 
 def run_point(cfg: SimConfig, gen: np.ndarray, ebno_db: float,
               point: int) -> FerPoint:
     """Monte Carlo at one SNR point, stopping at min_frame_errors or
-    max_frames, whichever comes first."""
+    max_frames, whichever comes first.
+
+    Each round runs one chunk per worker.  The stopping frame is found in
+    frame order, so every statistic is independent of batching."""
     ch = ChannelConfig(ebno_db=ebno_db, rate=cfg.code.rate)
     t0 = time.perf_counter()
     frames = frame_errors = bit_errors = fods_total = 0
-    done = False
-    next_frame = 0
+    chunk, last = cfg.chunk_frames, cfg.max_frames
+    step = chunk * cfg.workers
+
+    def chunk_at(start):
+        return _run_chunk(cfg, gen, ch, point,
+                          range(start, min(start + chunk, last)))
+
+    # one worker runs in this thread: a pool thread gets its own OpenBLAS
+    # buffers, which raise the sweep's peak memory
     pool = (ThreadPoolExecutor(max_workers=cfg.workers)
             if cfg.workers > 1 else None)
+    run = map if pool is None else pool.map
     try:
-        while not done and next_frame < cfg.max_frames:
-            starts = []
-            while (len(starts) < max(cfg.workers, 1)
-                   and next_frame < cfg.max_frames):
-                count = min(cfg.chunk_frames, cfg.max_frames - next_frame)
-                starts.append((next_frame, count))
-                next_frame += count
-            work = [(cfg, gen, ch, point, s, c) for s, c in starts]
-            if pool is not None:
-                results = list(pool.map(lambda a: _run_chunk(*a), work))
-            else:
-                results = [_run_chunk(*a) for a in work]
-            # scan frames strictly in order so the stopping frame (and
-            # therefore every statistic) is independent of batching
-            for (start, count), (bit_errs, frame_fods) in zip(starts, results):
-                for t in range(count):
-                    frames += 1
-                    fods_total += int(frame_fods[t])
-                    if bit_errs[t] > 0:
-                        frame_errors += 1
-                        bit_errors += int(bit_errs[t])
-                    if frame_errors >= cfg.min_frame_errors:
-                        done = True
-                        break
-                if done:
-                    break
+        for first in range(0, last, step):
+            results = run(chunk_at,
+                          range(first, min(first + step, last), chunk))
+            bit_errs, frame_fods = map(np.concatenate, zip(*results))
+            # frames up to and including the one that reaches the target
+            hits = np.cumsum(bit_errs > 0)
+            used = 1 + int(np.searchsorted(hits, cfg.min_frame_errors
+                                           - frame_errors))
+            bit_errs, frame_fods = bit_errs[:used], frame_fods[:used]
+            frames += len(bit_errs)
+            frame_errors += int(np.count_nonzero(bit_errs))
+            bit_errors += int(bit_errs.sum())
+            fods_total += int(frame_fods.sum())
+            if frame_errors >= cfg.min_frame_errors:
+                break
     finally:
         if pool is not None:
             pool.shutdown()

@@ -48,8 +48,8 @@ def build_generator(params: CodeParams) -> np.ndarray:
 
 
 def encode(msg: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """c = u G over F_2."""
+    """c = u G over F_2, for one message or a stack of them (last axis k)."""
     msg = np.asarray(msg, dtype=np.uint8)
-    if msg.shape != (gen.shape[0],):
+    if msg.ndim == 0 or msg.shape[-1] != gen.shape[0]:
         raise ValueError(f"message length {msg.shape} does not match k={gen.shape[0]}")
     return (msg @ gen) % 2

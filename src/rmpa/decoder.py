@@ -172,23 +172,6 @@ def explicit_schedule_config(counts, r: int, **kwargs) -> PruningConfig:
     return preset(schedule=counts, **kwargs)
 
 
-def delta(j: int, l: int, cfg: PruningConfig, gamma=None):
-    """Fraction of projections kept at iteration j, recursion level l;
-    gamma overrides cfg.gamma for the decayed factor handed to inner
-    recursion levels."""
-    g = cfg.gamma if gamma is None else gamma
-    return g * cfg.delta_itr ** (j - 1) * cfg.delta_rec ** (l - 2)
-
-
-def num_projections(n: int, j: int, l: int, cfg: PruningConfig,
-                    gamma=None) -> int:
-    """The schedule's count for level l, else ceil(delta * (n-1))."""
-    if cfg.explicit_schedule is not None:
-        # the schedule ends with level 2
-        return cfg.explicit_schedule[1 - l]
-    return math.ceil(delta(j, l, cfg, gamma) * (n - 1))
-
-
 def select_projection_indices(n: int, np_: int, rng=None) -> list:
     """np_ subspace indices uniformly strided over [1, n-1] (or a seeded
     random subset when rng is given)."""
@@ -219,7 +202,12 @@ _stacked_maps = lru_cache(maxsize=128)(stack_coset_maps)
 def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     """The plan every decode of params under cfg walks.  Seeded random
     projection subsets are drawn here, in decoding order, so all decodes
-    under one config share them."""
+    under one config share them.
+
+    This is the one place the pruning rule lives: iteration j at level r
+    keeps the schedule's count for level r, else ceil(g_j *
+    delta_rec^(r-2) * (n-1)) subspaces, where g_j = g * delta_itr^(j-1)
+    and g is gamma at the top level and the caller's g_j below it."""
     if params.r < 1:
         raise ValueError("decoding requires r >= 1")
     schedule = cfg.explicit_schedule
@@ -236,11 +224,12 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
         n = 1 << m
         steps = []
         for j in range(1, cfg.n_max + 1):
-            indices = tuple(select_projection_indices(
-                n, num_projections(n, j, r, cfg, gamma=g), rng=rng))
-            # inner levels start from the factor decayed to this iteration
-            steps.append((indices, compile_level(
-                m - 1, r - 1, g * cfg.delta_itr ** (j - 1))))
+            # the factor decayed to iteration j; inner levels start from it
+            g_j = g * cfg.delta_itr ** (j - 1)
+            count = (schedule[params.r - r] if schedule is not None else
+                     math.ceil(g_j * cfg.delta_rec ** (r - 2) * (n - 1)))
+            indices = tuple(select_projection_indices(n, count, rng=rng))
+            steps.append((indices, compile_level(m - 1, r - 1, g_j)))
         return DecodePlan(
             m=m, steps=tuple(steps),
             fods=sum(len(indices) * inner.fods for indices, inner in steps),

@@ -3,7 +3,8 @@
 None of these is on a decoding path: an exhaustive ML decoder, the code's
 membership test, single coset maps, hard projections, the logaddexp form
 of the soft projection, the butterfly form of the Walsh-Hadamard transform,
-and a z-test for comparing two frame error rates.
+the frame-by-frame channel, and a z-test for comparing two frame error
+rates.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from rmpa.codes import CodeParams, build_generator
+from rmpa.channel import ChannelConfig, llr_from_channel
+from rmpa.codes import CodeParams, build_generator, encode
 from rmpa.geometry import LLR_CLAMP, CosetMap, stack_coset_maps
 
 ML_ORACLE_CAP = 2 ** 20
@@ -118,6 +120,28 @@ def fht_butterfly(x: np.ndarray) -> np.ndarray:
         np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
         h *= 2
     return x
+
+
+def per_frame_channel(cfg, point: int, frames) -> tuple:
+    """The sent words and channel LLRs of a sweep's frames at SNR point
+    index point, made one frame at a time from the frame's own RNG: the
+    message (random mode only), encode, rng.normal noise, then the LLRs.
+
+    The reference that the sweep's chunk-level channel is checked against."""
+    gen = build_generator(cfg.code)
+    ch = ChannelConfig(ebno_db=cfg.ebno_points[point], rate=cfg.code.rate)
+    sent, llrs = [], []
+    for frame in frames:
+        rng = np.random.default_rng((cfg.seed, point, frame))
+        if cfg.message_mode == "random":
+            msg = rng.integers(0, 2, size=cfg.code.k, dtype=np.uint8)
+        else:
+            msg = np.zeros(cfg.code.k, dtype=np.uint8)
+        c = encode(msg, gen)
+        y = (1.0 - 2.0 * c) + rng.normal(0.0, ch.sigma, size=c.shape)
+        sent.append(c)
+        llrs.append(llr_from_channel(y, ch))
+    return np.array(sent), np.array(llrs)
 
 
 def two_proportion_pvalue(err1: int, n1: int, err2: int, n2: int) -> float:

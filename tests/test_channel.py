@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import two_proportion_pvalue
+from oracles import per_frame_channel, two_proportion_pvalue
 from rmpa import (ChannelConfig, CodeParams, SimConfig, binomial_ci,
-                  csv_string, llr_from_channel, points_to_json, preset,
-                  run_sweep, transmit)
-from rmpa.channel import CSV_COLUMNS
+                  csv_string, decode, llr_from_channel, points_to_json,
+                  preset, run_sweep, transmit)
+from rmpa.channel import CSV_COLUMNS, MAX_WORKERS
 import json
 
 
@@ -22,15 +22,15 @@ def test_channel_rejects_bad_rate():
 def test_transmit_noiseless_limit():
     c = np.array([0, 1, 1, 0], dtype=np.uint8)
     ch = ChannelConfig(ebno_db=100.0, rate=0.5)
-    y = transmit(c, ch, np.random.default_rng(0))
+    y = transmit(c, ch, np.random.default_rng(0).standard_normal(c.shape))
     assert np.allclose(y, [1.0, -1.0, -1.0, 1.0], atol=1e-3)
 
 
 def test_transmit_reproducible_and_unbiased():
     ch = ChannelConfig(ebno_db=2.0, rate=0.5)
     c = np.zeros(10 ** 5, dtype=np.uint8)
-    y1 = transmit(c, ch, np.random.default_rng(123))
-    y2 = transmit(c, ch, np.random.default_rng(123))
+    y1 = transmit(c, ch, np.random.default_rng(123).standard_normal(c.shape))
+    y2 = transmit(c, ch, np.random.default_rng(123).standard_normal(c.shape))
     assert np.array_equal(y1, y2)
     # sample mean within 3 sigma / sqrt(N) of +1
     assert abs(y1.mean() - 1.0) < 3 * ch.sigma / np.sqrt(c.size)
@@ -52,7 +52,8 @@ def test_llr_clamped():
 def test_llr_empirical_mean():
     ch = ChannelConfig(ebno_db=0.0, rate=0.5)
     rng = np.random.default_rng(17)
-    y = transmit(np.zeros(10 ** 5, dtype=np.uint8), ch, rng)
+    c = np.zeros(10 ** 5, dtype=np.uint8)
+    y = transmit(c, ch, rng.standard_normal(c.shape))
     l = llr_from_channel(y, ch)
     expected = 2.0 / ch.sigma ** 2
     assert l.mean() == pytest.approx(expected, rel=0.02)
@@ -94,11 +95,99 @@ def test_sweep_rejects_a_decoder_that_miscounts(monkeypatch):
 
 
 def test_sweep_reproducible_across_workers_and_chunks():
-    outs = []
-    for workers, chunk in [(1, 64), (4, 64), (1, 7)]:
-        cfg = _small_sim(workers=workers, chunk_frames=chunk)
-        outs.append(csv_string(run_sweep(cfg)))
-    assert outs[0] == outs[1] == outs[2]
+    for overrides in [
+            {},
+            # the target is reached inside the first chunk, and max_frames
+            # is not a multiple of any chunk
+            dict(ebno_points=(0.0,), min_frame_errors=3, max_frames=1001),
+            # early stopping: per-frame FODs count up to the stopping frame
+            dict(ebno_points=(1.0, 2.0),
+                 decoder=preset("rpa", early_stop_theta=0.2))]:
+        outs = {csv_string(run_sweep(_small_sim(
+                    workers=workers, chunk_frames=chunk, **overrides)))
+                for workers, chunk in [(1, 64), (4, 64), (1, 7), (2, 5),
+                                       (1, 1)]}
+        assert len(outs) == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(ebno_points=(1.0,), min_frame_errors=7, max_frames=1001),
+    dict(ebno_points=(2.0,), min_frame_errors=7, max_frames=1001,
+         decoder=preset("rpa", early_stop_theta=0.2)),
+    dict(ebno_points=(30.0,), min_frame_errors=5, max_frames=101)])
+def test_sweep_stops_at_the_frame_that_reaches_the_target(overrides):
+    cfg = _small_sim(**overrides)
+    pt = run_sweep(cfg)[0]
+    # the reference decodes frame by frame and stops after the frame that
+    # brings the frame errors to min_frame_errors, or at max_frames
+    frames = errors = bits = fods = 0
+    while errors < cfg.min_frame_errors and frames < cfg.max_frames:
+        sent, llrs = per_frame_channel(cfg, 0, [frames])
+        res = decode(llrs[0], cfg.code, cfg.decoder)
+        wrong = int(np.sum(res.codeword != sent[0]))
+        frames, errors = frames + 1, errors + (wrong > 0)
+        bits, fods = bits + wrong, fods + res.fods.total
+    assert (pt.frames, pt.frame_errors, pt.bit_errors, pt.fods_total) == (
+        frames, errors, bits, fods)
+
+
+def capture(monkeypatch, names) -> dict:
+    """Wrap the named functions of rmpa.channel; each wrapper appends the
+    (arguments, result) of every call to its list in the returned dict."""
+    import rmpa.channel as channel
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _fn=getattr(channel, name), _calls=calls[name]):
+            result = _fn(*args)
+            _calls.append((args, result))
+            return result
+        monkeypatch.setattr(channel, name, wrapper)
+    return calls
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("mode,chunk,theta", [
+    (mode, chunk, None) for mode in ("random", "all_zero")
+    for chunk in (1, 7, 64)] + [("random", 7, 0.2)])
+def test_chunked_channel_matches_the_per_frame_channel(monkeypatch, mode,
+                                                       chunk, theta):
+    # min_frame_errors == max_frames: every frame of both points is sent
+    cfg = _small_sim(ebno_points=(1.0, 4.0), min_frame_errors=150,
+                     max_frames=150, message_mode=mode, chunk_frames=chunk,
+                     decoder=preset("rpa", early_stop_theta=theta))
+    calls = capture(monkeypatch, ("encode", "decode", "decode_batch"))
+    run_sweep(cfg)
+    sent = np.concatenate([word for _, word in calls["encode"]])
+    llrs = np.concatenate([np.atleast_2d(args[0]) for args, _ in
+                           calls["decode"] + calls["decode_batch"]])
+    for point in (0, 1):
+        want_sent, want_llrs = per_frame_channel(cfg, point, range(150))
+        rows = slice(150 * point, 150 * (point + 1))
+        assert same_bits(sent[rows], want_sent)
+        assert same_bits(llrs[rows], want_llrs)
+
+
+def test_sweep_calls_the_channel_through_the_channel_module(monkeypatch):
+    # the benchmark rebuilds the sent words from the rows encode returns,
+    # and its traced mode times these names
+    calls = capture(monkeypatch, ("encode", "transmit", "llr_from_channel",
+                                  "decode", "decode_batch"))
+    for theta, decoder in [(None, "decode_batch"), (0.2, "decode")]:
+        for seen in calls.values():
+            seen.clear()
+        cfg = _small_sim(ebno_points=(2.0, 30.0), min_frame_errors=100,
+                         max_frames=100, chunk_frames=7,
+                         decoder=preset("rpa", early_stop_theta=theta))
+        run_sweep(cfg)
+        for name in ("transmit", "llr_from_channel", decoder):
+            assert calls[name], name
+        # one call per chunk of 7, whose rows cover every frame once
+        assert [len(word) for _, word in calls["encode"]] == (
+            [7] * 14 + [2]) * 2
 
 
 def test_sweep_stops_at_min_frame_errors():
@@ -150,6 +239,14 @@ def test_sim_config_validation():
         _small_sim(min_frame_errors=10, max_frames=5)
     with pytest.raises(ValueError):
         _small_sim(message_mode="alternating")
+
+
+def test_sim_config_bounds_workers():
+    # only built, never run: a sweep starts one thread per worker
+    assert _small_sim(workers=MAX_WORKERS).workers == MAX_WORKERS
+    for workers in (0, MAX_WORKERS + 1, 100000):
+        with pytest.raises(ValueError, match="workers must be in"):
+            _small_sim(workers=workers)
 
 
 def test_binomial_ci_contains_point_estimate():

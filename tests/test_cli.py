@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmpa.channel import MAX_WORKERS
 from rmpa.cli import load_experiment_spec, main
 
 
@@ -211,6 +212,27 @@ def test_spec_integers_take_ints_integral_floats_and_decimal_text(
     monkeypatch.setenv("RMPA_WORKERS", "2.5")
     with pytest.raises(ValueError, match="expected an integer, got '2.5'"):
         load_experiment_spec(spec)
+
+
+def test_workers_above_the_limit_are_rejected(tmp_path, capsys,
+                                              monkeypatch):
+    # only parsed, never run: a sweep starts one thread per worker
+    spec = {"schema_version": 1, "code": {"m": 4, "r": 2}, "decoder": {},
+            "ebno_db": [3.0], "workers": MAX_WORKERS + 1}
+    with pytest.raises(ValueError, match="workers must be in"):
+        load_experiment_spec(spec)
+    del spec["workers"]
+    monkeypatch.setenv("RMPA_WORKERS", "100000")
+    with pytest.raises(ValueError, match="workers must be in"):
+        load_experiment_spec(spec)
+    monkeypatch.setenv("RMPA_WORKERS", str(MAX_WORKERS))
+    assert load_experiment_spec(spec)[0].workers == MAX_WORKERS
+    # one frame: even without the limit at most one thread would start
+    path = make_spec(tmp_path, min_frame_errors=1, max_frames=1)
+    code, out, err = run_cli(capsys, "simulate", "--spec", path,
+                             "--workers", "100000")
+    assert (code, out) == (2, "")
+    assert f"workers must be in [1, {MAX_WORKERS}], got 100000" in err
 
 
 @pytest.mark.parametrize("version", [True, 1.0, "1", 2])

@@ -88,8 +88,24 @@ def test_encode_examples():
 
 
 def test_encode_length_mismatch():
-    with pytest.raises(ValueError):
-        encode([1, 0], build_generator(CodeParams(2, 1)))
+    gen = build_generator(CodeParams(2, 1))
+    for msg in ([1, 0], [[1, 0], [0, 1]], 1):
+        with pytest.raises(ValueError):
+            encode(msg, gen)
+
+
+def test_encode_takes_a_stack_of_messages():
+    # k = 256 at RM(9,4): the uint8 product wraps, which keeps its parity
+    rng = np.random.default_rng(4)
+    for m, r in [(4, 2), (9, 4)]:
+        p = CodeParams(m, r)
+        gen = build_generator(p)
+        msgs = rng.integers(0, 2, (5, p.k), dtype=np.uint8)
+        words = encode(msgs, gen)
+        assert words.shape == (5, p.n)
+        for msg, word in zip(msgs, words):
+            assert np.array_equal(word, encode(msg, gen))
+            assert is_codeword(word, p)
 
 
 def test_encode_output_is_codeword():

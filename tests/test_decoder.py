@@ -10,9 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import build_coset_map, is_codeword, ml_decode_oracle
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_generator, check_convergence, decode, decode_batch,
-                  decode_plan, delta, encode, explicit_schedule_config, fht,
-                  fht_decode, num_projections, preset,
-                  select_projection_indices)
+                  decode_plan, encode, explicit_schedule_config, fht,
+                  fht_decode, preset, select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.geometry import clamp_llr, project_llr
 
@@ -40,43 +39,57 @@ def literal_formula_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
     return total
 
 
+def step_lengths(plan) -> list:
+    """Projections kept per iteration at a plan's top level."""
+    return [len(indices) for indices, _ in plan.steps]
+
+
 def test_delta_examples():
-    assert delta(1, 2, preset("rpa")) == 1
-    assert delta(1, 2, MFP_72) == F(2, 3)
-    assert delta(2, 3, MFP_83) == F(3, 16)
+    # each count is ceil(delta(j, l) * (n-1)) for the pruning fraction
+    # gamma * delta_itr^(j-1) * delta_rec^(l-2)
+    assert step_lengths(decode_plan(CodeParams(7, 2), preset("rpa")))[0] == 127
+    assert step_lengths(decode_plan(CodeParams(7, 2), MFP_72))[0] == (
+        math.ceil(F(2, 3) * 127))
+    assert step_lengths(decode_plan(CodeParams(8, 3), MFP_83))[1] == (
+        math.ceil(F(3, 16) * 255))
 
 
 def test_num_projections_mfp72_split():
-    n = 128
-    counts = [num_projections(n, j, 2, MFP_72) for j in (1, 2, 3)]
+    counts = step_lengths(decode_plan(CodeParams(7, 2), MFP_72))
     assert counts == [85, 22, 6]
     assert sum(counts) == 113
 
 
 def test_num_projections_unpruned_keeps_all():
-    for j in (1, 2, 3):
-        assert num_projections(128, j, 2, preset("rpa")) == 127
+    plan = decode_plan(CodeParams(7, 2), preset("rpa"))
+    assert step_lengths(plan) == [127, 127, 127]
 
 
 def test_num_projections_mfp83_top_level():
-    assert num_projections(256, 1, 3, MFP_83) == 144
+    plan = decode_plan(CodeParams(8, 3), MFP_83)
+    assert step_lengths(plan) == [144, 48, 16]
+    # each iteration hands its decayed factor to the inner level
+    assert [step_lengths(inner) for _, inner in plan.steps] == [
+        [96, 32, 11], [32, 11, 4], [11, 4, 2]]
 
 
 def test_num_projections_explicit_schedule():
     cfg = explicit_schedule_config([4, 8], 3)
-    assert num_projections(64, 1, 3, cfg) == 4
-    assert num_projections(32, 1, 2, cfg) == 8
+    plan = decode_plan(CodeParams(6, 3), cfg)
+    assert step_lengths(plan) == [4]
+    assert step_lengths(plan.steps[0][1]) == [8]
     assert cfg.n_max == 1
 
 
 def test_num_projections_monotone_in_iteration_and_level():
-    cfg = MFP_83
-    for l in (2, 3):
-        nps = [num_projections(256, j, l, cfg) for j in (1, 2, 3)]
-        assert nps == sorted(nps, reverse=True)
-    for j in (1, 2, 3):
-        assert (num_projections(256, j, 3, cfg)
-                <= num_projections(256, j, 2, cfg))
+    plan = decode_plan(CodeParams(8, 3), MFP_83)
+    top = step_lengths(plan)
+    for counts in [top] + [step_lengths(inner) for _, inner in plan.steps]:
+        assert counts == sorted(counts, reverse=True)
+    # at iteration j, level 3 keeps no larger a share of its 255 subspaces
+    # than level 2, started from the same factor, keeps of its 127
+    for count, (_, inner) in zip(top, plan.steps):
+        assert count / 255 <= step_lengths(inner)[0] / 127
 
 
 def test_select_indices_examples():
@@ -424,7 +437,8 @@ def test_decode_matches_ml_oracle_at_high_snr():
     frames = 500
     for _ in range(frames):
         c = encode(rng.integers(0, 2, p.k, dtype=np.uint8), gen)
-        llr = llr_from_channel(transmit(c, ch, rng), ch)
+        llr = llr_from_channel(transmit(c, ch, rng.standard_normal(c.shape)),
+                               ch)
         got = decode(llr, p, cfg).codeword
         if np.array_equal(got, ml_decode_oracle(llr, p)):
             agree += 1
