@@ -2,8 +2,9 @@
 
 Convention: unit-energy BPSK (0 -> +1, 1 -> -1), per-dimension noise
 variance sigma^2 = 1 / (2 * R * 10^(EbN0_dB / 10)), channel LLR 2y/sigma^2.
-Every frame draws its randomness from an RNG keyed by (seed, SNR-point
-index, frame index), so results do not depend on batching or worker count.
+Every frame draws its randomness from the stream that
+np.random.default_rng((seed, SNR-point index, frame index)) gives, so
+results do not depend on batching or worker count.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ class SimConfig:
             raise ValueError("min_frame_errors must be >= 1")
         if self.max_frames < self.min_frame_errors:
             raise ValueError("max_frames must be >= min_frame_errors")
+        # the frame streams hash the seed's 32-bit words themselves
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, "
+                             f"got {self.seed!r}")
         if self.message_mode not in ("random", "all_zero"):
             raise ValueError(f"unknown message_mode {self.message_mode!r}")
         if self.chunk_frames < 1:
@@ -102,22 +109,116 @@ def llr_from_channel(y: np.ndarray, ch: ChannelConfig) -> np.ndarray:
     return np.clip(l, -LLR_CLAMP, LLR_CLAMP)
 
 
-def _frame_rng(seed: int, point: int, frame: int) -> np.random.Generator:
-    return np.random.default_rng((seed, point, frame))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h); NEP 19
+# keeps both seedings stable across numpy versions
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list:
+    """n's little-endian 32-bit words, as SeedSequence splits an entropy
+    integer; 0 is one word."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constants a SeedSequence hash steps through in its first calls:
+    init * mult^i mod 2^32 for i <= calls."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One SeedSequence hash call per column of values, column i with
+    consts[i] and consts[i + 1]: xor, multiply, fold the high half down."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    values = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return values ^ values >> 16
+
+
+def _seed_pools(seed: int, point: int, frames: range) -> np.ndarray:
+    """The pools of SeedSequence((seed, point, frame)), one uint32 row of 4
+    per frame: numpy's mix_entropy run on all the frames at once."""
+    head = _uint32_words(seed) + _uint32_words(point)
+    frame = np.array(frames, dtype=object)
+    # frames increase, so the last one has the most words
+    tail = [frame >> (32 * j)
+            for j in range(len(_uint32_words(frames[-1])))]
+    width = max(4, len(head) + len(tail))
+    entropy = np.zeros((len(frames), width), dtype=np.uint32)
+    entropy[:, :len(head)] = head
+    for j, word in enumerate(tail):
+        entropy[:, len(head) + j] = (word & _MASK32).astype(np.uint32)
+    # a frame's words end at its highest nonzero one
+    length = len(head) + 1 + sum(word[:, None] != 0 for word in tail[1:])
+    # mix_entropy makes 4 * width hash calls; the zero padding of a short
+    # entropy is its hashmix(0)
+    consts = _hash_consts(_INIT_A, _MULT_A, 4 * width)
+    pool = _hash(entropy[:, :4], consts[:5])
+    for src in range(4):
+        # the source word is hashed once for each other word, in order,
+        # and the other words do not change it
+        dst = [i for i in range(4) if i != src]
+        call = 4 + 3 * src
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None],
+                                                consts[call:call + 4]))
+    # words past the pool are mixed into all of it, on the frames that
+    # have them
+    for src in range(4, width):
+        mixed = _mix(pool, _hash(entropy[:, src, None],
+                                 consts[4 * src:4 * src + 5]))
+        pool = np.where(src < length, mixed, pool)
+    return pool
+
+
+def _frame_states(seed: int, point: int, frames: range) -> list:
+    """The PCG64 state of np.random.default_rng((seed, point, frame)) for
+    each frame: generate_state(4, uint64) of the frame's pool, then PCG's
+    setseq seeding of (state, inc) in Python's 128-bit integers."""
+    pools = _seed_pools(seed, point, frames)
+    # generate_state hashes 8 words, cycling through the pool
+    words = _hash(np.tile(pools, 2),
+                  _hash_consts(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    states = []
+    # uint64 word j is 32-bit words 2j (low) and 2j + 1 (high)
+    for s_hi, s_lo, i_hi, i_lo in (words[:, 0::2]
+                                   | words[:, 1::2] << 32).tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _run_chunk(cfg: SimConfig, gen: np.ndarray, ch: ChannelConfig,
                point: int, frames: range):
     """Simulate the given frames; returns per-frame bit errors and FODs.
 
-    Only the draws are made frame by frame, each from its frame's own RNG:
-    the message (random mode only), then the noise.  Encoding, modulation
-    and the LLRs take one pass over the chunk."""
+    Only the draws are made frame by frame, each from its frame's own
+    stream, set on one Generator that this call owns: the message (random
+    mode only), then the noise.  Seeding, encoding, modulation and the LLRs
+    take one pass over the chunk."""
     code = cfg.code
     msgs = np.zeros((len(frames), code.k), dtype=np.uint8)
     noise = np.empty((len(frames), code.n))
-    for t, frame in enumerate(frames):
-        rng = _frame_rng(cfg.seed, point, frame)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for t, state in enumerate(_frame_states(cfg.seed, point, frames)):
+        rng.bit_generator.state = state
         if cfg.message_mode == "random":
             msgs[t] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         rng.standard_normal(out=noise[t])

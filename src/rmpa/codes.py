@@ -48,8 +48,12 @@ def build_generator(params: CodeParams) -> np.ndarray:
 
 
 def encode(msg: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """c = u G over F_2, for one message or a stack of them (last axis k)."""
+    """c = u G over F_2, for one message or a stack of them (last axis k).
+
+    The product runs in float64, where BLAS does it; a sum of k terms of at
+    most 255 is exact there for any k < 2^45."""
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.ndim == 0 or msg.shape[-1] != gen.shape[0]:
         raise ValueError(f"message length {msg.shape} does not match k={gen.shape[0]}")
-    return (msg @ gen) % 2
+    product = msg.astype(np.float64) @ gen.astype(np.float64)
+    return (product % 2).astype(np.uint8)

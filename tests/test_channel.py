@@ -5,7 +5,7 @@ from oracles import per_frame_channel, two_proportion_pvalue
 from rmpa import (ChannelConfig, CodeParams, SimConfig, binomial_ci,
                   csv_string, decode, llr_from_channel, points_to_json,
                   preset, run_sweep, transmit)
-from rmpa.channel import CSV_COLUMNS, MAX_WORKERS
+from rmpa.channel import CSV_COLUMNS, MAX_WORKERS, _frame_states
 import json
 
 
@@ -171,6 +171,51 @@ def test_chunked_channel_matches_the_per_frame_channel(monkeypatch, mode,
         assert same_bits(llrs[rows], want_llrs)
 
 
+@pytest.mark.parametrize("point", [0, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3])
+def test_frame_states_are_the_default_rng_streams(seed, point):
+    # entropy words: seed 2^64 + 3 has three, so every frame has five; seed
+    # 2^32 has two, so the chunk across frame 2^32 mixes four and five.
+    # Five reach SeedSequence's mixing past its pool of four
+    rng = np.random.Generator(np.random.PCG64(0))
+    for frames in (range(64), range(2047, 2048),
+                   range(2 ** 32 - 2, 2 ** 32 + 2),
+                   range(2 ** 40, 2 ** 40 + 1)):
+        for frame, state in zip(frames, _frame_states(seed, point, frames),
+                                strict=True):
+            want = np.random.default_rng((seed, point, frame))
+            assert state == want.bit_generator.state
+            rng.bit_generator.state = state
+            # a message, then noise, as a sweep draws them
+            got, expected = [(gen.integers(0, 2, size=42, dtype=np.uint8),
+                              gen.standard_normal(64)) for gen in (rng, want)]
+            assert all(map(same_bits, got, expected))
+
+
+def test_sweep_builds_one_generator_per_chunk(monkeypatch):
+    # a generator built per frame is the cost the chunk's seeding pass
+    # removed; the sweep's streams must not come from these again
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a generator per frame")
+
+    built = []
+
+    def pcg64(*args, _real=np.random.PCG64):
+        built.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    for theta in (None, 0.2):
+        cfg = _small_sim(min_frame_errors=300, max_frames=300,
+                         chunk_frames=64,
+                         decoder=preset("rpa", early_stop_theta=theta))
+        assert run_sweep(cfg)[0].frames == 300
+    # five chunks of at most 64 frames per sweep
+    assert len(built) == 2 * 5
+
+
 def test_sweep_calls_the_channel_through_the_channel_module(monkeypatch):
     # the benchmark rebuilds the sent words from the rows encode returns,
     # and its traced mode times these names
@@ -239,6 +284,17 @@ def test_sim_config_validation():
         _small_sim(min_frame_errors=10, max_frames=5)
     with pytest.raises(ValueError):
         _small_sim(message_mode="alternating")
+
+
+def test_sim_config_rejects_a_seed_that_is_no_natural_number():
+    for seed in (-3, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative "
+                                             "integer"):
+            _small_sim(seed=seed)
+    # numpy integers are seeds too, with the same frames
+    runs = [csv_string(run_sweep(_small_sim(seed=seed, max_frames=70)))
+            for seed in (5, np.int64(5), np.uint64(5))]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_sim_config_bounds_workers():

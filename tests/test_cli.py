@@ -286,7 +286,8 @@ def test_spec_reals_take_numbers_and_decimal_text():
     ({"code": [5, 2]}, "code must be an object"),
     ({"decoder": ["rpa"]}, "decoder must be an object"),
     ({"ebno_db": []}, "ebno_db must be a non-empty list"),
-    ({"ebno_db": "12"}, "ebno_db must be a non-empty list")])
+    ({"ebno_db": "12"}, "ebno_db must be a non-empty list"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1")])
 def test_spec_inputs_that_would_be_ignored_or_crash_exit_2(
         tmp_path, capsys, overrides, message):
     spec = make_spec(tmp_path, **overrides)

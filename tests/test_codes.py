@@ -95,7 +95,7 @@ def test_encode_length_mismatch():
 
 
 def test_encode_takes_a_stack_of_messages():
-    # k = 256 at RM(9,4): the uint8 product wraps, which keeps its parity
+    # k = 256 at RM(9,4): a sum of the product can pass 255
     rng = np.random.default_rng(4)
     for m, r in [(4, 2), (9, 4)]:
         p = CodeParams(m, r)
@@ -106,6 +106,22 @@ def test_encode_takes_a_stack_of_messages():
         for msg, word in zip(msgs, words):
             assert np.array_equal(word, encode(msg, gen))
             assert is_codeword(word, p)
+
+
+def test_encode_is_the_xor_of_the_rows_the_message_selects():
+    # encode's float64 product against the F_2 definition, row by row
+    rng = np.random.default_rng(11)
+    for m, r in [(6, 3), (8, 3), (9, 4)]:
+        p = CodeParams(m, r)
+        gen = build_generator(p)
+        msgs = rng.integers(0, 2, (64, p.k), dtype=np.uint8)
+        msgs[0], msgs[1] = 0, 1
+        words = encode(msgs, gen)
+        assert words.dtype == np.uint8
+        for msg, word in zip(msgs, words):
+            want = np.bitwise_xor.reduce(gen[msg == 1], axis=0,
+                                         initial=np.uint8(0))
+            assert np.array_equal(word, want)
 
 
 def test_encode_output_is_codeword():
