@@ -20,7 +20,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .codes import CodeParams, build_generator, encode
-from .decoder import PruningConfig, decode, decode_batch, decode_plan
+from .decoder import (PruningConfig, _is_int, decode, decode_batch,
+                      decode_plan)
 from .fod import FodCounter
 from .geometry import LLR_CLAMP
 
@@ -62,14 +63,17 @@ class SimConfig:
     record_timing: bool = True
 
     def __post_init__(self):
+        for name in ("min_frame_errors", "max_frames", "chunk_frames",
+                     "workers"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
         if self.max_frames < self.min_frame_errors:
             raise ValueError("max_frames must be >= min_frame_errors")
         # the frame streams hash the seed's 32-bit words themselves
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, "
                              f"got {self.seed!r}")
         if self.message_mode not in ("random", "all_zero"):

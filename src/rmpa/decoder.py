@@ -38,11 +38,6 @@ class PruningConfig:
     # replaces the factors, which must then stay 1
     explicit_schedule: tuple | None = None
     early_stop_theta: float | None = None
-    min_sum: bool = False
-    # seeded random projection subsets instead of uniform striding: one
-    # subset per (recursion level, iteration), drawn when the plan compiles
-    # and shared by every frame and every sibling sub-decoder
-    random_projection_seed: int | None = None
 
     def __post_init__(self):
         schedule = self.explicit_schedule
@@ -122,8 +117,7 @@ DECODERS = {
     "schedule": (("schedule",), lambda schedule: (1, 1, 1)),
 }
 # keys that go with every decoder
-SHARED_KEYS = ("n_max", "early_stop_theta", "min_sum",
-               "random_projection_seed")
+SHARED_KEYS = ("n_max", "early_stop_theta")
 
 
 def preset(name: str | None = None, **keys) -> PruningConfig:
@@ -172,13 +166,10 @@ def explicit_schedule_config(counts, r: int, **kwargs) -> PruningConfig:
     return preset(schedule=counts, **kwargs)
 
 
-def select_projection_indices(n: int, np_: int, rng=None) -> list:
-    """np_ subspace indices uniformly strided over [1, n-1] (or a seeded
-    random subset when rng is given)."""
+def select_projection_indices(n: int, np_: int) -> list:
+    """np_ subspace indices uniformly strided over [1, n-1]."""
     if not 1 <= np_ <= n - 1:
         raise ValueError(f"projection count {np_} outside [1, {n - 1}]")
-    if rng is not None:
-        return sorted(rng.choice(np.arange(1, n), size=np_, replace=False).tolist())
     stride = (n - 1) // np_
     return [t * stride + 1 for t in range(np_)]
 
@@ -200,9 +191,7 @@ _stacked_maps = lru_cache(maxsize=128)(stack_coset_maps)
 
 @lru_cache(maxsize=64)
 def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
-    """The plan every decode of params under cfg walks.  Seeded random
-    projection subsets are drawn here, in decoding order, so all decodes
-    under one config share them.
+    """The plan every decode of params under cfg walks.
 
     This is the one place the pruning rule lives: iteration j at level r
     keeps the schedule's count for level r, else ceil(g_j *
@@ -215,8 +204,6 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
         raise ValueError(f"RM({params.m},{params.r}) needs {params.r - 1} "
                          f"schedule counts (levels {params.r} down to 2), "
                          f"got {len(schedule)}")
-    rng = (np.random.default_rng(cfg.random_projection_seed)
-           if cfg.random_projection_seed is not None else None)
 
     def compile_level(m, r, g) -> DecodePlan:
         if r == 1:
@@ -228,7 +215,7 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
             g_j = g * cfg.delta_itr ** (j - 1)
             count = (schedule[params.r - r] if schedule is not None else
                      math.ceil(g_j * cfg.delta_rec ** (r - 2) * (n - 1)))
-            indices = tuple(select_projection_indices(n, count, rng=rng))
+            indices = tuple(select_projection_indices(n, count))
             steps.append((indices, compile_level(m - 1, r - 1, g_j)))
         return DecodePlan(
             m=m, steps=tuple(steps),
@@ -239,8 +226,8 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     return compile_level(params.m, params.r, cfg.gamma)
 
 
-def _walk(node: DecodePlan, llr: np.ndarray, cfg: PruningConfig,
-          counter: FodCounter | None, theta: float | None = None):
+def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
+          theta: float | None = None):
     """Decode a (batch, 2^m) stack along node; returns (bits, iterations,
     converged).  Only the top call passes theta (inner decoders run their
     full iteration budget), and it tests row 0 alone (batch size 1).
@@ -253,7 +240,7 @@ def _walk(node: DecodePlan, llr: np.ndarray, cfg: PruningConfig,
     rows = max(1, BLOCK_BYTES // node.row_bytes)
     if len(llr) > rows:
         return np.concatenate([
-            _walk(node, llr[start:start + rows], cfg, counter)[0]
+            _walk(node, llr[start:start + rows], counter)[0]
             for start in range(0, len(llr), rows)]), len(node.steps), False
     iterations, converged = 0, False
     half = llr.shape[-1] // 2
@@ -261,8 +248,8 @@ def _walk(node: DecodePlan, llr: np.ndarray, cfg: PruningConfig,
         cmap = _stacked_maps(node.m, indices)
         # no reference to the projections outlives the inner walk, so they
         # are freed before aggregate gathers
-        chat, _, _ = _walk(inner, project_llr(llr, cmap, min_sum=cfg.min_sum)
-                           .reshape(-1, half), cfg, counter)
+        chat, _, _ = _walk(inner, project_llr(llr, cmap).reshape(-1, half),
+                           counter)
         llr_new = aggregate(llr, cmap,
                             chat.reshape(len(llr), len(indices), half))
         converged = (theta is not None
@@ -292,7 +279,7 @@ def decode(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
         raise ValueError(f"LLR length {llr.shape} does not match n={params.n}")
     plan, llr = _start(llr, params, cfg)
     counter = FodCounter() if counter is None else counter
-    bits, iterations, converged = _walk(plan, llr[None, :], cfg, counter,
+    bits, iterations, converged = _walk(plan, llr[None, :], counter,
                                         cfg.early_stop_theta)
     return DecodeResult(codeword=bits[0], fods=counter.snapshot(),
                         iterations_run=iterations, converged_early=converged)
@@ -308,7 +295,7 @@ def decode_batch(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
     llr = np.asarray(llr, dtype=np.float64)
     if llr.ndim != 2 or llr.shape[1] != params.n:
         raise ValueError(f"expected shape (batch, {params.n}), got {llr.shape}")
-    bits, _, _ = _walk(*_start(llr, params, cfg), cfg, counter)
+    bits, _, _ = _walk(*_start(llr, params, cfg), counter)
     return bits
 
 

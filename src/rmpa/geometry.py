@@ -59,31 +59,25 @@ def stack_coset_maps(m: int, indices) -> CosetMap:
                     partner_of=partner_of)
 
 
-def project_llr(l: np.ndarray, cmap: CosetMap, min_sum: bool = False) -> np.ndarray:
+def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     """Soft XOR (boxplus) of the two members a, b of each coset,
     2*atanh(tanh(a/2)*tanh(b/2)); length n -> n/2.
 
     It is evaluated in the exp domain: u = exp(-|l|) is taken once per
     coordinate, shared by all the stacked maps, and then
     |a [+] b| = log1p(u_a*u_b) - log(u_a + u_b), signed by
-    sign(a)*sign(b).  min_sum takes min(|a|, |b|) for the magnitude instead.
-    LLRs beyond +-LLR_CLAMP count as +-LLR_CLAMP, as decode clamps them on
-    entry, so the output stays within the clamp up to rounding; a zero LLR
-    projects to 0.
+    sign(a)*sign(b).  LLRs beyond +-LLR_CLAMP count as +-LLR_CLAMP, as
+    decode clamps them on entry, so the output stays within the clamp up to
+    rounding; a zero LLR projects to 0.
     """
     l = np.asarray(l, dtype=np.float64)
-    mag = np.minimum(np.abs(l), LLR_CLAMP)
-    if min_sum:
-        out = np.minimum(np.take(mag, cmap.reps, axis=-1),
-                         np.take(mag, cmap.partners, axis=-1))
-    else:
-        u = np.exp(-mag)
-        ua = np.take(u, cmap.reps, axis=-1)
-        ub = np.take(u, cmap.partners, axis=-1)
-        out = np.multiply(ua, ub)
-        np.log1p(out, out=out)
-        ua += ub
-        out -= np.log(ua, out=ua)
+    u = np.exp(-np.minimum(np.abs(l), LLR_CLAMP))
+    ua = np.take(u, cmap.reps, axis=-1)
+    ub = np.take(u, cmap.partners, axis=-1)
+    out = np.multiply(ua, ub)
+    np.log1p(out, out=out)
+    ua += ub
+    out -= np.log(ua, out=ua)
     sign = np.sign(l)
     out *= np.take(sign, cmap.reps, axis=-1)
     out *= np.take(sign, cmap.partners, axis=-1)

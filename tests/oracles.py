@@ -87,7 +87,7 @@ def project_hard(c: np.ndarray, cmap: CosetMap) -> np.ndarray:
     return c[..., cmap.reps] ^ c[..., cmap.partners]
 
 
-def boxplus(a, b, min_sum: bool = False):
+def boxplus(a, b):
     """Soft XOR of two LLRs, 2*atanh(tanh(a/2)*tanh(b/2)), evaluated in the
     stable log form ln((1 + e^(a+b)) / (e^a + e^b)).  Result clamped.
 
@@ -95,10 +95,7 @@ def boxplus(a, b, min_sum: bool = False):
     against."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if min_sum:
-        out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    else:
-        out = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    out = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
     return np.clip(out, -LLR_CLAMP, LLR_CLAMP)
 
 

@@ -284,10 +284,15 @@ def test_sim_config_validation():
         _small_sim(min_frame_errors=10, max_frames=5)
     with pytest.raises(ValueError):
         _small_sim(message_mode="alternating")
+    # counts are integers: a float or a bool is never truncated or coerced
+    for name in ("min_frame_errors", "max_frames", "chunk_frames", "workers"):
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                _small_sim(**{name: value})
 
 
 def test_sim_config_rejects_a_seed_that_is_no_natural_number():
-    for seed in (-3, True, 1.0, "1", None):
+    for seed in (-3, True, 1.0, 2.5, "1", None):
         with pytest.raises(ValueError, match="seed must be a non-negative "
                                              "integer"):
             _small_sim(seed=seed)

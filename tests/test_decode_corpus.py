@@ -2,9 +2,10 @@
 
 golden/decode_corpus.json holds, for each case below, the sha256 of the
 decoded bits and the `FodCounter.per_level` counts that the decoder gave
-before the decode walk was blocked and stacked; rm63_min_sum and rm83_mfp
-were restated once, when first-order decoding began to tie spectrum
-magnitudes that agree to within TIE_RTOL.  Any change to the arithmetic of
+before the decode walk was blocked and stacked.  rm83_mfp was restated
+once, when first-order decoding began to tie spectrum magnitudes that agree
+to within TIE_RTOL; rm63_min_sum was restated then too, before it was
+deleted with the min-sum projection.  Any change to the arithmetic of
 projection, first-order decoding or aggregation shows here.
 
 Run this file as a script to rewrite the corpus with the current decoder:
@@ -31,9 +32,6 @@ BATCH_CASES = {
     "rm41_rpa": (4, 1, preset("rpa"), 40),
     "rm52_rpa": (5, 2, preset("rpa"), 40),
     "rm63_schedule": (6, 3, PruningConfig(explicit_schedule=(4, 8)), 40),
-    "rm63_min_sum": (6, 3, PruningConfig(min_sum=True), 8),
-    "rm62_srpa_random": (6, 2, PruningConfig(gamma=F(1, 2),
-                                             random_projection_seed=7), 40),
     # more frames than one block of the top level holds
     "rm72_rpa": (7, 2, preset("rpa"), 80),
     "rm72_mfp": (7, 2, preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4),

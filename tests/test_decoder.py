@@ -113,15 +113,6 @@ def test_select_indices_out_of_range():
         select_projection_indices(16, 16)
 
 
-def test_select_indices_seeded_random_mode():
-    rng1 = np.random.default_rng(99)
-    rng2 = np.random.default_rng(99)
-    a = select_projection_indices(64, 5, rng=rng1)
-    b = select_projection_indices(64, 5, rng=rng2)
-    assert a == b
-    assert len(set(a)) == 5 and all(1 <= i <= 63 for i in a)
-
-
 def test_presets():
     cfg = preset("rpa")
     assert (cfg.gamma, cfg.delta_itr, cfg.delta_rec) == (1, 1, 1)
@@ -143,7 +134,10 @@ def test_presets():
     ("rpa_sch", {"d": 2, "q": F(1, 2), "delta_rec": F(1, 2)}, "delta_rec"),
     ("mfp", {"gamma": F(1, 2), "delta_itr": 1, "delta_rec": 1,
              "schedule": (4, 8)}, "schedule"),
-    ("rpa", {"gama": F(1, 2)}, "gama")])
+    ("rpa", {"gama": F(1, 2)}, "gama"),
+    ("rpa", {"min_sum": True}, "min_sum"),
+    ("srpa", {"q": F(1, 2), "random_projection_seed": 7},
+     "random_projection_seed")])
 def test_preset_rejects_keys_it_would_not_use(name, kwargs, unused):
     with pytest.raises(ValueError, match=unused):
         preset(name, **kwargs)
@@ -284,9 +278,9 @@ def test_plans_of_equal_configs_share_their_coset_maps(monkeypatch):
     assert decode_plan(p, a) is not decode_plan(p, b)
     seen = []
 
-    def recording_project_llr(llr, cmap, min_sum=False):
+    def recording_project_llr(llr, cmap):
         seen.append(cmap)
-        return project_llr(llr, cmap, min_sum=min_sum)
+        return project_llr(llr, cmap)
 
     monkeypatch.setattr("rmpa.decoder.project_llr", recording_project_llr)
     llr = np.random.default_rng(5).normal(size=(2, p.n))
@@ -305,9 +299,7 @@ FACTORS = st.sampled_from([F(1), F(3, 4), F(2, 3), F(1, 2), F(1, 3),
 def code_and_config(draw):
     m = draw(st.integers(2, 6))
     r = draw(st.integers(1, min(m, 4)))
-    kwargs = {"n_max": draw(st.sampled_from([1, 2, 3])),
-              "min_sum": draw(st.booleans()),
-              "random_projection_seed": draw(st.none() | st.integers(0, 99))}
+    kwargs = {"n_max": draw(st.sampled_from([1, 2, 3]))}
     if draw(st.booleans()):
         # level l decodes a code of length 2^(m - r + l)
         kwargs["explicit_schedule"] = tuple(

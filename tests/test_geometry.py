@@ -71,10 +71,10 @@ def test_projection_closure_sampled():
                 assert np.all(in_row_space_batch(proj, sub))
 
 
-def projected(a, b, min_sum=False):
+def projected(a, b):
     """a [+] b by project_llr, on the one coset of F_2^1."""
     return project_llr(np.array([a, b], dtype=np.float64),
-                       build_coset_map(1, 1), min_sum=min_sum)[0]
+                       build_coset_map(1, 1))[0]
 
 
 # the logaddexp reference and the exp-domain projection it checks
@@ -126,12 +126,6 @@ def test_boxplus_sign_and_magnitude(a, b):
         assert abs(out) <= min(abs(a), abs(b)) + 1e-9
 
 
-def test_boxplus_min_sum_mode():
-    for soft_xor in SOFT_XORS:
-        assert soft_xor(3.0, -5.0, min_sum=True) == -3.0
-        assert soft_xor(-2.0, -7.0, min_sum=True) == 2.0
-
-
 # clamped LLRs, with the clamp itself and exact zeros drawn often
 CLAMPED_LLRS = st.one_of(st.floats(-LLR_CLAMP, LLR_CLAMP),
                          st.sampled_from([LLR_CLAMP, -LLR_CLAMP, 0.0, -0.0]))
@@ -149,17 +143,16 @@ def stacked_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(stacked_inputs(), st.booleans())
-def test_project_llr_matches_the_reference_on_stacked_maps(inputs, min_sum):
+@given(stacked_inputs())
+def test_project_llr_matches_the_reference_on_stacked_maps(inputs):
     l, cmap = inputs
-    got = project_llr(l, cmap, min_sum=min_sum)
-    want = boxplus(l[..., cmap.reps], l[..., cmap.partners], min_sum=min_sum)
+    got = project_llr(l, cmap)
+    want = boxplus(l[..., cmap.reps], l[..., cmap.partners])
     assert got.shape == want.shape == l.shape[:1] + cmap.reps.shape
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("min_sum", [False, True])
-def test_project_llr_takes_any_finite_llr_without_a_warning(min_sum):
+def test_project_llr_takes_any_finite_llr_without_a_warning():
     # exp(-|l|) alone underflows to 0 past |l| = 745, and log(0) warns;
     # LLRs beyond the clamp project as the clamped LLRs do
     cmap = stack_coset_maps(2, [1, 2, 3])
@@ -168,18 +161,17 @@ def test_project_llr_takes_any_finite_llr_without_a_warning(min_sum):
                   [-1e300, 0.0, 1e-300, 31.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = project_llr(l, cmap, min_sum=min_sum)
+        got = project_llr(l, cmap)
     c = clamp_llr(l)
-    want = boxplus(c[..., cmap.reps], c[..., cmap.partners], min_sum=min_sum)
+    want = boxplus(c[..., cmap.reps], c[..., cmap.partners])
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.all(np.abs(got) <= LLR_CLAMP)
 
 
-@pytest.mark.parametrize("min_sum", [False, True])
-def test_a_zero_llr_projects_to_zero(min_sum):
+def test_a_zero_llr_projects_to_zero():
     cmap = stack_coset_maps(3, range(1, 8))
     l = np.array([0.0, -0.0, 3.0, -LLR_CLAMP, 0.5, LLR_CLAMP, 0.0, -2.5])
-    got = project_llr(l, cmap, min_sum=min_sum)
+    got = project_llr(l, cmap)
     zero = (l[cmap.reps] == 0) | (l[cmap.partners] == 0)
     assert zero.any() and not zero.all()
     assert np.all(got[zero] == 0)
