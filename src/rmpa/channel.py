@@ -20,8 +20,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .codes import CodeParams, build_generator, encode
-from .decoder import (PruningConfig, _is_int, decode, decode_batch,
-                      decode_plan)
+from .decoder import (PruningConfig, _is_int, _is_real, decode,
+                      decode_batch, decode_plan)
 from .fod import FodCounter
 from .geometry import LLR_CLAMP
 
@@ -327,8 +327,12 @@ def csv_string(points) -> str:
 
 def binomial_ci(errors: int, trials: int, confidence: float = 0.95):
     """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (_is_int(errors) and 0 <= errors <= trials):
+        raise ValueError(f"errors must be an integer in [0, trials], got {errors!r}")
+    if not (_is_real(confidence) and 0 < confidence < 1):
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = errors / trials
     denom = 1.0 + z * z / trials

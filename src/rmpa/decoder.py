@@ -9,8 +9,10 @@ so the ceil() in the projection count is free of float rounding.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -99,11 +101,29 @@ class DecodePlan:
     row_bytes: int
 
 
-# Bytes of first-order inputs one block of rows may hold at a time.  The
-# FHT's two buffers and the aggregation terms make a block's working set two
-# to three times this, which still fits a 2 MiB L2 cache.  Rows and
-# projections decode independently, so the block size changes no result.
+# Bytes of first-order inputs one block of rows may hold at a time; a
+# block's traced peak is about 4.5 times this.  Blocks change no result.
 BLOCK_BYTES = 1 << 20
+# Keep freed block temporaries mapped, not faulted in again zeroed: 32 MiB
+# caps glibc's dynamic mmap threshold on 64-bit; glibc trims at twice that.
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 2 * MMAP_THRESHOLD_BYTES
+
+
+def _keep_freed_memory() -> bool:
+    try:
+        glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+        mallopt(-3, MMAP_THRESHOLD_BYTES)  # M_MMAP_THRESHOLD
+        mallopt(-1, TRIM_THRESHOLD_BYTES)  # M_TRIM_THRESHOLD
+    return glibc
+
+
+_keep_freed_memory()
 
 
 # Each decoder: the keys it takes and the factor triple they give.  A

@@ -314,8 +314,15 @@ def test_binomial_ci_contains_point_estimate():
     lo, hi = binomial_ci(100, 1000)
     assert lo < 0.1 < hi
     assert 0.0 <= lo and hi <= 1.0
-    with pytest.raises(ValueError):
-        binomial_ci(0, 0)
+    lo, hi = binomial_ci(np.int64(0), np.int64(3))
+    assert abs(lo) < 1e-12 < hi
+    for args, name in [((0, 0), "trials"), ((1, 2.0), "trials"),
+                       ((5, 3), "errors"), ((-1, 3), "errors"),
+                       ((True, 3), "errors"), ((1.0, 3), "errors"),
+                       ((1, 3, 0), "confidence"), ((1, 3, 1), "confidence"),
+                       ((1, 3, float("nan")), "confidence")]:
+        with pytest.raises(ValueError, match=name):
+            binomial_ci(*args)
 
 
 def test_two_proportion_pvalue_directional():

@@ -1,4 +1,5 @@
 import math
+import resource
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial
@@ -13,6 +14,7 @@ from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   decode_plan, encode, explicit_schedule_config, fht,
                   fht_decode, preset, select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
+from rmpa.decoder import _keep_freed_memory
 from rmpa.geometry import clamp_llr, project_llr
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
@@ -490,6 +492,19 @@ def test_decode_batch_memory_does_not_grow_with_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.skipif(not _keep_freed_memory(),
+                    reason="the heap policy is set on glibc only")
+def test_a_warm_decode_maps_no_fresh_pages():
+    # with glibc's default thresholds the second call takes about 32,000
+    # minor faults: each block's freed temporaries go back to the kernel
+    p = CodeParams(8, 3)
+    llrs = np.random.default_rng(8).normal(size=(4, p.n))
+    decode_batch(llrs, p, MFP_83)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    decode_batch(llrs, p, MFP_83)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def test_counting_fods_builds_no_coset_maps():
