@@ -11,8 +11,8 @@ from .decoder import (DecodePlan, DecodeResult, PruningConfig,
                       decode_batch, decode_plan, explicit_schedule_config,
                       preset, select_projection_indices)
 from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
-                      csv_string, llr_from_channel, points_to_csv,
-                      points_to_json, run_sweep, transmit)
+                      csv_string, llr_from_channel, points_to_json,
+                      run_sweep, transmit)
 
 __all__ = [
     "CodeParams", "build_generator", "encode",
@@ -23,8 +23,7 @@ __all__ = [
     "check_convergence", "decode", "decode_batch", "decode_plan",
     "explicit_schedule_config", "preset", "select_projection_indices",
     "ChannelConfig", "FerPoint", "SimConfig", "binomial_ci", "csv_string",
-    "llr_from_channel", "points_to_csv", "points_to_json", "run_sweep",
-    "transmit",
+    "llr_from_channel", "points_to_json", "run_sweep", "transmit",
 ]
 
 __version__ = "0.1.0"

@@ -19,15 +19,18 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .codes import CodeParams, build_generator, encode
-from .decoder import (PruningConfig, _is_int, _is_real, decode,
-                      decode_batch, decode_plan)
+from .codes import CodeParams, _is_int, build_generator, encode
+from .decoder import (PruningConfig, _is_real, decode, decode_batch,
+                      decode_plan)
 from .fod import FodCounter
 from .geometry import LLR_CLAMP
 
 RESULT_SCHEMA_VERSION = 1
 # each worker is a thread and runs one chunk per round
 MAX_WORKERS = 256
+# frames that go through the channel and the decoder together; no result
+# depends on it
+CHUNK_FRAMES = 64
 CSV_COLUMNS = ["ebno_db", "frames", "frame_errors", "bit_errors", "fer",
                "ber", "fods_total", "fods_per_frame", "wall_seconds"]
 
@@ -54,17 +57,13 @@ class SimConfig:
     min_frame_errors: int = 100
     max_frames: int = 10 ** 7
     seed: int = 0
-    message_mode: str = "random"
-    # frames decoded per batched decoder call; does not affect results
-    chunk_frames: int = 64
     workers: int = 1
     # wall_seconds is the only non-deterministic output field; turn it off
     # when byte-identical outputs are required
     record_timing: bool = True
 
     def __post_init__(self):
-        for name in ("min_frame_errors", "max_frames", "chunk_frames",
-                     "workers"):
+        for name in ("min_frame_errors", "max_frames", "workers"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, "
                                  f"got {getattr(self, name)!r}")
@@ -76,10 +75,6 @@ class SimConfig:
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, "
                              f"got {self.seed!r}")
-        if self.message_mode not in ("random", "all_zero"):
-            raise ValueError(f"unknown message_mode {self.message_mode!r}")
-        if self.chunk_frames < 1:
-            raise ValueError("chunk_frames must be >= 1")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be in [1, {MAX_WORKERS}], "
                              f"got {self.workers}")
@@ -214,17 +209,16 @@ def _run_chunk(cfg: SimConfig, gen: np.ndarray, ch: ChannelConfig,
     """Simulate the given frames; returns per-frame bit errors and FODs.
 
     Only the draws are made frame by frame, each from its frame's own
-    stream, set on one Generator that this call owns: the message (random
-    mode only), then the noise.  Seeding, encoding, modulation and the LLRs
-    take one pass over the chunk."""
+    stream, set on one Generator that this call owns: the message, then the
+    noise.  Seeding, encoding, modulation and the LLRs take one pass over
+    the chunk."""
     code = cfg.code
-    msgs = np.zeros((len(frames), code.k), dtype=np.uint8)
+    msgs = np.empty((len(frames), code.k), dtype=np.uint8)
     noise = np.empty((len(frames), code.n))
     rng = np.random.Generator(np.random.PCG64(0))
     for t, state in enumerate(_frame_states(cfg.seed, point, frames)):
         rng.bit_generator.state = state
-        if cfg.message_mode == "random":
-            msgs[t] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+        msgs[t] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         rng.standard_normal(out=noise[t])
     sent = encode(msgs, gen)
     llrs = llr_from_channel(transmit(sent, ch, noise), ch)
@@ -253,7 +247,7 @@ def run_point(cfg: SimConfig, gen: np.ndarray, ebno_db: float,
     ch = ChannelConfig(ebno_db=ebno_db, rate=cfg.code.rate)
     t0 = time.perf_counter()
     frames = frame_errors = bit_errors = fods_total = 0
-    chunk, last = cfg.chunk_frames, cfg.max_frames
+    chunk, last = CHUNK_FRAMES, cfg.max_frames
     step = chunk * cfg.workers
 
     def chunk_at(start):
@@ -304,14 +298,6 @@ def run_sweep(cfg: SimConfig, progress=None) -> list:
     return points
 
 
-def points_to_csv(points, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for p in points:
-        writer.writerow([repr(getattr(p, col)) if isinstance(getattr(p, col), float)
-                         else getattr(p, col) for col in CSV_COLUMNS])
-
-
 def points_to_json(points) -> str:
     return json.dumps({
         "schema_version": RESULT_SCHEMA_VERSION,
@@ -321,7 +307,11 @@ def points_to_json(points) -> str:
 
 def csv_string(points) -> str:
     buf = io.StringIO()
-    points_to_csv(points, buf)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for p in points:
+        writer.writerow([repr(getattr(p, col)) if isinstance(getattr(p, col), float)
+                         else getattr(p, col) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -22,6 +22,9 @@ from .decoder import DECODERS, PruningConfig, analytic_fod_count, decode, preset
 from .fod import FodCounter
 
 SPEC_SCHEMA_VERSION = 1
+# the largest m the CLI takes: a one-iteration full-RPA decode of RM(12, 2)
+# peaks at 0.83 GB RSS, and memory grows at least with n = 2^m
+MAX_M = 12
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -119,8 +122,8 @@ def _decoder_from_spec(obj: dict) -> PruningConfig:
 def load_experiment_spec(obj: dict):
     """Parse a simulate spec; returns (SimConfig, output path or None)."""
     _fields(obj, ("schema_version", "code", "decoder", "ebno_db",
-                  "min_frame_errors", "max_frames", "seed", "message_mode",
-                  "output", "workers", "chunk_frames"), "spec")
+                  "min_frame_errors", "max_frames", "seed", "output",
+                  "workers"), "spec")
     version = obj.get("schema_version")
     # the JSON integer itself: true and 1.0 equal 1 in Python, not in JSON
     if type(version) is not int or version != SPEC_SCHEMA_VERSION:
@@ -131,18 +134,19 @@ def load_experiment_spec(obj: dict):
         raise SpecError(f"output must be a path, got {output!r}")
     try:
         code = _fields(obj["code"], ("m", "r"), "code")
+        m = _integer(code["m"])
+        if m > MAX_M:
+            raise SpecError(f"code m must be at most {MAX_M}, got {m}")
         ebno = obj["ebno_db"]
         if not isinstance(ebno, list) or not ebno:
             raise SpecError(f"ebno_db must be a non-empty list, got {ebno!r}")
         cfg = SimConfig(
-            code=CodeParams(m=_integer(code["m"]), r=_integer(code["r"])),
+            code=CodeParams(m=m, r=_integer(code["r"])),
             decoder=_decoder_from_spec(obj["decoder"]),
             ebno_points=tuple(_real(x) for x in ebno),
             min_frame_errors=_integer(obj.get("min_frame_errors", 100)),
             max_frames=_integer(obj.get("max_frames", 10 ** 7)),
             seed=_integer(obj.get("seed", 0)),
-            message_mode=obj.get("message_mode", "random"),
-            chunk_frames=_integer(obj.get("chunk_frames", 64)),
             workers=_integer(obj.get("workers",
                                      os.environ.get("RMPA_WORKERS", 1))),
             record_timing=True)
@@ -172,6 +176,10 @@ def cmd_fods(args) -> int:
     cfg = _decoder_from_args(args)
     count = analytic_fod_count(params, cfg)
     print(count)
+    ref = TABLE1_REFERENCE.get((args.preset, args.m, args.r))
+    if ref is not None and ref != count:
+        print(f"note: published table reports {ref}; the uniform "
+              f"ceiling schedule gives {count}", file=sys.stderr)
     if args.measure:
         rng = np.random.default_rng(0)
         counter = FodCounter()
@@ -229,15 +237,6 @@ TABLE1_REFERENCE = {
 
 
 def cmd_table1(args) -> int:
-    if any(getattr(args, key) is not None for key in DECODER_VALUES):
-        params = CodeParams(m=args.m, r=args.r)
-        count = analytic_fod_count(params, _decoder_from_args(args))
-        print(count)
-        ref = TABLE1_REFERENCE.get((args.preset, args.m, args.r))
-        if ref is not None and ref != count:
-            print(f"note: published table reports {ref}; the uniform "
-                  f"ceiling schedule gives {count}", file=sys.stderr)
-        return EXIT_OK
     rows = [("RPA", 7, 2, {}), ("RPA", 8, 3, {}),
             ("MFP(2/3,1/4,1/2)", 7, 2,
              {"gamma": "2/3", "delta_itr": "1/4", "delta_rec": "1/2"}),
@@ -253,7 +252,8 @@ def cmd_table1(args) -> int:
 
 
 def _add_code_args(p):
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, metavar="M",
+                   choices=range(MAX_M + 1), help=f"at most {MAX_M}")
     p.add_argument("--r", type=int, required=True)
 
 
@@ -306,11 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write wall_seconds as 0 for byte-stable output")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("table1", help="print reference complexity counts; "
-                       "any decoder flag prints that decoder's count alone")
-    p.add_argument("--m", type=int, default=7)
-    p.add_argument("--r", type=int, default=2)
-    _add_decoder_args(p)
+    p = sub.add_parser("table1", help="print the Table-1 complexity counts")
     p.set_defaults(func=cmd_table1)
     return parser
 

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -17,8 +22,9 @@ class CodeParams:
     r: int
 
     def __post_init__(self):
-        if self.m < 0 or self.r < 0 or self.r > self.m:
-            raise ValueError(f"invalid RM parameters (m={self.m}, r={self.r})")
+        if not (_is_int(self.m) and _is_int(self.r) and 0 <= self.r <= self.m):
+            raise ValueError(f"invalid RM parameters (m={self.m!r}, "
+                             f"r={self.r!r})")
 
     @property
     def n(self) -> int:

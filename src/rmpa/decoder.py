@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import CodeParams
+from .codes import CodeParams, _is_int
 from .fod import FodCounter, fht_decode
 from .geometry import aggregate, clamp_llr, project_llr, stack_coset_maps
 
@@ -67,10 +67,6 @@ class PruningConfig:
                                       and theta > 0):
             raise ValueError("early-stop threshold must be positive and "
                              f"finite, got {theta}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:

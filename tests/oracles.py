@@ -10,12 +10,13 @@ rates.
 from __future__ import annotations
 
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 
 from rmpa.channel import ChannelConfig, llr_from_channel
 from rmpa.codes import CodeParams, build_generator, encode
-from rmpa.geometry import LLR_CLAMP, CosetMap, stack_coset_maps
+from rmpa.geometry import LLR_CLAMP
 
 ML_ORACLE_CAP = 2 ** 20
 
@@ -72,16 +73,23 @@ def ml_decode_oracle(llr: np.ndarray, params: CodeParams) -> np.ndarray:
     return rows[order[0]].copy()
 
 
-def build_coset_map(m: int, i: int) -> CosetMap:
-    """The coset map of the one subspace {0, i}: one row of a stack."""
-    stacked = stack_coset_maps(m, [i])
-    return CosetMap(m=m, i=i, reps=stacked.reps[0],
-                    partners=stacked.partners[0],
-                    coset_of=stacked.coset_of[0],
-                    partner_of=stacked.partner_of[0])
+def build_coset_map(m: int, i: int) -> SimpleNamespace:
+    """The coset map of the one subspace {0, i}, from the definition: the
+    cosets {z, z ^ i}, each named by its smaller member, in ascending order.
+    It has the fields of a single rmpa.geometry.CosetMap."""
+    n = 1 << m
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"subspace index must be in [1, {n - 1}], got {i}")
+    reps = sorted({min(z, z ^ i) for z in range(n)})
+    coset = {rep: t for t, rep in enumerate(reps)}
+    return SimpleNamespace(
+        m=m, i=i, reps=np.array(reps),
+        partners=np.array([rep ^ i for rep in reps]),
+        coset_of=np.array([coset[min(z, z ^ i)] for z in range(n)]),
+        partner_of=np.array([z ^ i for z in range(n)]))
 
 
-def project_hard(c: np.ndarray, cmap: CosetMap) -> np.ndarray:
+def project_hard(c: np.ndarray, cmap) -> np.ndarray:
     """XOR the two members of each coset; length n -> n/2."""
     c = np.asarray(c)
     return c[..., cmap.reps] ^ c[..., cmap.partners]
@@ -122,7 +130,7 @@ def fht_butterfly(x: np.ndarray) -> np.ndarray:
 def per_frame_channel(cfg, point: int, frames) -> tuple:
     """The sent words and channel LLRs of a sweep's frames at SNR point
     index point, made one frame at a time from the frame's own RNG: the
-    message (random mode only), encode, rng.normal noise, then the LLRs.
+    message, encode, rng.normal noise, then the LLRs.
 
     The reference that the sweep's chunk-level channel is checked against."""
     gen = build_generator(cfg.code)
@@ -130,10 +138,7 @@ def per_frame_channel(cfg, point: int, frames) -> tuple:
     sent, llrs = [], []
     for frame in frames:
         rng = np.random.default_rng((cfg.seed, point, frame))
-        if cfg.message_mode == "random":
-            msg = rng.integers(0, 2, size=cfg.code.k, dtype=np.uint8)
-        else:
-            msg = np.zeros(cfg.code.k, dtype=np.uint8)
+        msg = rng.integers(0, 2, size=cfg.code.k, dtype=np.uint8)
         c = encode(msg, gen)
         y = (1.0 - 2.0 * c) + rng.normal(0.0, ch.sigma, size=c.shape)
         sent.append(c)

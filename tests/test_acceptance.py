@@ -53,11 +53,10 @@ def test_criterion_2_complexity_reduction_ratios():
     report(2, ok, f"RM(7,2) saves {float(r72):.4f}, RM(8,3) saves {float(r83):.4f}")
 
 
-def _fer_points(code, cfg, ebnos, seed, min_errors=100, chunk=256,
-                max_frames=10 ** 7):
+def _fer_points(code, cfg, ebnos, seed, min_errors=100, max_frames=10 ** 7):
     sim = SimConfig(code=code, decoder=cfg, ebno_points=tuple(ebnos),
                     min_frame_errors=min_errors, max_frames=max_frames,
-                    seed=seed, chunk_frames=chunk, record_timing=False)
+                    seed=seed, record_timing=False)
     return run_sweep(sim)
 
 
@@ -110,7 +109,7 @@ def test_criterion_5_rm83_fer_spot_check():
     details = []
     for name, cfg, expected, seed in [("rpa", preset("rpa"), [0.0767], 502),
                                       ("mfp", MFP_83, [0.0884], 501)]:
-        pts = _fer_points(code, cfg, [1.0], seed=seed, chunk=1)
+        pts = _fer_points(code, cfg, [1.0], seed=seed)
         ok, msg = _check_against_plot(pts, expected)
         all_ok = all_ok and ok
         details.append(f"{name}: {msg}")
@@ -162,7 +161,7 @@ def test_criterion_8_pruning_level_ordering():
         cfg = explicit_schedule_config(counts, 3)
         sim = SimConfig(code=code, decoder=cfg, ebno_points=(3.0,),
                         min_frame_errors=frames, max_frames=frames,
-                        seed=801, chunk_frames=512, record_timing=False)
+                        seed=801, record_timing=False)
         errs[tuple(counts)] = run_sweep(sim)[0].frame_errors
     p_value = two_proportion_pvalue(errs[(4, 8)], frames,
                                     errs[(8, 4)], frames)

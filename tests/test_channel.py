@@ -94,7 +94,7 @@ def test_sweep_rejects_a_decoder_that_miscounts(monkeypatch):
         run_sweep(_small_sim(max_frames=64))
 
 
-def test_sweep_reproducible_across_workers_and_chunks():
+def test_sweep_reproducible_across_workers_and_chunks(monkeypatch):
     for overrides in [
             {},
             # the target is reached inside the first chunk, and max_frames
@@ -103,10 +103,11 @@ def test_sweep_reproducible_across_workers_and_chunks():
             # early stopping: per-frame FODs count up to the stopping frame
             dict(ebno_points=(1.0, 2.0),
                  decoder=preset("rpa", early_stop_theta=0.2))]:
-        outs = {csv_string(run_sweep(_small_sim(
-                    workers=workers, chunk_frames=chunk, **overrides)))
-                for workers, chunk in [(1, 64), (4, 64), (1, 7), (2, 5),
-                                       (1, 1)]}
+        outs = set()
+        for workers, chunk in [(1, 64), (4, 64), (1, 7), (2, 5), (1, 1)]:
+            monkeypatch.setattr("rmpa.channel.CHUNK_FRAMES", chunk)
+            outs.add(csv_string(run_sweep(_small_sim(workers=workers,
+                                                     **overrides))))
         assert len(outs) == 1
 
 
@@ -150,14 +151,14 @@ def same_bits(a, b) -> bool:
         a.tobytes() == b.tobytes())
 
 
-@pytest.mark.parametrize("mode,chunk,theta", [
-    (mode, chunk, None) for mode in ("random", "all_zero")
-    for chunk in (1, 7, 64)] + [("random", 7, 0.2)])
-def test_chunked_channel_matches_the_per_frame_channel(monkeypatch, mode,
-                                                       chunk, theta):
+@pytest.mark.parametrize("chunk,theta", [(1, None), (7, None), (64, None),
+                                         (7, 0.2)])
+def test_chunked_channel_matches_the_per_frame_channel(monkeypatch, chunk,
+                                                       theta):
     # min_frame_errors == max_frames: every frame of both points is sent
+    monkeypatch.setattr("rmpa.channel.CHUNK_FRAMES", chunk)
     cfg = _small_sim(ebno_points=(1.0, 4.0), min_frame_errors=150,
-                     max_frames=150, message_mode=mode, chunk_frames=chunk,
+                     max_frames=150,
                      decoder=preset("rpa", early_stop_theta=theta))
     calls = capture(monkeypatch, ("encode", "decode", "decode_batch"))
     run_sweep(cfg)
@@ -209,7 +210,6 @@ def test_sweep_builds_one_generator_per_chunk(monkeypatch):
     monkeypatch.setattr(np.random, "PCG64", pcg64)
     for theta in (None, 0.2):
         cfg = _small_sim(min_frame_errors=300, max_frames=300,
-                         chunk_frames=64,
                          decoder=preset("rpa", early_stop_theta=theta))
         assert run_sweep(cfg)[0].frames == 300
     # five chunks of at most 64 frames per sweep
@@ -221,11 +221,12 @@ def test_sweep_calls_the_channel_through_the_channel_module(monkeypatch):
     # and its traced mode times these names
     calls = capture(monkeypatch, ("encode", "transmit", "llr_from_channel",
                                   "decode", "decode_batch"))
+    monkeypatch.setattr("rmpa.channel.CHUNK_FRAMES", 7)
     for theta, decoder in [(None, "decode_batch"), (0.2, "decode")]:
         for seen in calls.values():
             seen.clear()
         cfg = _small_sim(ebno_points=(2.0, 30.0), min_frame_errors=100,
-                         max_frames=100, chunk_frames=7,
+                         max_frames=100,
                          decoder=preset("rpa", early_stop_theta=theta))
         run_sweep(cfg)
         for name in ("transmit", "llr_from_channel", decoder):
@@ -249,19 +250,6 @@ def test_sweep_respects_max_frames():
     assert pt.frames == 50
 
 
-def test_all_zero_and_random_messages_agree():
-    pts = {}
-    for mode in ("random", "all_zero"):
-        cfg = SimConfig(code=CodeParams(4, 2), decoder=preset("rpa"),
-                        ebno_points=(3.0,), min_frame_errors=150,
-                        max_frames=10 ** 5, seed=9, message_mode=mode,
-                        chunk_frames=128, record_timing=False)
-        pts[mode] = run_sweep(cfg)[0]
-    ci_r = binomial_ci(pts["random"].frame_errors, pts["random"].frames)
-    ci_z = binomial_ci(pts["all_zero"].frame_errors, pts["all_zero"].frames)
-    assert ci_r[0] <= ci_z[1] and ci_z[0] <= ci_r[1]
-
-
 def test_csv_schema():
     cfg = _small_sim(ebno_points=(30.0,), min_frame_errors=1, max_frames=10)
     text = csv_string(run_sweep(cfg))
@@ -282,10 +270,8 @@ def test_sim_config_validation():
         _small_sim(min_frame_errors=0)
     with pytest.raises(ValueError):
         _small_sim(min_frame_errors=10, max_frames=5)
-    with pytest.raises(ValueError):
-        _small_sim(message_mode="alternating")
     # counts are integers: a float or a bool is never truncated or coerced
-    for name in ("min_frame_errors", "max_frames", "chunk_frames", "workers"):
+    for name in ("min_frame_errors", "max_frames", "workers"):
         for value in (2.5, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 _small_sim(**{name: value})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmpa.channel import MAX_WORKERS
-from rmpa.cli import load_experiment_spec, main
+from rmpa.cli import MAX_M, load_experiment_spec, main
 
 
 def run_cli(capsys, *argv):
@@ -186,7 +186,7 @@ def test_spec_n_max_and_its_default(decoder, n_max):
     ({"decoder": {"n_max": 2.5}}, "2.5"),
     ({"decoder": {"schedule": [True, 8]}}, "True"),
     ({"code": {"m": 6.9, "r": 3}}, "6.9"),
-    ({"chunk_frames": True}, "True"),
+    ({"workers": True}, "True"),
     ({"seed": "seven"}, "'seven'"),
     ({"max_frames": float("inf")}, "inf")])
 def test_spec_integers_are_read_strictly(tmp_path, capsys, overrides, bad):
@@ -287,7 +287,10 @@ def test_spec_reals_take_numbers_and_decimal_text():
     ({"decoder": ["rpa"]}, "decoder must be an object"),
     ({"ebno_db": []}, "ebno_db must be a non-empty list"),
     ({"ebno_db": "12"}, "ebno_db must be a non-empty list"),
-    ({"seed": -1}, "seed must be a non-negative integer, got -1")])
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    # removed settings are errors, never ignored
+    ({"chunk_frames": 64}, "unknown spec keys ['chunk_frames']"),
+    ({"message_mode": "random"}, "unknown spec keys ['message_mode']")])
 def test_spec_inputs_that_would_be_ignored_or_crash_exit_2(
         tmp_path, capsys, overrides, message):
     spec = make_spec(tmp_path, **overrides)
@@ -315,22 +318,44 @@ def test_table1_default(capsys):
     assert any(row[0] == "2-srpa" and row[2] == "36433" for row in lines)
 
 
-@pytest.mark.parametrize("flags,count", [
-    (["--preset", "mfp", "--gamma", "2/3", "--ditr", "1/4", "--drec", "1/2"],
-     "113"),
-    (["--m", "6", "--r", "3", "--schedule", "4,8"], "32")])
-def test_table1_takes_the_decoder_flags(capsys, flags, count):
-    code, out, _ = run_cli(capsys, "table1", *flags)
-    assert code == 0
-    assert out.strip() == count
+def test_table1_takes_no_options(capsys):
+    # a decoder's count is fods' job
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--m", "6", "--r", "3", "--schedule", "4,8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_table1_rpa_sch_ceiling_note(capsys):
-    code, out, err = run_cli(capsys, "table1", "--preset", "rpa_sch",
+    # fods counts any decoder, and notes where Table 1 publishes another
+    # count for it
+    code, out, err = run_cli(capsys, "fods", "--preset", "rpa_sch",
                              "--d", "2", "--m", "7", "--r", "2")
     assert code == 0
     assert out.strip() == "223"
     assert "221" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--m", str(MAX_M + 1), "--r", "1", "--msg", "0x0"],
+    ["decode", "--m", str(MAX_M + 1), "--r", "1", "--llr=1,1"],
+    ["fods", "--m", "30", "--r", "2"]])
+def test_codes_above_max_m_exit_2(capsys, argv):
+    # rejected before any code is built: these would allocate tens of GB
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid choice: {argv[2]}" in capsys.readouterr().err
+
+
+def test_spec_code_above_max_m_exits_2(tmp_path, capsys):
+    spec = make_spec(tmp_path, code={"m": MAX_M + 1, "r": 1})
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert f"code m must be at most {MAX_M}, got {MAX_M + 1}" in err
+    spec = {"schema_version": 1, "code": {"m": MAX_M, "r": 1},
+            "decoder": {}, "ebno_db": [3.0]}
+    assert load_experiment_spec(spec)[0].code.m == MAX_M
 
 
 def make_spec(tmp_path, **overrides):
@@ -342,7 +367,6 @@ def make_spec(tmp_path, **overrides):
         "min_frame_errors": 5,
         "max_frames": 2000,
         "seed": 3,
-        "message_mode": "random",
     }
     spec.update(overrides)
     path = tmp_path / "spec.json"

@@ -41,7 +41,8 @@ def test_params_basic():
     assert 0 < p.rate <= 1
 
 
-@pytest.mark.parametrize("m,r", [(-1, 0), (2, 3), (3, -1)])
+@pytest.mark.parametrize("m,r", [(-1, 0), (2, 3), (3, -1), (True, True),
+                                 (6.0, 3), (6, 3.0), ("6", 3)])
 def test_params_invalid(m, r):
     with pytest.raises(ValueError):
         CodeParams(m, r)

@@ -43,10 +43,11 @@ def test_coset_map_partition():
 
 
 def test_coset_map_rejects_zero():
-    with pytest.raises(ValueError):
-        build_coset_map(3, 0)
-    with pytest.raises(ValueError):
-        build_coset_map(3, 8)
+    for build in (build_coset_map, lambda m, i: stack_coset_maps(m, [i])):
+        with pytest.raises(ValueError):
+            build(3, 0)
+        with pytest.raises(ValueError):
+            build(3, 8)
 
 
 def test_project_hard_examples():
@@ -264,15 +265,19 @@ def test_aggregate_equals_the_per_map_loop(m):
 
 
 def test_stacked_maps_are_the_single_maps_with_offset_cosets():
-    m, indices = 4, (3, 5, 15)
-    stacked = stack_coset_maps(m, indices)
-    assert stacked.i == indices
-    for t, i in enumerate(indices):
-        single = build_coset_map(m, i)
-        assert np.array_equal(stacked.reps[t], single.reps)
-        assert np.array_equal(stacked.partners[t], single.partners)
-        assert np.array_equal(stacked.partner_of[t], single.partner_of)
-        assert np.array_equal(stacked.coset_of[t], single.coset_of + t * 8)
-    l = np.random.default_rng(3).normal(size=(2, 16))
-    assert np.array_equal(project_llr(l, stacked), np.stack(
-        [project_llr(l, build_coset_map(m, i)) for i in indices], axis=1))
+    # a few maps, then every map of each small m
+    cases = [(4, (3, 5, 15))] + [(m, tuple(range(1, 1 << m)))
+                                 for m in range(1, 6)]
+    for m, indices in cases:
+        stacked = stack_coset_maps(m, indices)
+        assert stacked.i == indices
+        for t, i in enumerate(indices):
+            single = build_coset_map(m, i)
+            assert np.array_equal(stacked.reps[t], single.reps)
+            assert np.array_equal(stacked.partners[t], single.partners)
+            assert np.array_equal(stacked.partner_of[t], single.partner_of)
+            assert np.array_equal(stacked.coset_of[t],
+                                  single.coset_of + t * (1 << m - 1))
+        l = np.random.default_rng(3).normal(size=(2, 1 << m))
+        assert np.array_equal(project_llr(l, stacked), np.stack(
+            [project_llr(l, build_coset_map(m, i)) for i in indices], axis=1))
