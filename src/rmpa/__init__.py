@@ -3,25 +3,27 @@ multi-factor pruning, first-order-decoding complexity accounting, and an
 AWGN Monte Carlo harness."""
 
 from .codes import CodeParams, build_generator, encode
-from .geometry import (LLR_CLAMP, CosetMap, aggregate, project_llr,
-                       stack_coset_maps)
+from .geometry import (LLR_CLAMP, CosetMap, aggregate, coset_signs,
+                       project_llr, stack_coset_maps)
 from .fod import FodCounter, fht, fht_decode
 from .decoder import (DecodePlan, DecodeResult, PruningConfig,
                       analytic_fod_count, check_convergence, decode,
-                      decode_batch, decode_plan, explicit_schedule_config,
-                      preset, select_projection_indices)
+                      decode_batch, decode_plan, executed_fod_count,
+                      explicit_schedule_config, preset,
+                      select_projection_indices)
 from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
                       csv_string, llr_from_channel, points_to_json,
                       run_sweep, transmit)
 
 __all__ = [
     "CodeParams", "build_generator", "encode",
-    "LLR_CLAMP", "CosetMap", "aggregate", "project_llr",
+    "LLR_CLAMP", "CosetMap", "aggregate", "coset_signs", "project_llr",
     "stack_coset_maps",
     "FodCounter", "fht", "fht_decode",
     "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",
     "check_convergence", "decode", "decode_batch", "decode_plan",
-    "explicit_schedule_config", "preset", "select_projection_indices",
+    "executed_fod_count", "explicit_schedule_config", "preset",
+    "select_projection_indices",
     "ChannelConfig", "FerPoint", "SimConfig", "binomial_ci", "csv_string",
     "llr_from_channel", "points_to_json", "run_sweep", "transmit",
 ]

@@ -5,6 +5,21 @@ fraction of the n-1 coset projections kept at iteration j and recursion
 level l.  (1,1,1) is the unpruned decoder; (q,1,1) and (1,1/d,1) recover
 the sparse and iteration-decay variants.  Factors may be exact Fractions
 so the ceil() in the projection count is free of float rounding.
+
+Complexity is counted in first-order decodings (FODs).  The nominal count
+is the paper's: one FOD per first-order decoding the plan describes, which
+is what analytic_fod_count returns and every FodCounter records.  A decode
+runs fewer, the executed count of executed_fod_count.  Soft projections
+commute, so in one iteration of a level-3 decoder the pairs (i, j) of its
+projection i and the first projection j of its inner decoder that span the
+same subspace {i, lift_h(j)} (h the top bit of i) project the input onto
+one quotient.  The walk decodes the first pair of each span with the
+arithmetic of that pair's own path, and every other pair reads its decoded
+first-order codeword from the same form, which is zero on the span.  The
+decoded bits are therefore those of decoding every path on its own, bar a
+spectrum tie broken differently in another pair's coordinates.  Decoders
+whose inner decoder is first-order build the signs of their aggregation
+from the decoded forms, as rows of the signed Hadamard table.
 """
 
 from __future__ import annotations
@@ -16,12 +31,14 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .codes import CodeParams, _is_int
-from .fod import FodCounter, fht_decode
-from .geometry import aggregate, clamp_llr, project_llr, stack_coset_maps
+from .fod import FodCounter, _hadamard, _hadamard_bits, fht_decode
+from .geometry import (aggregate, clamp_llr, coset_signs, project_llr,
+                       stack_coset_maps)
 
 FACTORS = ("gamma", "delta_itr", "delta_rec")
 
@@ -81,7 +98,7 @@ class DecodeResult:
     converged_early: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodePlan:
     """One decode of RM(m, r) under a PruningConfig, fixed in advance.
 
@@ -212,7 +229,8 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     This is the one place the pruning rule lives: iteration j at level r
     keeps the schedule's count for level r, else ceil(g_j *
     delta_rec^(r-2) * (n-1)) subspaces, where g_j = g * delta_itr^(j-1)
-    and g is gamma at the top level and the caller's g_j below it."""
+    and g is gamma at the top level and the caller's g_j below it.  Inner
+    decoders of equal (m, r, g) are one node."""
     if params.r < 1:
         raise ValueError("decoding requires r >= 1")
     schedule = cfg.explicit_schedule
@@ -221,6 +239,7 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
                          f"schedule counts (levels {params.r} down to 2), "
                          f"got {len(schedule)}")
 
+    @lru_cache(maxsize=None)
     def compile_level(m, r, g) -> DecodePlan:
         if r == 1:
             return DecodePlan(m=m, steps=(), fods=1, row_bytes=8 << m)
@@ -242,11 +261,163 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     return compile_level(params.m, params.r, cfg.gamma)
 
 
+# A form f = b + 2^m * u0 names the first-order codeword u0 ^ <b, z> on
+# F_2^m, and is row f of the signed Hadamard table [H; -H] of m bits.
+
+
+def _parities() -> np.ndarray:
+    """The parity of the bits of every 16-bit number, past the m of any
+    code that can be decoded."""
+    x = np.arange(1 << 16, dtype=np.uint16)
+    for shift in (8, 4, 2, 1):
+        x ^= x >> shift
+    return (x & 1).astype(np.uint8)
+
+
+_PARITY = _parities()
+
+
+def _lift(f: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The forms f on F_2^m as forms on F_2^(m+1) that are zero on i, whose
+    top bit is h: f with a 0 inserted at bit h, so that it is unchanged on
+    the z with bit h clear (the coset representatives of {0, i}), then bit
+    h set where that makes it orthogonal to i.  i = 0 only inserts the 0."""
+    low = (1 << h) - 1
+    b = ((f & ~low) << 1) | (f & low)
+    return b | (_PARITY.take(b & i) << h)
+
+
+def _compress(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The forms f on F_2^(m+1) read on the z with bit h clear, as forms on
+    F_2^m: f with bit h dropped."""
+    low = (1 << h) - 1
+    return ((f >> 1) & ~low) | (f & low)
+
+
+def _read_only(*arrays) -> tuple:
+    """arrays, made read-only: caches hand them to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=128)
+def _top_bits(indices: tuple) -> tuple:
+    """indices as an array, and the top bit of each."""
+    i = np.array(indices, dtype=np.intp)
+    return _read_only(i, np.frexp(i)[1].astype(np.intp) - 1)
+
+
+def _decoded_forms(bits: np.ndarray) -> np.ndarray:
+    """The forms of the first-order codewords that fht_decode returned, a
+    (rows, 2^m) bit stack: u0 is the bit at z = 0, and bit p of b is the
+    bit at z = 2^p xor u0."""
+    m = bits.shape[-1].bit_length() - 1
+    powers = 1 << np.arange(m + 1)
+    # the bits at z = 2^p for p < m, then at z = 0
+    read = bits[:, powers % (1 << m)]
+    read[:, :m] ^= read[:, m:]
+    return (read @ powers.astype(np.float64)).astype(np.intp)
+
+
+# largest m whose signed Hadamard table, 2^(2m + 4) bytes, is kept whole
+SIGN_TABLE_M = 8
+
+
+@lru_cache(maxsize=None)
+def _signed_hadamard(m: int) -> np.ndarray:
+    """[H; -H] of m bits: row b + 2^m * u0 is (-1)^(u0 ^ <b, z>)."""
+    bits = _hadamard_bits(m)
+    return _read_only(1.0 - 2.0 * np.concatenate([bits, bits ^ 1]))[0]
+
+
+def _form_signs(forms: np.ndarray, m: int) -> np.ndarray:
+    """The signs (-1)^(u0 ^ <b, z>) of the forms, for z in [0, 2^m), shape
+    forms.shape + (2^m,).  Above SIGN_TABLE_M bits a row is the outer
+    product of a row over the high bits of z and one over the low bits."""
+    low = min(m, SIGN_TABLE_M)
+    if low == m:
+        return np.take(_signed_hadamard(m), forms, axis=0)
+    high = _form_signs(forms >> low, m - low)
+    signs = np.take(_hadamard(low), forms & ((1 << low) - 1), axis=0)
+    return (high[..., :, None] * signs[..., None, :]).reshape(
+        forms.shape + (-1,))
+
+
+@lru_cache(maxsize=128)
+def _shared_quotients(m: int, outer: tuple, inner: tuple) -> tuple:
+    """Which first-order decodings of a level-3 node's iteration repeat.
+
+    Pair (t, s) projects onto i = outer[t], whose top bit is h, and then
+    onto j = inner[s], which is the projection onto span{i, lift_h(j)}.
+    Returns the pairs (t, s) that come first in order for their span, as
+    arrays of t and of s, and the (k_i, k_j) int32 index of each pair's
+    span among them."""
+    i, h = _top_bits(outer)
+    i, h = i[:, None], h[:, None]
+    v = _lift(_top_bits(inner)[0], h, 0)
+    w = i ^ v
+    # two of a span's three nonzero members name it
+    span = (np.minimum(np.minimum(i, v), w) << m) | np.maximum(
+        np.maximum(i, v), w)
+    _, first, alias = np.unique(span.ravel(), return_index=True,
+                                return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order))
+    canon_t, canon_s = np.divmod(first[order], len(inner))
+    return _read_only(canon_t, canon_s, rank[alias].reshape(span.shape))
+
+
+def _shared_forms(m: int, outer: tuple, inner: tuple, proj: np.ndarray,
+                  counter: FodCounter | None) -> np.ndarray:
+    """The forms that the first iteration of the level-2 decoders below a
+    level-3 node decodes, shape (rows * k_i, k_j): those of the projections
+    proj, (rows, k_i, 2^(m-1)), onto outer, each projected onto inner.
+
+    Soft projections commute, so the pairs that span one subspace decode one
+    quotient.  Its first pair is projected and decoded, with the same
+    arithmetic as its own level-2 decoder; the decoded form lifts to a form
+    on F_2^m that is zero on the span, and every pair reads it as a form on
+    its own F_2^(m-1).  The counter gets the FODs of every pair.  Where no
+    two pairs share a span this returns None: the level-2 decoders then
+    decode their own quotients."""
+    canon_t, canon_s, alias = _shared_quotients(m, outer, inner)
+    if alias.size == len(canon_t):
+        return None
+    rows, k, half = proj.shape
+    quarter = half // 2
+    i, h = _top_bits(outer)
+    j, hj = _top_bits(inner)
+    maps = _stacked_maps(m - 1, inner)
+    flat = proj.reshape(rows, k * half)
+    lifted = np.empty((rows, len(canon_t)), dtype=np.intp)
+    # a block's projections and their two index arrays fit in BLOCK_BYTES
+    width = max(1, BLOCK_BYTES // (8 * quarter * (rows + 2)))
+    for start in range(0, len(canon_t), width):
+        t = canon_t[start:start + width]
+        s = canon_s[start:start + width]
+        # pair (t, s) reads its level-2 coordinates at t * half
+        offset = (t * half)[:, None]
+        quotients = SimpleNamespace(reps=offset + maps.reps[s],
+                                    partners=offset + maps.partners[s])
+        bits = fht_decode(project_llr(flat, quotients).reshape(-1, quarter))
+        forms = _decoded_forms(bits).reshape(rows, len(t))
+        lifted[:, start:start + width] = _lift(_lift(forms, hj[s], j[s]),
+                                               h[t], i[t])
+    if counter is not None:
+        counter.record(m - 2, rows * k * len(inner))
+    return _compress(lifted[:, alias], h[:, None]).reshape(rows * k,
+                                                          len(inner))
+
+
 def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
-          theta: float | None = None):
+          theta: float | None = None, forms: np.ndarray | None = None):
     """Decode a (batch, 2^m) stack along node; returns (bits, iterations,
     converged).  Only the top call passes theta (inner decoders run their
-    full iteration budget), and it tests row 0 alone (batch size 1).
+    full iteration budget), and it tests row 0 alone (batch size 1).  A
+    level-3 node whose pairs repeat a span passes its level-2 decoders the
+    forms of their first iteration (_shared_forms), (batch, k) of them.
 
     The rows go through in blocks: as many rows as keep the block's
     first-order inputs within BLOCK_BYTES, and at least one.  Each block
@@ -256,18 +427,36 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
     rows = max(1, BLOCK_BYTES // node.row_bytes)
     if len(llr) > rows:
         return np.concatenate([
-            _walk(node, llr[start:start + rows], counter)[0]
+            _walk(node, llr[start:start + rows], counter,
+                  forms=None if forms is None else forms[start:start + rows]
+                  )[0]
             for start in range(0, len(llr), rows)]), len(node.steps), False
     iterations, converged = 0, False
     half = llr.shape[-1] // 2
     for iterations, (indices, inner) in enumerate(node.steps, 1):
         cmap = _stacked_maps(node.m, indices)
-        # no reference to the projections outlives the inner walk, so they
-        # are freed before aggregate gathers
-        chat, _, _ = _walk(inner, project_llr(llr, cmap).reshape(-1, half),
-                           counter)
-        llr_new = aggregate(llr, cmap,
-                            chat.reshape(len(llr), len(indices), half))
+        # the projections are freed before the signs are built; a level-2
+        # inner decoder starts from the forms of its first iteration
+        if forms is None and not inner.steps:
+            bits = fht_decode(project_llr(llr, cmap).reshape(-1, half),
+                              counter)
+            i, h = _top_bits(indices)
+            forms = _lift(_decoded_forms(bits).reshape(len(llr), len(i)),
+                          h, i)
+        if forms is not None:
+            signs = _form_signs(forms, node.m)
+        else:
+            proj = project_llr(llr, cmap)
+            first, below = inner.steps[0]
+            shared = (None if below.steps else
+                      _shared_forms(node.m, indices, first, proj, counter))
+            chat = _walk(inner, proj.reshape(-1, half), counter,
+                         forms=shared)[0]
+            del proj, shared
+            signs = coset_signs(cmap,
+                                chat.reshape(len(llr), len(indices), half))
+        forms = None
+        llr_new = aggregate(llr, cmap, signs)
         converged = (theta is not None
                      and check_convergence(llr[0], llr_new[0], theta))
         llr = llr_new
@@ -317,5 +506,27 @@ def decode_batch(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,
 
 def analytic_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
     """First-order-decoding count of a full decode with early stopping off,
-    read from the plan decode walks."""
+    read from the plan decode walks: the nominal count."""
     return decode_plan(params, cfg).fods
+
+
+def executed_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
+    """The first-order decodings a full decode runs, with early stopping
+    off: the nominal count less the repeated quotients of the first
+    iteration below each level-3 node, which it decodes once."""
+
+    @lru_cache(maxsize=None)
+    def executed(node: DecodePlan) -> int:
+        if not node.steps:
+            return 1
+        total = 0
+        for indices, inner in node.steps:
+            if inner.steps and not inner.steps[0][1].steps:
+                first = inner.steps[0][0]
+                spans = len(_shared_quotients(node.m, indices, first)[0])
+                total += spans + len(indices) * (inner.fods - len(first))
+            else:
+                total += len(indices) * executed(inner)
+        return total
+
+    return executed(decode_plan(params, cfg))

@@ -68,7 +68,9 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     |a [+] b| = log1p(u_a*u_b) - log(u_a + u_b), signed by
     sign(a)*sign(b).  LLRs beyond +-LLR_CLAMP count as +-LLR_CLAMP, as
     decode clamps them on entry, so the output stays within the clamp up to
-    rounding; a zero LLR projects to 0.
+    rounding; a zero LLR projects to 0.  Only cmap's reps and partners are
+    read: any pair of equal-shaped index arrays into the last axis of l
+    projects the same way.
     """
     l = np.asarray(l, dtype=np.float64)
     u = np.exp(-np.minimum(np.abs(l), LLR_CLAMP))
@@ -92,22 +94,32 @@ def clamp_llr(l: np.ndarray) -> np.ndarray:
 _SIGN = np.array([1.0, -1.0])
 
 
-def aggregate(l: np.ndarray, cmap: CosetMap, chat: np.ndarray) -> np.ndarray:
-    """Average the partner LLRs, sign-flipped by the decoded projection bits.
-
-    cmap stacks the k maps of the projections (stack_coset_maps) and chat
-    holds their decoded bits, shape (..., k, n/2); output coordinate z is
-    (1/k) * sum_t (-1)^chat[t, coset_t(z)] * l[z ^ i_t], summed in the
-    order of the stack.
-    """
-    l = np.asarray(l, dtype=np.float64)
+def coset_signs(cmap: CosetMap, chat: np.ndarray) -> np.ndarray:
+    """The signs (-1)^chat[t, coset_t(z)] of every coordinate z, shape
+    (..., k, n), from the decoded projection bits chat of shape
+    (..., k, n/2) of the k stacked maps of cmap."""
     chat = np.asarray(chat)
     if chat.shape[-2:] != cmap.reps.shape:
         raise ValueError(f"decoded bits of shape {chat.shape} do not match "
                          f"{len(cmap.i)} projections of length "
-                         f"{l.shape[-1] // 2}")
+                         f"{cmap.reps.shape[-1]}")
     flat = chat.reshape(chat.shape[:-2] + (cmap.reps.size,))
     # the signs of the n/2 cosets per map, then one gather to coordinates
-    terms = np.take(_SIGN.take(flat), cmap.coset_of, axis=-1)
-    terms *= np.take(l, cmap.partner_of, axis=-1)
-    return terms.sum(axis=-2) / len(cmap.i)
+    return np.take(_SIGN.take(flat), cmap.coset_of, axis=-1)
+
+
+def aggregate(l: np.ndarray, cmap: CosetMap, signs: np.ndarray) -> np.ndarray:
+    """Average the partner LLRs, sign-flipped per projection.
+
+    cmap stacks the k maps of the projections (stack_coset_maps) and signs
+    holds the +-1 of each map at each coordinate, shape (..., k, n), as
+    coset_signs gives them; output coordinate z is
+    (1/k) * sum_t signs[t, z] * l[z ^ i_t], summed in the order of the
+    stack.  signs is overwritten.
+    """
+    l = np.asarray(l, dtype=np.float64)
+    if signs.shape[-2:] != cmap.partner_of.shape:
+        raise ValueError(f"signs of shape {signs.shape} do not match "
+                         f"{len(cmap.i)} projections of length {l.shape[-1]}")
+    signs *= np.take(l, cmap.partner_of, axis=-1)
+    return signs.sum(axis=-2) / len(cmap.i)

@@ -3,8 +3,8 @@
 None of these is on a decoding path: an exhaustive ML decoder, the code's
 membership test, single coset maps, hard projections, the logaddexp form
 of the soft projection, the butterfly form of the Walsh-Hadamard transform,
-the frame-by-frame channel, and a z-test for comparing two frame error
-rates.
+the per-path decode walk, the frame-by-frame channel, and a z-test for
+comparing two frame error rates.
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ import numpy as np
 
 from rmpa.channel import ChannelConfig, llr_from_channel
 from rmpa.codes import CodeParams, build_generator, encode
-from rmpa.geometry import LLR_CLAMP
+from rmpa.decoder import (BLOCK_BYTES, _stacked_maps, check_convergence,
+                          decode_plan)
+from rmpa.fod import fht_decode
+from rmpa.geometry import (LLR_CLAMP, aggregate, clamp_llr, coset_signs,
+                           project_llr)
 
 ML_ORACLE_CAP = 2 ** 20
 
@@ -125,6 +129,47 @@ def fht_butterfly(x: np.ndarray) -> np.ndarray:
         np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
         h *= 2
     return x
+
+
+def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
+    """Decode a (batch, 2^m) stack along the plan node, every path on its
+    own: each inner decoder projects and decodes its own inputs, and every
+    aggregation gathers its signs through the coset maps.  Returns (bits,
+    iterations, converged), as rmpa's walk does, in the same blocks.
+
+    The reference that rmpa's walk, which decodes each repeated quotient
+    once and builds first-order signs from the decoded form, is checked
+    against."""
+    if not node.steps:
+        return fht_decode(llr), 0, False
+    rows = max(1, BLOCK_BYTES // node.row_bytes)
+    if len(llr) > rows:
+        return np.concatenate([
+            walk_per_path(node, llr[start:start + rows])[0]
+            for start in range(0, len(llr), rows)]), len(node.steps), False
+    iterations, converged = 0, False
+    half = llr.shape[-1] // 2
+    for iterations, (indices, inner) in enumerate(node.steps, 1):
+        cmap = _stacked_maps(node.m, indices)
+        chat, _, _ = walk_per_path(
+            inner, project_llr(llr, cmap).reshape(-1, half))
+        llr_new = aggregate(llr, cmap, coset_signs(
+            cmap, chat.reshape(len(llr), len(indices), half)))
+        converged = (theta is not None
+                     and check_convergence(llr[0], llr_new[0], theta))
+        llr = llr_new
+        if converged:
+            break
+    return (llr < 0).astype(np.uint8), iterations, converged
+
+
+def decode_per_path(llr: np.ndarray, params: CodeParams, cfg,
+                    theta: float | None = None):
+    """walk_per_path of a (batch, n) stack of LLRs under cfg, clamped as
+    rmpa clamps them on entry."""
+    plan = decode_plan(params, cfg)
+    llr = np.asarray(llr, dtype=np.float64)
+    return walk_per_path(plan, clamp_llr(llr) if plan.steps else llr, theta)
 
 
 def per_frame_channel(cfg, point: int, frames) -> tuple:

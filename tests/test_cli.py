@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -334,6 +336,36 @@ def test_table1_rpa_sch_ceiling_note(capsys):
     assert code == 0
     assert out.strip() == "223"
     assert "221" in err
+
+
+@pytest.mark.parametrize("flags,count", [
+    (["--d", "3"], "185"), (["--d", "2", "--nmax", "2"], "191")])
+def test_fods_notes_only_the_decoder_the_published_cell_counts(
+        capsys, flags, count):
+    # the cell counts rpa_sch with d = 2 and three iterations a level
+    code, out, err = run_cli(capsys, "fods", "--preset", "rpa_sch",
+                             "--m", "7", "--r", "2", *flags)
+    assert code == 0
+    assert out.strip() == count
+    assert err == ""
+
+
+def test_fods_of_a_deep_many_iteration_plan_is_quick(capsys):
+    # equal inner configs share one node: this took 12.7 s and 245 MB when
+    # every iteration compiled its own inner tree
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, _ = run_cli(capsys, "fods", "--m", "7", "--r", "5",
+                               "--nmax", "28")
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.strip() == str(28 ** 4 * 127 * 63 * 31 * 15)
+    assert seconds < 2.0
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [

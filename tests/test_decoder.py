@@ -274,6 +274,28 @@ def test_plan_is_compiled_once_per_config():
                              for indices, inner in plan.steps)
 
 
+def distinct_nodes(plan) -> set:
+    seen, todo = set(), [plan]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(inner for _, inner in node.steps)
+    return seen
+
+
+def test_equal_inner_configs_share_one_node():
+    # below level r, iteration j of a level hands on g * delta_itr^(j-1),
+    # so level r - d sees at most (n_max - 1) * d + 1 factors: 115 nodes in
+    # all, where a tree of nodes would have 22,621
+    cfg = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2),
+                 n_max=12)
+    plan = decode_plan(CodeParams(7, 5), cfg)
+    assert len(distinct_nodes(plan)) == 1 + sum(11 * d + 1
+                                                for d in range(1, 5))
+    assert plan.fods == 95395
+
+
 def test_plans_of_equal_configs_share_their_coset_maps(monkeypatch):
     p = CodeParams(6, 2)
     a, b = preset("rpa"), preset("rpa")

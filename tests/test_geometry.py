@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import (boxplus, build_coset_map, in_row_space_batch,
                      is_codeword, project_hard)
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
-                  encode, project_llr, stack_coset_maps)
+                  coset_signs, encode, project_llr, stack_coset_maps)
 from rmpa.geometry import clamp_llr
 
 
@@ -205,10 +205,11 @@ def test_aggregate_single_projection():
     l = np.array([1.0, 2.0, 3.0, 4.0])
     cmap = stack_coset_maps(2, [1])
     zero_bits = np.zeros((1, 2), dtype=np.uint8)
-    out = aggregate(l, cmap, zero_bits)
+    out = aggregate(l, cmap, coset_signs(cmap, zero_bits))
     # decoded coset bit 0 passes the partner LLR through
     assert out.tolist() == [2.0, 1.0, 4.0, 3.0]
-    out = aggregate(l, cmap, np.ones((1, 2), dtype=np.uint8))
+    out = aggregate(l, cmap,
+                    coset_signs(cmap, np.ones((1, 2), dtype=np.uint8)))
     assert out.tolist() == [-2.0, -1.0, -4.0, -3.0]
 
 
@@ -218,9 +219,11 @@ def test_aggregate_empty_rejected():
 
 
 def test_aggregate_rejects_bits_that_do_not_fit_the_maps():
+    cmap = stack_coset_maps(3, [1, 2])
     with pytest.raises(ValueError, match="do not match"):
-        aggregate(np.zeros(8), stack_coset_maps(3, [1, 2]),
-                  np.zeros((3, 4), dtype=np.uint8))
+        coset_signs(cmap, np.zeros((3, 4), dtype=np.uint8))
+    with pytest.raises(ValueError, match="do not match"):
+        aggregate(np.zeros(8), cmap, np.ones((2, 4)))
 
 
 def test_aggregate_noiseless_reproduces_codeword():
@@ -231,7 +234,7 @@ def test_aggregate_noiseless_reproduces_codeword():
     for _ in range(20):
         c = encode(rng.integers(0, 2, p.k, dtype=np.uint8), gen)
         l = 20.0 * (1.0 - 2.0 * c)
-        out = aggregate(l, cmap, project_hard(c, cmap))
+        out = aggregate(l, cmap, coset_signs(cmap, project_hard(c, cmap)))
         assert np.array_equal((out < 0).astype(np.uint8), c)
 
 
@@ -240,8 +243,8 @@ def test_aggregate_linear_in_magnitude():
     l = rng.normal(size=8)
     cmap = stack_coset_maps(3, (1, 3, 6))
     chat = np.stack([rng.integers(0, 2, 4, dtype=np.uint8) for _ in range(3)])
-    out1 = aggregate(l, cmap, chat)
-    out2 = aggregate(2.5 * l, cmap, chat)
+    out1 = aggregate(l, cmap, coset_signs(cmap, chat))
+    out2 = aggregate(2.5 * l, cmap, coset_signs(cmap, chat))
     assert np.allclose(out2, 2.5 * out1)
 
 
@@ -258,10 +261,11 @@ def test_aggregate_equals_the_per_map_loop(m):
     for t, i in enumerate(indices):
         cm = build_coset_map(m, i)
         accu += (1.0 - 2.0 * chat[:, t, cm.coset_of]) * l[:, cm.partner_of]
-    got = aggregate(l, stack_coset_maps(m, indices), chat)
+    cmap = stack_coset_maps(m, indices)
+    got = aggregate(l, cmap, coset_signs(cmap, chat))
     assert np.array_equal(got, accu / len(indices))
-    assert np.array_equal(aggregate(l[2], stack_coset_maps(m, indices),
-                                    chat[2]), got[2])
+    assert np.array_equal(aggregate(l[2], cmap, coset_signs(cmap, chat[2])),
+                          got[2])
 
 
 def test_stacked_maps_are_the_single_maps_with_offset_cosets():
