@@ -20,6 +20,12 @@ decoded bits are therefore those of decoding every path on its own, bar a
 spectrum tie broken differently in another pair's coordinates.  Decoders
 whose inner decoder is first-order build the signs of their aggregation
 from the decoded forms, as rows of the signed Hadamard table.
+
+The walk runs in float32 (WALK_DTYPE): decode and decode_batch clamp the
+LLRs and cast them once, and every projection, first-order decoding,
+aggregation and convergence test below computes in that dtype, with the
+float32 tie band of rmpa.fod.  A first-order code decoded alone has no walk
+and is decoded from its float64 LLRs as given.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .codes import CodeParams, _is_int
-from .fod import FodCounter, _hadamard, _hadamard_bits, fht_decode
+from .fod import (FodCounter, _hadamard, _hadamard_bits, float_array,
+                  fht_decode)
 from .geometry import (aggregate, clamp_llr, coset_signs, project_llr,
                        stack_coset_maps)
 
@@ -105,8 +112,8 @@ class DecodePlan:
     steps holds one (kept subspace indices, plan of RM(m-1, r-1)) pair per
     iteration; it is empty at r == 1, where a decode is one FHT.  fods is
     the first-order-decoding cost of one decode with early stopping off;
-    row_bytes is the size of the first-order inputs that one row of this
-    plan holds at once (one iteration's worth)."""
+    row_bytes is the size, in WALK_DTYPE, of the first-order inputs that
+    one row of this plan holds at once (one iteration's worth)."""
 
     m: int
     steps: tuple
@@ -114,6 +121,11 @@ class DecodePlan:
     row_bytes: int
 
 
+# The float dtype the decode walk computes in.  float32 runs the walk's
+# exp, log, log1p and Hadamard products about twice as fast as float64, and
+# the float32 tie band of fht_decode keeps decoded bits independent of how
+# BLAS sums.
+WALK_DTYPE = np.dtype(np.float32)
 # Bytes of first-order inputs one block of rows may hold at a time; a
 # block's traced peak is about 4.5 times this.  Blocks change no result.
 BLOCK_BYTES = 1 << 20
@@ -208,9 +220,10 @@ def select_projection_indices(n: int, np_: int) -> list:
 
 
 def check_convergence(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> bool:
-    """True iff every coordinate changed by less than theta * |old value|."""
-    l_old = np.asarray(l_old, dtype=np.float64)
-    l_new = np.asarray(l_new, dtype=np.float64)
+    """True iff every coordinate changed by less than theta * |old value|,
+    compared in the LLRs' float dtype (float_array)."""
+    l_old = float_array(l_old)
+    l_new = float_array(l_new)
     if l_old.shape != l_new.shape:
         raise ValueError("LLR vectors must have equal length")
     return bool(np.all(np.abs(l_new - l_old) < theta * np.abs(l_old)))
@@ -242,7 +255,8 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     @lru_cache(maxsize=None)
     def compile_level(m, r, g) -> DecodePlan:
         if r == 1:
-            return DecodePlan(m=m, steps=(), fods=1, row_bytes=8 << m)
+            return DecodePlan(m=m, steps=(), fods=1,
+                              row_bytes=WALK_DTYPE.itemsize << m)
         n = 1 << m
         steps = []
         for j in range(1, cfg.n_max + 1):
@@ -320,26 +334,28 @@ def _decoded_forms(bits: np.ndarray) -> np.ndarray:
     return (read @ powers.astype(np.float64)).astype(np.intp)
 
 
-# largest m whose signed Hadamard table, 2^(2m + 4) bytes, is kept whole
+# largest m whose signed Hadamard table, 2^(2m + 1) entries, is kept whole
 SIGN_TABLE_M = 8
 
 
 @lru_cache(maxsize=None)
-def _signed_hadamard(m: int) -> np.ndarray:
-    """[H; -H] of m bits: row b + 2^m * u0 is (-1)^(u0 ^ <b, z>)."""
+def _signed_hadamard(m: int, dtype=np.float64) -> np.ndarray:
+    """[H; -H] of m bits in dtype: row b + 2^m * u0 is (-1)^(u0 ^ <b, z>)."""
     bits = _hadamard_bits(m)
-    return _read_only(1.0 - 2.0 * np.concatenate([bits, bits ^ 1]))[0]
+    return _read_only((1.0 - 2.0 * np.concatenate([bits, bits ^ 1]))
+                      .astype(dtype))[0]
 
 
-def _form_signs(forms: np.ndarray, m: int) -> np.ndarray:
+def _form_signs(forms: np.ndarray, m: int, dtype=np.float64) -> np.ndarray:
     """The signs (-1)^(u0 ^ <b, z>) of the forms, for z in [0, 2^m), shape
-    forms.shape + (2^m,).  Above SIGN_TABLE_M bits a row is the outer
-    product of a row over the high bits of z and one over the low bits."""
+    forms.shape + (2^m,), in dtype, that of the LLRs they will sign.  Above
+    SIGN_TABLE_M bits a row is the outer product of a row over the high
+    bits of z and one over the low bits."""
     low = min(m, SIGN_TABLE_M)
     if low == m:
-        return np.take(_signed_hadamard(m), forms, axis=0)
-    high = _form_signs(forms >> low, m - low)
-    signs = np.take(_hadamard(low), forms & ((1 << low) - 1), axis=0)
+        return np.take(_signed_hadamard(m, dtype), forms, axis=0)
+    high = _form_signs(forms >> low, m - low, dtype)
+    signs = np.take(_hadamard(low, dtype), forms & ((1 << low) - 1), axis=0)
     return (high[..., :, None] * signs[..., None, :]).reshape(
         forms.shape + (-1,))
 
@@ -393,7 +409,8 @@ def _shared_forms(m: int, outer: tuple, inner: tuple, proj: np.ndarray,
     flat = proj.reshape(rows, k * half)
     lifted = np.empty((rows, len(canon_t)), dtype=np.intp)
     # a block's projections and their two index arrays fit in BLOCK_BYTES
-    width = max(1, BLOCK_BYTES // (8 * quarter * (rows + 2)))
+    width = max(1, BLOCK_BYTES // (quarter * (rows * proj.itemsize
+                                              + 2 * maps.reps.itemsize)))
     for start in range(0, len(canon_t), width):
         t = canon_t[start:start + width]
         s = canon_s[start:start + width]
@@ -444,7 +461,7 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
             forms = _lift(_decoded_forms(bits).reshape(len(llr), len(i)),
                           h, i)
         if forms is not None:
-            signs = _form_signs(forms, node.m)
+            signs = _form_signs(forms, node.m, llr.dtype)
         else:
             proj = project_llr(llr, cmap)
             first, below = inner.steps[0]
@@ -454,7 +471,8 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
                          forms=shared)[0]
             del proj, shared
             signs = coset_signs(cmap,
-                                chat.reshape(len(llr), len(indices), half))
+                                chat.reshape(len(llr), len(indices), half),
+                                llr.dtype)
         forms = None
         llr_new = aggregate(llr, cmap, signs)
         converged = (theta is not None
@@ -466,14 +484,14 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
 
 
 def _start(llr: np.ndarray, params: CodeParams, cfg: PruningConfig):
-    """The plan of params under cfg, and llr checked finite and clamped
-    once: inner levels get boxplus output and later iterations the mean of
-    clamped values, which stay within the clamp.  A first-order code alone
-    is decoded from the LLRs as given."""
+    """The plan of params under cfg, and llr checked finite, clamped and
+    cast to WALK_DTYPE once: inner levels get boxplus output and later
+    iterations the mean of clamped values, which stay within the clamp.  A
+    first-order code alone is decoded from the LLRs as given."""
     if not np.isfinite(llr).all():
         raise ValueError("LLRs must be finite, not NaN or inf")
     plan = decode_plan(params, cfg)
-    return plan, clamp_llr(llr) if plan.steps else llr
+    return plan, clamp_llr(llr).astype(WALK_DTYPE) if plan.steps else llr
 
 
 def decode(llr: np.ndarray, params: CodeParams, cfg: PruningConfig,

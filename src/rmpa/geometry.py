@@ -3,6 +3,10 @@
 Coordinates are indexed by integers z in [0, 2^m); the subspace B_i = {0, i}
 partitions the index set into n/2 cosets {z, z^i}, ordered by their canonical
 representative min(z, z^i).
+
+project_llr, coset_signs and aggregate compute in the LLRs' float dtype
+(rmpa.fod.float_array): float32, as the decode walk runs, stays float32,
+and anything else is float64.
 """
 
 from __future__ import annotations
@@ -11,9 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fod import float_array
+
 # Natural-log LLR saturation.  Beyond exp(-30) the error probabilities are
 # numerically irrelevant at the simulated SNRs, and the projection's
-# exp(-|l|) stays far above underflow, so its logs stay finite.
+# exp(-|l|) stays far above underflow, so its logs stay finite, in float32
+# too: u = exp(-|l|) >= e^-30 = 9.4e-14 and u_a * u_b >= 8.8e-27, far above
+# float32's smallest normal number, 1.2e-38.
 LLR_CLAMP = 30.0
 
 
@@ -70,9 +78,9 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     decode clamps them on entry, so the output stays within the clamp up to
     rounding; a zero LLR projects to 0.  Only cmap's reps and partners are
     read: any pair of equal-shaped index arrays into the last axis of l
-    projects the same way.
+    projects the same way.  The projection is in l's float dtype.
     """
-    l = np.asarray(l, dtype=np.float64)
+    l = float_array(l)
     u = np.exp(-np.minimum(np.abs(l), LLR_CLAMP))
     ua = np.take(u, cmap.reps, axis=-1)
     ub = np.take(u, cmap.partners, axis=-1)
@@ -90,14 +98,16 @@ def clamp_llr(l: np.ndarray) -> np.ndarray:
     return np.clip(l, -LLR_CLAMP, LLR_CLAMP)
 
 
-# the sign (-1)^bit of a decoded bit, by lookup
-_SIGN = np.array([1.0, -1.0])
+# the sign (-1)^bit of a decoded bit, by lookup, in each float dtype
+_SIGN = {t: np.array([1.0, -1.0], dtype=t) for t in (np.float32, np.float64)}
 
 
-def coset_signs(cmap: CosetMap, chat: np.ndarray) -> np.ndarray:
+def coset_signs(cmap: CosetMap, chat: np.ndarray,
+                dtype=np.float64) -> np.ndarray:
     """The signs (-1)^chat[t, coset_t(z)] of every coordinate z, shape
     (..., k, n), from the decoded projection bits chat of shape
-    (..., k, n/2) of the k stacked maps of cmap."""
+    (..., k, n/2) of the k stacked maps of cmap; float32 if dtype is, the
+    dtype of the LLRs they will sign, else float64."""
     chat = np.asarray(chat)
     if chat.shape[-2:] != cmap.reps.shape:
         raise ValueError(f"decoded bits of shape {chat.shape} do not match "
@@ -105,7 +115,8 @@ def coset_signs(cmap: CosetMap, chat: np.ndarray) -> np.ndarray:
                          f"{cmap.reps.shape[-1]}")
     flat = chat.reshape(chat.shape[:-2] + (cmap.reps.size,))
     # the signs of the n/2 cosets per map, then one gather to coordinates
-    return np.take(_SIGN.take(flat), cmap.coset_of, axis=-1)
+    sign = _SIGN[np.float32 if dtype == np.float32 else np.float64]
+    return np.take(sign.take(flat), cmap.coset_of, axis=-1)
 
 
 def aggregate(l: np.ndarray, cmap: CosetMap, signs: np.ndarray) -> np.ndarray:
@@ -115,11 +126,14 @@ def aggregate(l: np.ndarray, cmap: CosetMap, signs: np.ndarray) -> np.ndarray:
     holds the +-1 of each map at each coordinate, shape (..., k, n), as
     coset_signs gives them; output coordinate z is
     (1/k) * sum_t signs[t, z] * l[z ^ i_t], summed in the order of the
-    stack.  signs is overwritten.
+    stack, in l's float dtype, which signs must have.  signs is overwritten.
     """
-    l = np.asarray(l, dtype=np.float64)
+    l = float_array(l)
     if signs.shape[-2:] != cmap.partner_of.shape:
         raise ValueError(f"signs of shape {signs.shape} do not match "
                          f"{len(cmap.i)} projections of length {l.shape[-1]}")
+    if signs.dtype != l.dtype:
+        raise ValueError(f"signs of dtype {signs.dtype} do not match LLRs "
+                         f"of dtype {l.dtype}")
     signs *= np.take(l, cmap.partner_of, axis=-1)
     return signs.sum(axis=-2) / len(cmap.i)

@@ -3,8 +3,8 @@
 None of these is on a decoding path: an exhaustive ML decoder, the code's
 membership test, single coset maps, hard projections, the logaddexp form
 of the soft projection, the butterfly form of the Walsh-Hadamard transform,
-the per-path decode walk, the frame-by-frame channel, and a z-test for
-comparing two frame error rates.
+the per-path decode walk, the decode walk in float64, the frame-by-frame
+channel, and a z-test for comparing two frame error rates.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 
 from rmpa.channel import ChannelConfig, llr_from_channel
 from rmpa.codes import CodeParams, build_generator, encode
-from rmpa.decoder import (BLOCK_BYTES, _stacked_maps, check_convergence,
-                          decode_plan)
-from rmpa.fod import fht_decode
+from rmpa.decoder import (BLOCK_BYTES, WALK_DTYPE, _stacked_maps, _walk,
+                          check_convergence, decode_plan)
+from rmpa.fod import float_array, fht_decode
 from rmpa.geometry import (LLR_CLAMP, aggregate, clamp_llr, coset_signs,
                            project_llr)
 
@@ -114,12 +114,14 @@ def boxplus(a, b):
 def fht_butterfly(x: np.ndarray) -> np.ndarray:
     """The Walsh-Hadamard transform along the first axis, where each
     butterfly stage is a few long contiguous passes.  Each stage reads one
-    buffer and writes the other, so x is only read.
+    buffer and writes the other, so x is only read.  It sums in x's float
+    dtype, as rmpa.fht does.
 
     The reference that rmpa.fht's Hadamard-product form is checked
     against."""
+    x = float_array(x)
     n = x.shape[0]
-    buffers = (np.empty(x.shape), np.empty(x.shape))
+    buffers = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype))
     h = 1
     while h < n:
         src = x.reshape((n // (2 * h), 2, h) + x.shape[1:])
@@ -154,7 +156,7 @@ def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
         chat, _, _ = walk_per_path(
             inner, project_llr(llr, cmap).reshape(-1, half))
         llr_new = aggregate(llr, cmap, coset_signs(
-            cmap, chat.reshape(len(llr), len(indices), half)))
+            cmap, chat.reshape(len(llr), len(indices), half), llr.dtype))
         converged = (theta is not None
                      and check_convergence(llr[0], llr_new[0], theta))
         llr = llr_new
@@ -165,11 +167,24 @@ def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
 
 def decode_per_path(llr: np.ndarray, params: CodeParams, cfg,
                     theta: float | None = None):
-    """walk_per_path of a (batch, n) stack of LLRs under cfg, clamped as
-    rmpa clamps them on entry."""
+    """walk_per_path of a (batch, n) stack of LLRs under cfg, clamped and
+    cast to the walk's dtype as rmpa does on entry."""
     plan = decode_plan(params, cfg)
     llr = np.asarray(llr, dtype=np.float64)
-    return walk_per_path(plan, clamp_llr(llr) if plan.steps else llr, theta)
+    return walk_per_path(
+        plan, clamp_llr(llr).astype(WALK_DTYPE) if plan.steps else llr, theta)
+
+
+def decode_float64(llr: np.ndarray, params: CodeParams, cfg,
+                   theta: float | None = None):
+    """rmpa's decode walk of a (batch, n) stack of LLRs under cfg, clamped
+    as rmpa clamps them on entry but kept in float64, where rmpa casts them
+    to float32.  Returns (bits, iterations, converged).
+
+    The reference that the float32 walk is checked against."""
+    plan = decode_plan(params, cfg)
+    llr = np.asarray(llr, dtype=np.float64)
+    return _walk(plan, clamp_llr(llr) if plan.steps else llr, None, theta)
 
 
 def per_frame_channel(cfg, point: int, frames) -> tuple:

@@ -3,10 +3,17 @@
 golden/decode_corpus.json holds, for each case below, the sha256 of the
 decoded bits and the `FodCounter.per_level` counts that the decoder gave
 before the decode walk was blocked and stacked.  rm83_mfp was restated
-once, when first-order decoding began to tie spectrum magnitudes that agree
-to within TIE_RTOL; rm63_min_sum was restated then too, before it was
-deleted with the min-sum projection.  Any change to the arithmetic of
-projection, first-order decoding or aggregation shows here.
+twice.  The first time, first-order decoding began to tie spectrum
+magnitudes that agree to within TIE_RTOL; rm63_min_sum was restated then
+too, before it was deleted with the min-sum projection.  The second time,
+the walk began to run in float32, with the float32 tie band of 64 eps
+(7.6e-6): one bit moved, bit 45 of row 1, the +-45 row clamped to +-30.  In
+the top decoder's second iteration a 64-point first-order decoding below it
+has two spectrum magnitudes 3.9e-6 apart, relative (68.95854 and 68.95827
+in float64).  float64 takes the larger; in float32 they tie and the
+smaller index wins, and the bit's final LLR goes from 0.424 to -0.032.
+Any change to the arithmetic of projection, first-order decoding or
+aggregation shows here.
 
 Run this file as a script to rewrite the corpus with the current decoder:
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import boxplus, fht_butterfly, ml_decode_oracle
 from rmpa import CodeParams, FodCounter, fht, fht_decode
-from rmpa.fod import TIE_RTOL
+from rmpa.fod import TIE_RTOL, TIE_RTOL_FLOAT32
 
 
 def naive_wht(values):
@@ -52,8 +52,9 @@ def test_fht_involution(m, seed):
 
 
 def butterfly(values):
-    """The reference transform along the last axis."""
-    x = np.asarray(values, dtype=np.float64)
+    """The reference transform along the last axis, in values' float
+    dtype."""
+    x = np.asarray(values)
     return np.moveaxis(fht_butterfly(np.moveaxis(x, -1, 0)), 0, -1)
 
 
@@ -116,13 +117,13 @@ def test_fht_decode_tie_rule():
     assert fht_decode(llr).tolist() == [0, 0, 0, 0]
 
 
-def tie_band_decode(rows):
+def tie_band_decode(rows, band=TIE_RTOL):
     """fht_decode's rule on the butterfly spectrum: a* is the smallest a
-    with |W[a]| within TIE_RTOL of max|W|."""
+    with |W[a]| within band of max|W|."""
     w = butterfly(rows)
     mag = np.abs(w)
     a_star = np.argmax(mag >= mag.max(axis=1, keepdims=True)
-                       * (1 - TIE_RTOL), axis=1)
+                       * (1 - band), axis=1)
     z = np.arange(rows.shape[1])
     bits = np.array([[bin(a & zz).count("1") % 2 for zz in z]
                      for a in a_star], dtype=np.uint8)
@@ -143,6 +144,21 @@ def test_ties_at_rounding_level_go_to_the_smallest_index(m):
     assert np.array_equal(fht_decode(rows), tie_band_decode(rows))
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 7, 9, 11])
+def test_float32_ties_at_rounding_level_go_to_the_smallest_index(m):
+    # the float32 rows of the walk: every |W[a]| is a multiple of the
+    # float32 v, and the float32 band catches the rounding of equal ones
+    rows = saturated_rows(m, 400 if m < 9 else 40, seed=m).astype(np.float32)
+    assert np.array_equal(fht_decode(rows),
+                          tie_band_decode(rows, TIE_RTOL_FLOAT32))
+
+
+def test_the_float32_band_is_sized_from_float32_eps():
+    eps = np.finfo(np.float32).eps
+    assert TIE_RTOL == 1e-12
+    assert 16 * eps <= TIE_RTOL_FLOAT32 <= 128 * eps
+
+
 def test_decoded_bits_do_not_depend_on_the_batch_size():
     # BLAS may pick another kernel, and sum in another order, per shape
     rng = np.random.default_rng(8)
@@ -152,6 +168,19 @@ def test_decoded_bits_do_not_depend_on_the_batch_size():
     rows[::5] = np.round(rows[::5])
     whole = fht_decode(rows)
     assert len(whole) == 2016
+    for size in (1, 7, 127):
+        parts = [fht_decode(rows[i:i + size])
+                 for i in range(0, len(rows), size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_float32_decoded_bits_do_not_depend_on_the_batch_size():
+    rng = np.random.default_rng(8)
+    rows = np.concatenate([saturated_rows(6, 1000, seed=9),
+                           rng.normal(size=(1016, 64)) * 3])
+    rows[::5] = np.round(rows[::5])
+    rows = rows.astype(np.float32)
+    whole = fht_decode(rows)
     for size in (1, 7, 127):
         parts = [fht_decode(rows[i:i + size])
                  for i in range(0, len(rows), size)]
