@@ -19,7 +19,7 @@ first-order codeword from the same form, which is zero on the span.  The
 decoded bits are therefore those of decoding every path on its own, bar a
 spectrum tie broken differently in another pair's coordinates.  Decoders
 whose inner decoder is first-order build the signs of their aggregation
-from the decoded forms, as rows of the signed Hadamard table.
+from the decoded forms, as rows of the form table of rmpa.fod.
 
 The walk runs in float32 (WALK_DTYPE): decode and decode_batch clamp the
 LLRs and cast them once, and every projection, first-order decoding,
@@ -42,8 +42,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .codes import CodeParams, _is_int
-from .fod import (FodCounter, _hadamard, _hadamard_bits, float_array,
-                  fht_decode)
+from .fod import (FodCounter, _form_rows, _read_only, float_array, fht_decode,
+                  form_bits)
 from .geometry import (aggregate, clamp_llr, coset_signs, project_llr,
                        stack_coset_maps)
 
@@ -156,13 +156,20 @@ _keep_freed_memory()
 DECODERS = {
     "rpa": ((), lambda: (1, 1, 1)),
     "srpa": (("q",), lambda q: (q, 1, 1)),
-    "rpa_sch": (("d",), lambda d: (1, 1 / Fraction(d), 1)),
+    "rpa_sch": (("d",), lambda d: (1, 1 / _decay(d), 1)),
     "mfp": (FACTORS, lambda gamma, delta_itr, delta_rec:
             (gamma, delta_itr, delta_rec)),
     "schedule": (("schedule",), lambda schedule: (1, 1, 1)),
 }
 # keys that go with every decoder
 SHARED_KEYS = ("n_max", "early_stop_theta")
+
+
+def _decay(d) -> Fraction:
+    """The rpa_sch decay d, at least 1 so that delta_itr = 1/d is a factor."""
+    if Fraction(d) < 1:
+        raise ValueError("d must be at least 1")
+    return Fraction(d)
 
 
 def preset(name: str | None = None, **keys) -> PruningConfig:
@@ -196,7 +203,7 @@ def preset(name: str | None = None, **keys) -> PruningConfig:
         raise ValueError(f"{name} takes numbers, not booleans, for {flags}")
     try:
         triple = [Fraction(x) for x in factors(**given)]
-    except (ArithmeticError, TypeError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise ValueError(f"bad {name} parameters {given}: {exc}") from exc
     return PruningConfig(*triple, explicit_schedule=given.get("schedule"),
                          **keys)
@@ -275,8 +282,7 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     return compile_level(params.m, params.r, cfg.gamma)
 
 
-# A form f = b + 2^m * u0 names the first-order codeword u0 ^ <b, z> on
-# F_2^m, and is row f of the signed Hadamard table [H; -H] of m bits.
+# A form f = b + 2^m * u0 names the codeword u0 ^ <b, z> (rmpa.fod).
 
 
 def _parities() -> np.ndarray:
@@ -308,56 +314,11 @@ def _compress(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     return ((f >> 1) & ~low) | (f & low)
 
 
-def _read_only(*arrays) -> tuple:
-    """arrays, made read-only: caches hand them to every caller."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=128)
 def _top_bits(indices: tuple) -> tuple:
     """indices as an array, and the top bit of each."""
     i = np.array(indices, dtype=np.intp)
     return _read_only(i, np.frexp(i)[1].astype(np.intp) - 1)
-
-
-def _decoded_forms(bits: np.ndarray) -> np.ndarray:
-    """The forms of the first-order codewords that fht_decode returned, a
-    (rows, 2^m) bit stack: u0 is the bit at z = 0, and bit p of b is the
-    bit at z = 2^p xor u0."""
-    m = bits.shape[-1].bit_length() - 1
-    powers = 1 << np.arange(m + 1)
-    # the bits at z = 2^p for p < m, then at z = 0
-    read = bits[:, powers % (1 << m)]
-    read[:, :m] ^= read[:, m:]
-    return (read @ powers.astype(np.float64)).astype(np.intp)
-
-
-# largest m whose signed Hadamard table, 2^(2m + 1) entries, is kept whole
-SIGN_TABLE_M = 8
-
-
-@lru_cache(maxsize=None)
-def _signed_hadamard(m: int, dtype=np.float64) -> np.ndarray:
-    """[H; -H] of m bits in dtype: row b + 2^m * u0 is (-1)^(u0 ^ <b, z>)."""
-    bits = _hadamard_bits(m)
-    return _read_only((1.0 - 2.0 * np.concatenate([bits, bits ^ 1]))
-                      .astype(dtype))[0]
-
-
-def _form_signs(forms: np.ndarray, m: int, dtype=np.float64) -> np.ndarray:
-    """The signs (-1)^(u0 ^ <b, z>) of the forms, for z in [0, 2^m), shape
-    forms.shape + (2^m,), in dtype, that of the LLRs they will sign.  Above
-    SIGN_TABLE_M bits a row is the outer product of a row over the high
-    bits of z and one over the low bits."""
-    low = min(m, SIGN_TABLE_M)
-    if low == m:
-        return np.take(_signed_hadamard(m, dtype), forms, axis=0)
-    high = _form_signs(forms >> low, m - low, dtype)
-    signs = np.take(_hadamard(low, dtype), forms & ((1 << low) - 1), axis=0)
-    return (high[..., :, None] * signs[..., None, :]).reshape(
-        forms.shape + (-1,))
 
 
 @lru_cache(maxsize=128)
@@ -418,8 +379,8 @@ def _shared_forms(m: int, outer: tuple, inner: tuple, proj: np.ndarray,
         offset = (t * half)[:, None]
         quotients = SimpleNamespace(reps=offset + maps.reps[s],
                                     partners=offset + maps.partners[s])
-        bits = fht_decode(project_llr(flat, quotients).reshape(-1, quarter))
-        forms = _decoded_forms(bits).reshape(rows, len(t))
+        forms = fht_decode(project_llr(flat, quotients).reshape(
+            -1, quarter)).reshape(rows, len(t))
         lifted[:, start:start + width] = _lift(_lift(forms, hj[s], j[s]),
                                                h[t], i[t])
     if counter is not None:
@@ -440,7 +401,7 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
     first-order inputs within BLOCK_BYTES, and at least one.  Each block
     runs every iteration before the next block starts."""
     if not node.steps:
-        return fht_decode(llr, counter), 0, False
+        return form_bits(fht_decode(llr, counter), node.m), 0, False
     rows = max(1, BLOCK_BYTES // node.row_bytes)
     if len(llr) > rows:
         return np.concatenate([
@@ -455,13 +416,11 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
         # the projections are freed before the signs are built; a level-2
         # inner decoder starts from the forms of its first iteration
         if forms is None and not inner.steps:
-            bits = fht_decode(project_llr(llr, cmap).reshape(-1, half),
-                              counter)
             i, h = _top_bits(indices)
-            forms = _lift(_decoded_forms(bits).reshape(len(llr), len(i)),
-                          h, i)
+            forms = _lift(fht_decode(project_llr(llr, cmap).reshape(
+                -1, half), counter).reshape(len(llr), len(i)), h, i)
         if forms is not None:
-            signs = _form_signs(forms, node.m, llr.dtype)
+            signs = _form_rows(forms, node.m, llr.dtype)
         else:
             proj = project_llr(llr, cmap)
             first, below = inner.steps[0]

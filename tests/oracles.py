@@ -3,8 +3,9 @@
 None of these is on a decoding path: an exhaustive ML decoder, the code's
 membership test, single coset maps, hard projections, the logaddexp form
 of the soft projection, the butterfly form of the Walsh-Hadamard transform,
-the per-path decode walk, the decode walk in float64, the frame-by-frame
-channel, and a z-test for comparing two frame error rates.
+the codeword bits of first-order decodings, the per-path decode walk, the
+decode walk in float64, the frame-by-frame channel, and a z-test for
+comparing two frame error rates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from rmpa.channel import ChannelConfig, llr_from_channel
 from rmpa.codes import CodeParams, build_generator, encode
 from rmpa.decoder import (BLOCK_BYTES, WALK_DTYPE, _stacked_maps, _walk,
                           check_convergence, decode_plan)
-from rmpa.fod import float_array, fht_decode
+from rmpa.fod import float_array, fht_decode, form_bits
 from rmpa.geometry import (LLR_CLAMP, aggregate, clamp_llr, coset_signs,
                            project_llr)
 
@@ -133,6 +134,13 @@ def fht_butterfly(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def fod_bits(l: np.ndarray) -> np.ndarray:
+    """The codewords that rmpa.fht_decode decodes from the vectors along
+    the last axis of l, as bits: form_bits of its forms."""
+    n = np.shape(l)[-1]
+    return form_bits(fht_decode(l), n.bit_length() - 1)
+
+
 def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
     """Decode a (batch, 2^m) stack along the plan node, every path on its
     own: each inner decoder projects and decodes its own inputs, and every
@@ -143,7 +151,7 @@ def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
     once and builds first-order signs from the decoded form, is checked
     against."""
     if not node.steps:
-        return fht_decode(llr), 0, False
+        return fod_bits(llr), 0, False
     rows = max(1, BLOCK_BYTES // node.row_bytes)
     if len(llr) > rows:
         return np.concatenate([

@@ -14,7 +14,8 @@ from oracles import (build_coset_map, enumerate_codewords, in_row_space_batch,
                      project_hard, two_proportion_pvalue)
 from rmpa import (CodeParams, FodCounter, SimConfig, analytic_fod_count,
                   binomial_ci, build_generator, csv_string, decode,
-                  explicit_schedule_config, fht_decode, preset, run_sweep)
+                  explicit_schedule_config, fht_decode, form_bits, preset,
+                  run_sweep)
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
@@ -125,7 +126,7 @@ def test_criterion_6_first_order_decoder_is_ml():
         words = enumerate_codewords(p)
         signs = 1.0 - 2.0 * words
         llrs = rng.normal(size=(10 ** 4, p.n))
-        got = fht_decode(llrs)
+        got = form_bits(fht_decode(llrs), m)
         best = np.argmax(llrs @ signs.T, axis=1)
         mismatches += int(np.sum(np.any(got != words[best], axis=1)))
         trials += llrs.shape[0]

@@ -166,6 +166,17 @@ def test_rpa_sch_with_d_0_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("d", ["0.5", "-3", "1e-320"])
+def test_rpa_sch_with_d_below_1_names_d(capsys, d):
+    # 1/d would be a delta_itr above 1; 1e-320 is a fraction hundreds of
+    # digits long
+    code, out, err = run_cli(capsys, "fods", "--m", "3", "--r", "2",
+                             "--preset", "rpa_sch", "--d", d)
+    assert (code, out) == (2, "")
+    assert f"{{'d': {float(d)}}}: d must be at least 1" in err
+    assert len(err) < 100
+
+
 def test_simulate_unknown_decoder_key_exits_2(tmp_path, capsys):
     spec = make_spec(tmp_path, decoder={"preset": "rpa", "gama": "2/3"})
     code, _, err = run_cli(capsys, "simulate", "--spec", spec)

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (enumerate_codewords, in_row_space_batch, is_codeword,
-                     ml_decode_oracle)
-from rmpa import CodeParams, build_generator, encode, fht_decode
+from oracles import (enumerate_codewords, fod_bits, in_row_space_batch,
+                     is_codeword, ml_decode_oracle)
+from rmpa import CodeParams, build_generator, encode
 
 
 def build_generator_recursive(params: CodeParams) -> np.ndarray:
@@ -200,7 +200,7 @@ def test_ml_oracle_matches_fht_on_first_order():
     rng = np.random.default_rng(1)
     for _ in range(50):
         llr = rng.normal(size=8)
-        assert np.array_equal(ml_decode_oracle(llr, p), fht_decode(llr))
+        assert np.array_equal(ml_decode_oracle(llr, p), fod_bits(llr))
 
 
 def test_ml_oracle_cap():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import build_coset_map, is_codeword, ml_decode_oracle
+from oracles import build_coset_map, fod_bits, is_codeword, ml_decode_oracle
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_generator, check_convergence, decode, decode_batch,
                   decode_plan, encode, explicit_schedule_config, fht,
@@ -398,7 +398,7 @@ def test_decode_first_order_is_fht():
     p = CodeParams(4, 1)
     llr = np.random.default_rng(1).normal(size=16)
     res = decode(llr, p, preset("rpa"))
-    assert np.array_equal(res.codeword, fht_decode(llr))
+    assert np.array_equal(res.codeword, fod_bits(llr))
     assert res.fods.total == 1
     assert is_codeword(res.codeword, p)
 
@@ -491,7 +491,7 @@ def test_decode_batch_matches_per_frame():
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
 def test_block_size_changes_no_result(block_bytes, monkeypatch):
-    # the default budget splits RM(7,2) RPA into blocks of 16 frames
+    # the default budget splits RM(7,2) RPA into blocks of 32 frames
     p = CodeParams(7, 2)
     llrs = np.random.default_rng(7).normal(size=(70, p.n)) * 2
     default = FodCounter()
@@ -579,7 +579,7 @@ def textbook_rpa_order2(llr, m, n_max):
         accu = np.zeros_like(level)
         for i in range(1, n):
             cm = build_coset_map(m, i)
-            chat = fht_decode(project_llr(level, cm))
+            chat = fod_bits(project_llr(level, cm))
             accu += (1.0 - 2.0 * chat[cm.coset_of]) * level[cm.partner_of]
         level = clamp_llr(accu / (n - 1))
     return (level < 0).astype(np.uint8)

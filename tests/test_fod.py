@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boxplus, fht_butterfly, ml_decode_oracle
-from rmpa import CodeParams, FodCounter, fht, fht_decode
+from oracles import boxplus, fht_butterfly, fod_bits, ml_decode_oracle
+from rmpa import CodeParams, FodCounter, fht, fht_decode, form_bits
 from rmpa.fod import TIE_RTOL, TIE_RTOL_FLOAT32
 
 
@@ -59,7 +59,7 @@ def butterfly(values):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 12), st.lists(st.integers(1, 3), max_size=2),
+@given(st.integers(0, 14), st.lists(st.integers(1, 3), max_size=2),
        st.integers(0, 2 ** 31 - 1))
 def test_fht_matches_the_butterfly(m, lead, seed):
     rng = np.random.default_rng(seed)
@@ -82,12 +82,12 @@ def test_fht_rejects_non_power_of_two():
 
 
 def test_fht_decode_all_positive():
-    out = fht_decode(np.full(8, 10.0))
+    out = fod_bits(np.full(8, 10.0))
     assert np.all(out == 0)
 
 
 def test_fht_decode_single_linear_form():
-    out = fht_decode(np.array([5.0, 5.0, -5.0, -5.0]))
+    out = fod_bits(np.array([5.0, 5.0, -5.0, -5.0]))
     assert out.tolist() == [0, 0, 1, 1]
 
 
@@ -96,7 +96,7 @@ def test_fht_decode_matches_ml_oracle():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         llr = rng.normal(size=8)
-        assert np.array_equal(fht_decode(llr), ml_decode_oracle(llr, p))
+        assert np.array_equal(fod_bits(llr), ml_decode_oracle(llr, p))
 
 
 def test_fht_decode_correlation_is_spectrum_max():
@@ -104,7 +104,7 @@ def test_fht_decode_correlation_is_spectrum_max():
     for m in (2, 3, 4):
         for _ in range(50):
             llr = rng.normal(size=2 ** m)
-            c = fht_decode(llr)
+            c = fod_bits(llr)
             corr = np.dot(1.0 - 2.0 * c, llr)
             assert corr == pytest.approx(np.max(np.abs(fht(llr))), rel=1e-12)
 
@@ -114,7 +114,7 @@ def test_fht_decode_tie_rule():
     llr = np.array([1.0, 1.0, 0.0, 0.0])
     w = fht(llr)
     assert np.abs(w).max() == w[0] == w[2]
-    assert fht_decode(llr).tolist() == [0, 0, 0, 0]
+    assert fod_bits(llr).tolist() == [0, 0, 0, 0]
 
 
 def tie_band_decode(rows, band=TIE_RTOL):
@@ -141,7 +141,7 @@ def saturated_rows(m, count, seed):
 @pytest.mark.parametrize("m", [2, 4, 6, 7])
 def test_ties_at_rounding_level_go_to_the_smallest_index(m):
     rows = saturated_rows(m, 400, seed=m)
-    assert np.array_equal(fht_decode(rows), tie_band_decode(rows))
+    assert np.array_equal(fod_bits(rows), tie_band_decode(rows))
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 7, 9, 11])
@@ -149,8 +149,27 @@ def test_float32_ties_at_rounding_level_go_to_the_smallest_index(m):
     # the float32 rows of the walk: every |W[a]| is a multiple of the
     # float32 v, and the float32 band catches the rounding of equal ones
     rows = saturated_rows(m, 400 if m < 9 else 40, seed=m).astype(np.float32)
-    assert np.array_equal(fht_decode(rows),
+    assert np.array_equal(fod_bits(rows),
                           tie_band_decode(rows, TIE_RTOL_FLOAT32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_decoded_forms_name_the_tie_band_codewords(m, dtype):
+    # Gaussian rows and +-v rows, whose spectra tie at rounding level
+    count = max(8, 2048 >> m)
+    rng = np.random.default_rng(m)
+    rows = np.concatenate([rng.normal(size=(count, 2 ** m)) * 3,
+                           saturated_rows(m, count, seed=m)]).astype(dtype)
+    band = TIE_RTOL_FLOAT32 if dtype == np.float32 else TIE_RTOL
+    forms = fht_decode(rows)
+    assert forms.shape == (2 * count, 1)
+    assert np.array_equal(form_bits(forms, m), tie_band_decode(rows, band))
+    stacked = fht_decode(rows.reshape(2, count, 2 ** m))
+    assert np.array_equal(stacked, forms.reshape(2, count, 1))
+    for row in rows[::count]:
+        assert np.array_equal(fht_decode(row), fht_decode(row[None])[0])
+        assert fht_decode(row).shape == (1,)
 
 
 def test_the_float32_band_is_sized_from_float32_eps():
@@ -214,22 +233,22 @@ def test_batched_decode_matches_single():
 
 
 def test_decoded_rows_past_the_whole_hadamard_table(monkeypatch):
-    # above HADAMARD_TABLE_M bits a row is built from two smaller tables
+    # above FORM_TABLE_M bits a row is built from two smaller tables
     rng = np.random.default_rng(5)
     llrs = {m: rng.normal(size=(20, 2 ** m)) for m in (3, 5, 7)}
-    expected = {m: fht_decode(x) for m, x in llrs.items()}
-    monkeypatch.setattr("rmpa.fod.HADAMARD_TABLE_M", 2)
+    expected = {m: fod_bits(x) for m, x in llrs.items()}
+    monkeypatch.setattr("rmpa.fod.FORM_TABLE_M", 2)
     for m, x in llrs.items():
-        assert np.array_equal(fht_decode(x), expected[m])
+        assert np.array_equal(fod_bits(x), expected[m])
 
 
 def test_fht_decode_memory_stays_linear_in_n():
     llr = np.random.default_rng(6).normal(size=2 ** 14)
     tracemalloc.start()
     try:
-        bits = fht_decode(llr)
+        bits = fod_bits(llr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert np.array_equal(bits, fht_decode(llr[None, :])[0])
+    assert np.array_equal(bits, fod_bits(llr[None, :])[0])

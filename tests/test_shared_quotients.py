@@ -15,9 +15,9 @@ from oracles import decode_per_path
 from rmpa import (CodeParams, FodCounter, analytic_fod_count, coset_signs,
                   decode, decode_batch, decode_plan, executed_fod_count,
                   preset, stack_coset_maps)
-from rmpa import decoder
+from rmpa import decoder, fod
 from rmpa.cli import main
-from rmpa.fod import _hadamard_bits
+from rmpa.fod import _form_table, form_bits
 
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
 
@@ -30,9 +30,9 @@ def decoded_rows(monkeypatch):
     original = decoder.fht_decode
 
     def counting(llr, counter=None):
-        bits = original(llr, counter)
-        rows.append(np.atleast_2d(bits).shape[0])
-        return bits
+        forms = original(llr, counter)
+        rows.append(np.atleast_2d(forms).shape[0])
+        return forms
 
     monkeypatch.setattr(decoder, "fht_decode", counting)
     return rows
@@ -169,19 +169,22 @@ def test_one_quotient_per_block_changes_no_bit(monkeypatch):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_form_signs_equal_the_coset_gather(m, table_m, seed):
     # a first-order codeword decoded from each projection onto every
-    # subspace: the rows of [H; -H] are the signs aggregate gathers through
-    # the coset maps, split into high and low bits above SIGN_TABLE_M
+    # subspace: the rows of the form table are its bits and the signs
+    # aggregate gathers through the coset maps, split into high and low
+    # bits above FORM_TABLE_M
     n = 1 << m
     rng = np.random.default_rng(seed)
     indices = tuple(range(1, n))
     a = rng.integers(0, n // 2, (2, n - 1))
     u0 = rng.integers(0, 2, (2, n - 1))
-    chat = _hadamard_bits(m - 1)[a] ^ u0[..., None].astype(np.uint8)
+    decoded = a + (n // 2) * u0
+    chat = _form_table(m - 1, np.uint8)[decoded]
     cmap = stack_coset_maps(m, indices)
     i, h = decoder._top_bits(indices)
-    forms = decoder._decoded_forms(chat.reshape(-1, n // 2).astype(np.uint8))
-    forms = decoder._lift(forms.reshape(2, n - 1), h, i)
+    forms = decoder._lift(decoded, h, i)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(decoder, "SIGN_TABLE_M", table_m)
-        signs = decoder._form_signs(forms, m)
+        patch.setattr(fod, "FORM_TABLE_M", table_m)
+        bits = form_bits(decoded[..., None], m - 1)
+        signs = fod._form_rows(forms, m, np.float64)
+    assert np.array_equal(bits, chat)
     assert np.array_equal(signs, coset_signs(cmap, chat))

@@ -12,11 +12,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import decode_float64
+from oracles import decode_float64, fod_bits
 from rmpa import (LLR_CLAMP, CodeParams, aggregate,
                   build_generator, coset_signs, decode, decode_batch, encode,
                   fht, fht_decode, preset, project_llr, stack_coset_maps)
-from rmpa import decoder
+from rmpa import decoder, fod
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.fod import TIE_RTOL_FLOAT32
 from test_decode_corpus import (BATCH_CASES, CORPUS, EARLY_STOP_CASES,
@@ -39,16 +39,21 @@ def test_each_kernel_computes_in_its_input_dtype(dtype, monkeypatch):
     assert signs.dtype == dtype
     assert aggregate(l, cmap, signs).dtype == dtype
     forms = rng.integers(0, 2 * n, size=(3, 3))
-    whole = decoder._form_signs(forms, m, dtype)
+    whole = fod._form_rows(forms, m, dtype)
     assert whole.dtype == dtype
-    # past the whole sign table the split tables keep the dtype too
-    monkeypatch.setattr(decoder, "SIGN_TABLE_M", 2)
-    split = decoder._form_signs(forms, m, dtype)
+    # past the whole form table the split tables keep the dtype too
+    monkeypatch.setattr(fod, "FORM_TABLE_M", 2)
+    split = fod._form_rows(forms, m, dtype)
     assert split.dtype == dtype
     assert np.array_equal(split, whole)
     spectra = []
-    monkeypatch.setattr("rmpa.fod.fht", lambda x: spectra.append(
-        x.dtype) or fht(x))
+    original = fod._spectra
+
+    def spying(batch):
+        spectra.append(original(batch).dtype)
+        return original(batch)
+
+    monkeypatch.setattr(fod, "_spectra", spying)
     fht_decode(l)
     assert spectra == [dtype]
 
@@ -89,7 +94,7 @@ def test_the_tie_band_is_per_dtype(dtype, ties):
     assert np.argmax(np.abs(fht(llr))) == 1
     a_star = 0 if ties else 1
     want = [bin(a_star & z).count("1") % 2 for z in range(4)]
-    assert fht_decode(llr).tolist() == want
+    assert fod_bits(llr).tolist() == want
 
 
 @pytest.fixture
