@@ -44,8 +44,9 @@ import numpy as np
 from .codes import CodeParams, _is_int
 from .fod import (FodCounter, _form_rows, _read_only, float_array, fht_decode,
                   form_bits)
-from .geometry import (aggregate, clamp_llr, coset_signs, project_llr,
-                       stack_coset_maps)
+from .geometry import (CosetMap, aggregate, clamp_llr, coset_signs,
+                       coset_table, drop_bit, insert_zero_bit, project_llr,
+                       top_bits)
 
 FACTORS = ("gamma", "delta_itr", "delta_rec")
 
@@ -109,7 +110,7 @@ class DecodeResult:
 class DecodePlan:
     """One decode of RM(m, r) under a PruningConfig, fixed in advance.
 
-    steps holds one (kept subspace indices, plan of RM(m-1, r-1)) pair per
+    steps holds one (range of kept subspaces, plan of RM(m-1, r-1)) pair per
     iteration; it is empty at r == 1, where a decode is one FHT.  fods is
     the first-order-decoding cost of one decode with early stopping off;
     row_bytes is the size, in WALK_DTYPE, of the first-order inputs that
@@ -218,12 +219,12 @@ def explicit_schedule_config(counts, r: int, **kwargs) -> PruningConfig:
     return preset(schedule=counts, **kwargs)
 
 
-def select_projection_indices(n: int, np_: int) -> list:
+def select_projection_indices(n: int, np_: int) -> range:
     """np_ subspace indices uniformly strided over [1, n-1]."""
     if not 1 <= np_ <= n - 1:
         raise ValueError(f"projection count {np_} outside [1, {n - 1}]")
     stride = (n - 1) // np_
-    return [t * stride + 1 for t in range(np_)]
+    return range(1, np_ * stride + 1, stride)
 
 
 def check_convergence(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> bool:
@@ -236,10 +237,14 @@ def check_convergence(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> boo
     return bool(np.all(np.abs(l_new - l_old) < theta * np.abs(l_old)))
 
 
-# Walks that keep the same subspaces, in one decode or under equal configs,
-# share one stack of maps: a full-RPA stack holds 24 n^2 bytes.  Plans hold
-# only the indices, so compiling or counting a plan builds no stack.
-_stacked_maps = lru_cache(maxsize=128)(stack_coset_maps)
+# The kept subspaces are strided, so their maps are views of the one coset
+# table of m; plans hold only the ranges, so compiling one builds no table.
+@lru_cache(maxsize=128)
+def _stacked_maps(m: int, indices: range) -> CosetMap:
+    return coset_table(m)[indices.start - 1:indices.stop - 1:indices.step]
+
+
+_top_bits = lru_cache(maxsize=128)(top_bits)
 
 
 @lru_cache(maxsize=64)
@@ -271,7 +276,7 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
             g_j = g * cfg.delta_itr ** (j - 1)
             count = (schedule[params.r - r] if schedule is not None else
                      math.ceil(g_j * cfg.delta_rec ** (r - 2) * (n - 1)))
-            indices = tuple(select_projection_indices(n, count))
+            indices = select_projection_indices(n, count)
             steps.append((indices, compile_level(m - 1, r - 1, g_j)))
         return DecodePlan(
             m=m, steps=tuple(steps),
@@ -301,28 +306,13 @@ def _lift(f: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
     """The forms f on F_2^m as forms on F_2^(m+1) that are zero on i, whose
     top bit is h: f with a 0 inserted at bit h, so that it is unchanged on
     the z with bit h clear (the coset representatives of {0, i}), then bit
-    h set where that makes it orthogonal to i.  i = 0 only inserts the 0."""
-    low = (1 << h) - 1
-    b = ((f & ~low) << 1) | (f & low)
+    h set where that makes it orthogonal to i."""
+    b = insert_zero_bit(f, h)
     return b | (_PARITY.take(b & i) << h)
 
 
-def _compress(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The forms f on F_2^(m+1) read on the z with bit h clear, as forms on
-    F_2^m: f with bit h dropped."""
-    low = (1 << h) - 1
-    return ((f >> 1) & ~low) | (f & low)
-
-
 @lru_cache(maxsize=128)
-def _top_bits(indices: tuple) -> tuple:
-    """indices as an array, and the top bit of each."""
-    i = np.array(indices, dtype=np.intp)
-    return _read_only(i, np.frexp(i)[1].astype(np.intp) - 1)
-
-
-@lru_cache(maxsize=128)
-def _shared_quotients(m: int, outer: tuple, inner: tuple) -> tuple:
+def _shared_quotients(m: int, outer: range, inner: range) -> tuple:
     """Which first-order decodings of a level-3 node's iteration repeat.
 
     Pair (t, s) projects onto i = outer[t], whose top bit is h, and then
@@ -332,7 +322,7 @@ def _shared_quotients(m: int, outer: tuple, inner: tuple) -> tuple:
     span among them."""
     i, h = _top_bits(outer)
     i, h = i[:, None], h[:, None]
-    v = _lift(_top_bits(inner)[0], h, 0)
+    v = insert_zero_bit(_top_bits(inner)[0], h)
     w = i ^ v
     # two of a span's three nonzero members name it
     span = (np.minimum(np.minimum(i, v), w) << m) | np.maximum(
@@ -346,7 +336,7 @@ def _shared_quotients(m: int, outer: tuple, inner: tuple) -> tuple:
     return _read_only(canon_t, canon_s, rank[alias].reshape(span.shape))
 
 
-def _shared_forms(m: int, outer: tuple, inner: tuple, proj: np.ndarray,
+def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
                   counter: FodCounter | None) -> np.ndarray:
     """The forms that the first iteration of the level-2 decoders below a
     level-3 node decodes, shape (rows * k_i, k_j): those of the projections
@@ -385,8 +375,8 @@ def _shared_forms(m: int, outer: tuple, inner: tuple, proj: np.ndarray,
                                                h[t], i[t])
     if counter is not None:
         counter.record(m - 2, rows * k * len(inner))
-    return _compress(lifted[:, alias], h[:, None]).reshape(rows * k,
-                                                          len(inner))
+    return drop_bit(lifted[:, alias], h[:, None]).reshape(rows * k,
+                                                         len(inner))
 
 
 def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,

@@ -2,7 +2,7 @@
 
 Coordinates are indexed by integers z in [0, 2^m); the subspace B_i = {0, i}
 partitions the index set into n/2 cosets {z, z^i}, ordered by their canonical
-representative min(z, z^i).
+representative min(z, z^i), whose bit h (the top bit of i) is clear.
 
 project_llr, coset_signs and aggregate compute in the LLRs' float dtype
 (rmpa.fod.float_array): float32, as the decode walk runs, stays float32,
@@ -12,10 +12,11 @@ and anything else is float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .fod import float_array
+from .fod import _read_only, float_array
 
 # Natural-log LLR saturation.  Beyond exp(-30) the error probabilities are
 # numerically irrelevant at the simulated SNRs, and the projection's
@@ -29,42 +30,51 @@ LLR_CLAMP = 30.0
 class CosetMap:
     """Coset structure of B_i = {0, i} inside F_2^m.
 
-    A stack of k maps (see stack_coset_maps) has i as a tuple and a leading
-    axis of length k on every array, and numbers the cosets of map t from
-    t*n/2, so a (..., k, n/2) stack of coset values flattens to one axis
-    that coset_of indexes."""
+    A stack of k maps (see stack_coset_maps) has a leading axis of length k
+    on every array, and each map numbers its own cosets from 0, so that any
+    row slice of a stack is a stack: map[a:b:s] holds views."""
 
-    m: int
-    i: int | tuple
     reps: np.ndarray      # canonical representatives, ascending (n/2,)
     partners: np.ndarray  # reps ^ i (n/2,)
     coset_of: np.ndarray  # coordinate z -> coset index (n,)
     partner_of: np.ndarray  # coordinate z -> z ^ i (n,)
+
+    def __getitem__(self, rows: slice) -> CosetMap:
+        return CosetMap(*(a[rows] for a in vars(self).values()))
+
+
+def top_bits(indices) -> tuple:
+    """indices as an array, and the top bit of each; read-only."""
+    i = np.array(indices, dtype=np.intp)
+    return _read_only(i, np.frexp(i)[1].astype(np.intp) - 1)
+
+
+def insert_zero_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return z + (z >> h << h)
+
+
+def drop_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return (z >> (h + 1) << h) | (z & ((1 << h) - 1))
 
 
 def stack_coset_maps(m: int, indices) -> CosetMap:
     """The coset maps of the subspaces in indices, stacked along a first
     axis; the arrays are read-only."""
     n = 1 << m
-    i = np.array(indices, dtype=np.intp).reshape(-1, 1)
+    i, h = top_bits(indices)
     if i.size == 0 or not np.all((1 <= i) & (i <= n - 1)):
         raise ValueError(f"subspace indices must be in [1, {n - 1}], "
                          f"got {list(indices)}")
-    z = np.arange(n)
-    partner_of = z ^ i
-    # each row keeps its n/2 coordinates below their partner, ascending
-    reps = np.broadcast_to(z, partner_of.shape)[z < partner_of].reshape(
-        len(i), n // 2)
-    partners = reps ^ i
-    cosets = np.arange(i.size * (n // 2)).reshape(reps.shape)
-    coset_of = np.empty_like(partner_of)
-    np.put_along_axis(coset_of, reps, cosets, axis=1)
-    np.put_along_axis(coset_of, partners, cosets, axis=1)
-    for a in (reps, partners, coset_of, partner_of):
-        a.setflags(write=False)
-    return CosetMap(m=m, i=tuple(i.ravel().tolist()), reps=reps,
-                    partners=partners, coset_of=coset_of,
-                    partner_of=partner_of)
+    i, h, z = i.reshape(-1, 1), h.reshape(-1, 1), np.arange(n)
+    reps, partner_of = insert_zero_bit(z[:n // 2], h), z ^ i
+    return CosetMap(*_read_only(reps, reps ^ i, drop_bit(
+        np.minimum(z, partner_of), h), partner_of))
+
+
+@lru_cache(maxsize=None)
+def coset_table(m: int) -> CosetMap:
+    """All n - 1 maps of F_2^m, 24 n (n - 1) bytes; map i is row i - 1."""
+    return stack_coset_maps(m, range(1, 1 << m))
 
 
 def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
@@ -109,14 +119,15 @@ def coset_signs(cmap: CosetMap, chat: np.ndarray,
     (..., k, n/2) of the k stacked maps of cmap; float32 if dtype is, the
     dtype of the LLRs they will sign, else float64."""
     chat = np.asarray(chat)
-    if chat.shape[-2:] != cmap.reps.shape:
+    k, half = cmap.reps.shape
+    if chat.shape[-2:] != (k, half):
         raise ValueError(f"decoded bits of shape {chat.shape} do not match "
-                         f"{len(cmap.i)} projections of length "
-                         f"{cmap.reps.shape[-1]}")
-    flat = chat.reshape(chat.shape[:-2] + (cmap.reps.size,))
-    # the signs of the n/2 cosets per map, then one gather to coordinates
+                         f"{k} projections of length {half}")
+    flat = chat.reshape(chat.shape[:-2] + (k * half,))
+    # the signs of the cosets, map t's from t * n/2, gathered to coordinates
     sign = _SIGN[np.float32 if dtype == np.float32 else np.float64]
-    return np.take(sign.take(flat), cmap.coset_of, axis=-1)
+    cosets = cmap.coset_of + np.arange(0, k * half, half)[:, None]
+    return np.take(sign.take(flat), cosets, axis=-1)
 
 
 def aggregate(l: np.ndarray, cmap: CosetMap, signs: np.ndarray) -> np.ndarray:
@@ -131,9 +142,9 @@ def aggregate(l: np.ndarray, cmap: CosetMap, signs: np.ndarray) -> np.ndarray:
     l = float_array(l)
     if signs.shape[-2:] != cmap.partner_of.shape:
         raise ValueError(f"signs of shape {signs.shape} do not match "
-                         f"{len(cmap.i)} projections of length {l.shape[-1]}")
+                         f"{len(cmap.reps)} projections of length {l.shape[-1]}")
     if signs.dtype != l.dtype:
         raise ValueError(f"signs of dtype {signs.dtype} do not match LLRs "
                          f"of dtype {l.dtype}")
     signs *= np.take(l, cmap.partner_of, axis=-1)
-    return signs.sum(axis=-2) / len(cmap.i)
+    return signs.sum(axis=-2) / len(cmap.reps)

@@ -94,6 +94,28 @@ def build_coset_map(m: int, i: int) -> SimpleNamespace:
         partner_of=np.array([z ^ i for z in range(n)]))
 
 
+def mask_coset_maps(m: int, indices) -> SimpleNamespace:
+    """The coset maps of the subspaces in indices, stacked along a first
+    axis, from a mask: each row keeps its n/2 coordinates below their
+    partner, ascending, and numbers its cosets from 0.  It has the fields
+    of rmpa.geometry.CosetMap.
+
+    The reference that rmpa's bit-rule build is checked against."""
+    n = 1 << m
+    i = np.array(indices, dtype=np.intp).reshape(-1, 1)
+    z = np.arange(n)
+    partner_of = z ^ i
+    reps = np.broadcast_to(z, partner_of.shape)[z < partner_of].reshape(
+        len(i), n // 2)
+    partners = reps ^ i
+    cosets = np.broadcast_to(np.arange(n // 2), reps.shape)
+    coset_of = np.empty_like(partner_of)
+    np.put_along_axis(coset_of, reps, cosets, axis=1)
+    np.put_along_axis(coset_of, partners, cosets, axis=1)
+    return SimpleNamespace(reps=reps, partners=partners, coset_of=coset_of,
+                           partner_of=partner_of)
+
+
 def project_hard(c: np.ndarray, cmap) -> np.ndarray:
     """XOR the two members of each coset; length n -> n/2."""
     c = np.asarray(c)

@@ -12,10 +12,11 @@ from oracles import build_coset_map, fod_bits, is_codeword, ml_decode_oracle
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_generator, check_convergence, decode, decode_batch,
                   decode_plan, encode, explicit_schedule_config, fht,
-                  fht_decode, preset, select_projection_indices)
+                  fht_decode, preset, select_projection_indices,
+                  stack_coset_maps)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
-from rmpa.decoder import _keep_freed_memory
-from rmpa.geometry import clamp_llr, project_llr
+from rmpa.decoder import _keep_freed_memory, _stacked_maps
+from rmpa.geometry import CosetMap, clamp_llr, coset_table, project_llr
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
@@ -95,9 +96,9 @@ def test_num_projections_monotone_in_iteration_and_level():
 
 
 def test_select_indices_examples():
-    assert select_projection_indices(128, 127) == list(range(1, 128))
-    assert select_projection_indices(128, 3) == [1, 43, 85]
-    assert select_projection_indices(8, 7) == list(range(1, 8))
+    assert list(select_projection_indices(128, 127)) == list(range(1, 128))
+    assert list(select_projection_indices(128, 3)) == [1, 43, 85]
+    assert list(select_projection_indices(8, 7)) == list(range(1, 8))
 
 
 def test_select_indices_distinct_in_range():
@@ -310,9 +311,86 @@ def test_plans_of_equal_configs_share_their_coset_maps(monkeypatch):
     llr = np.random.default_rng(5).normal(size=(2, p.n))
     decode_batch(llr, p, a)
     decode_batch(llr, p, b)
-    # full RPA keeps the same subspaces in every iteration
+    # full RPA keeps the same subspaces in every iteration, and their maps
+    # are views of the one table of m
     assert len(seen) == 2 * a.n_max
-    assert all(cmap is seen[0] for cmap in seen)
+    base = coset_table(p.m).reps
+    assert all(cmap.reps.base is base for cmap in seen)
+
+
+@pytest.fixture
+def record_tables(monkeypatch):
+    """A function that routes the coset-table builds through build(m,
+    indices), from empty map caches, and returns the list of the (m, rows)
+    of each; the caches are emptied again after the test."""
+    built = []
+
+    def route(build):
+        def recording(m, indices):
+            built.append((m, len(indices)))
+            return build(m, indices)
+
+        coset_table.cache_clear()
+        _stacked_maps.cache_clear()
+        monkeypatch.setattr("rmpa.geometry.stack_coset_maps", recording)
+        return built
+
+    yield route
+    coset_table.cache_clear()
+    _stacked_maps.cache_clear()
+
+
+def hollow_maps(m, indices):
+    """Maps of the right shapes that hold no memory."""
+    n, rows = 1 << m, len(indices)
+    return CosetMap(*(np.broadcast_to(np.intp(0), (rows, size))
+                      for size in (n // 2, n // 2, n, n)))
+
+
+@pytest.mark.parametrize("m, r, cfg", [
+    (12, 2, preset(gamma=1, delta_itr=F(99, 100), delta_rec=1, n_max=128)),
+    (12, 3, preset("rpa")),
+    (10, 4, preset(gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2),
+                   n_max=12)),
+])
+def test_cached_maps_are_one_table_per_m(record_tables, m, r, cfg):
+    # ask for the maps of every step of every node, as the walk does, and
+    # count the tables built: at most one per m, of n - 1 maps of 24 n bytes
+    built = record_tables(hollow_maps)
+    plan = decode_plan(CodeParams(m, r), cfg)
+    todo = [plan]
+    while todo:
+        node = todo.pop()
+        for indices, inner in node.steps:
+            assert len(_stacked_maps(node.m, indices).reps) == len(indices)
+            todo.append(inner)
+    levels = [m - d for d in range(r - 1)]
+    assert sorted(built) == sorted((k, (1 << k) - 1) for k in levels)
+    assert sum(24 * (1 << k) * rows for k, rows in built) <= sum(
+        24 * (1 << k) * ((1 << k) - 1) for k in levels)
+
+
+def test_a_decode_builds_one_table_per_m(record_tables):
+    built = record_tables(stack_coset_maps)
+    p = CodeParams(7, 3)
+    llr = np.random.default_rng(4).normal(size=(3, p.n))
+    decode_batch(llr, p, MFP_83)
+    decode_batch(llr, p, preset(gamma=F(1, 2), delta_itr=F(1, 3),
+                                delta_rec=F(2, 3), n_max=4))
+    assert sorted(built) == [(6, 63), (7, 127)]
+
+
+def test_a_plan_holds_no_indices():
+    # a step names its subspaces as a range, so a plan's size does not
+    # grow with n
+    tracemalloc.start()
+    try:
+        plan = decode_plan(CodeParams(12, 2), preset(n_max=1000))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.steps) == 1000
+    assert held < 1 << 20
 
 
 FACTORS = st.sampled_from([F(1), F(3, 4), F(2, 3), F(1, 2), F(1, 3),

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (boxplus, build_coset_map, in_row_space_batch,
-                     is_codeword, project_hard)
+                     is_codeword, mask_coset_maps, project_hard)
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
                   coset_signs, encode, project_llr, stack_coset_maps)
-from rmpa.geometry import clamp_llr
+from rmpa.decoder import select_projection_indices
+from rmpa.geometry import clamp_llr, coset_table
 
 
 def test_coset_map_m2():
@@ -274,14 +275,38 @@ def test_stacked_maps_are_the_single_maps_with_offset_cosets():
                                  for m in range(1, 6)]
     for m, indices in cases:
         stacked = stack_coset_maps(m, indices)
-        assert stacked.i == indices
+        # the partner of coordinate 0 is i
+        assert tuple(stacked.partner_of[:, 0]) == indices
         for t, i in enumerate(indices):
             single = build_coset_map(m, i)
             assert np.array_equal(stacked.reps[t], single.reps)
             assert np.array_equal(stacked.partners[t], single.partners)
             assert np.array_equal(stacked.partner_of[t], single.partner_of)
-            assert np.array_equal(stacked.coset_of[t],
-                                  single.coset_of + t * (1 << m - 1))
+            # each map numbers its own cosets, so row slices are stacks
+            assert np.array_equal(stacked.coset_of[t], single.coset_of)
         l = np.random.default_rng(3).normal(size=(2, 1 << m))
         assert np.array_equal(project_llr(l, stacked), np.stack(
             [project_llr(l, build_coset_map(m, i)) for i in indices], axis=1))
+
+
+MAP_FIELDS = ("reps", "partners", "coset_of", "partner_of")
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_strided_maps_are_rows_of_the_coset_table(m):
+    # every strided set the pruning rule can keep, as a basic slice of the
+    # one table of m, equals the maps built for its indices by the bit rule
+    # and by a mask
+    n = 1 << m
+    table = coset_table(m)
+    masked = mask_coset_maps(m, range(1, n))
+    for count in range(1, n):
+        indices = select_projection_indices(n, count)
+        rows = slice(indices.start - 1, indices.stop - 1, indices.step)
+        view = table[rows]
+        built = stack_coset_maps(m, list(indices))
+        for name in MAP_FIELDS:
+            got = getattr(view, name)
+            assert np.shares_memory(got, getattr(table, name))
+            assert np.array_equal(got, getattr(built, name))
+            assert np.array_equal(got, getattr(masked, name)[rows])
