@@ -24,7 +24,8 @@ from .fod import FodCounter
 
 SPEC_SCHEMA_VERSION = 1
 # the largest m the CLI takes: any decode at m = 12 holds the 0.40 GB coset
-# table and peaks near 0.72 GB RSS, and memory grows at least with n^2
+# table, and full RPA on RM(12,2) peaks near 0.69 GB RSS; memory grows at
+# least with n^2
 MAX_M = 12
 
 EXIT_OK = 0

@@ -113,8 +113,10 @@ class DecodePlan:
     steps holds one (range of kept subspaces, plan of RM(m-1, r-1)) pair per
     iteration; it is empty at r == 1, where a decode is one FHT.  fods is
     the first-order-decoding cost of one decode with early stopping off;
-    row_bytes is the size, in WALK_DTYPE, of the first-order inputs that
-    one row of this plan holds at once (one iteration's worth)."""
+    row_bytes is the size, in WALK_DTYPE, of the projections one row holds
+    at this node: those of its largest iteration, each 2^(m-1) long (at
+    r == 1, the row itself).  It does not count the inner nodes, which
+    block their own rows."""
 
     m: int
     steps: tuple
@@ -127,8 +129,12 @@ class DecodePlan:
 # the float32 tie band of fht_decode keeps decoded bits independent of how
 # BLAS sums.
 WALK_DTYPE = np.dtype(np.float32)
-# Bytes of first-order inputs one block of rows may hold at a time; a
-# block's traced peak is about 4.5 times this.  Blocks change no result.
+# Bytes of projections one block of rows may hold at a node (row_bytes per
+# row); the node's inner walk takes those rows in blocks of its own.  A
+# level-2 block's traced peak is about 4 times this, its aggregation's
+# signs and gathered LLRs, and a level-3 decode's up to about 5.5 times,
+# as the level-3 block holds its projections and shared forms meanwhile.
+# Blocks change no result.
 BLOCK_BYTES = 1 << 20
 # Keep freed block temporaries mapped, not faulted in again zeroed: 32 MiB
 # caps glibc's dynamic mmap threshold on 64-bit; glibc trims at twice that.
@@ -278,11 +284,12 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
                      math.ceil(g_j * cfg.delta_rec ** (r - 2) * (n - 1)))
             indices = select_projection_indices(n, count)
             steps.append((indices, compile_level(m - 1, r - 1, g_j)))
+        # a row holds the projections of one iteration at a time
+        widest = max(len(indices) for indices, _ in steps)
         return DecodePlan(
             m=m, steps=tuple(steps),
             fods=sum(len(indices) * inner.fods for indices, inner in steps),
-            row_bytes=max(len(indices) * inner.row_bytes
-                          for indices, inner in steps))
+            row_bytes=widest * (WALK_DTYPE.itemsize << (m - 1)))
 
     return compile_level(params.m, params.r, cfg.gamma)
 
@@ -357,26 +364,40 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     i, h = _top_bits(outer)
     j, hj = _top_bits(inner)
     maps = _stacked_maps(m - 1, inner)
-    flat = proj.reshape(rows, k * half)
-    lifted = np.empty((rows, len(canon_t)), dtype=np.intp)
+    lifted = np.empty((rows, len(canon_t)), dtype=np.int32)
     # a block's projections and their two index arrays fit in BLOCK_BYTES
     width = max(1, BLOCK_BYTES // (quarter * (rows * proj.itemsize
                                               + 2 * maps.reps.itemsize)))
     for start in range(0, len(canon_t), width):
         t = canon_t[start:start + width]
         s = canon_s[start:start + width]
-        # pair (t, s) reads its level-2 coordinates at t * half
-        offset = (t * half)[:, None]
-        quotients = SimpleNamespace(reps=offset + maps.reps[s],
-                                    partners=offset + maps.partners[s])
-        forms = fht_decode(project_llr(flat, quotients).reshape(
-            -1, quarter)).reshape(rows, len(t))
-        lifted[:, start:start + width] = _lift(_lift(forms, hj[s], j[s]),
-                                               h[t], i[t])
+        # The first pairs come in order of t, so this block reads only maps
+        # lo ... t[-1] of proj.  Their inputs are laid out cosets first,
+        # coordinate c of map t at c * k_b + t - lo, as the projections of
+        # several rows lie in memory; the indices are built as columns,
+        # (n/4, pairs), as the gathers of several rows read them.
+        lo, k_b = t[0], t[-1] + 1 - t[0]
+        flat = proj[:, lo:lo + k_b].transpose(0, 2, 1).reshape(
+            rows, half * k_b)
+        reps = maps.reps.T[:, s] * k_b + (t - lo)
+        partners = maps.partners.T[:, s] * k_b + (t - lo)
+        forms = fht_decode(_columns(project_llr(flat, SimpleNamespace(
+            reps=reps.T, partners=partners.T))))
+        lifted[:, start:start + width] = _lift(_lift(
+            forms.reshape(len(t), rows).T, hj[s], j[s]), h[t], i[t])
     if counter is not None:
         counter.record(m - 2, rows * k * len(inner))
-    return drop_bit(lifted[:, alias], h[:, None]).reshape(rows * k,
-                                                         len(inner))
+    # the forms on F_2^(m-1) are below 2^m: held in the fewest bytes, as the
+    # level-2 walk holds them all while it runs
+    forms = drop_bit(lifted[:, alias], h[:, None].astype(np.int32))
+    return forms.astype(np.min_scalar_type((1 << m) - 1)).reshape(
+        rows * k, len(inner))
+
+
+def _columns(proj: np.ndarray) -> np.ndarray:
+    """The projections (rows, k, n/2) of project_llr as a (k * rows, n/2)
+    view, map by map: one first-order input per row, on the first axis."""
+    return proj.swapaxes(0, 1).reshape(-1, proj.shape[-1])
 
 
 def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
@@ -388,8 +409,8 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
     forms of their first iteration (_shared_forms), (batch, k) of them.
 
     The rows go through in blocks: as many rows as keep the block's
-    first-order inputs within BLOCK_BYTES, and at least one.  Each block
-    runs every iteration before the next block starts."""
+    projections at this node within BLOCK_BYTES, and at least one.  Each
+    block runs every iteration before the next block starts."""
     if not node.steps:
         return form_bits(fht_decode(llr, counter), node.m), 0, False
     rows = max(1, BLOCK_BYTES // node.row_bytes)
@@ -407,8 +428,9 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
         # inner decoder starts from the forms of its first iteration
         if forms is None and not inner.steps:
             i, h = _top_bits(indices)
-            forms = _lift(fht_decode(project_llr(llr, cmap).reshape(
-                -1, half), counter).reshape(len(llr), len(i)), h, i)
+            forms = _lift(fht_decode(_columns(project_llr(llr, cmap)),
+                                     counter).reshape(len(i), len(llr)).T,
+                          h, i)
         if forms is not None:
             signs = _form_rows(forms, node.m, llr.dtype)
         else:
@@ -416,14 +438,17 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
             first, below = inner.steps[0]
             shared = (None if below.steps else
                       _shared_forms(node.m, indices, first, proj, counter))
-            chat = _walk(inner, proj.reshape(-1, half), counter,
-                         forms=shared)[0]
+            # the inner decoders' rows frame by frame: a copy, and the
+            # projections as columns are freed before the inner walk
+            proj = proj.reshape(-1, half)
+            chat = _walk(inner, proj, counter, forms=shared)[0]
             del proj, shared
             signs = coset_signs(cmap,
                                 chat.reshape(len(llr), len(indices), half),
                                 llr.dtype)
-        forms = None
+        forms = chat = None
         llr_new = aggregate(llr, cmap, signs)
+        del signs
         converged = (theta is not None
                      and check_convergence(llr[0], llr_new[0], theta))
         llr = llr_new

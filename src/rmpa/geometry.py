@@ -57,6 +57,11 @@ def drop_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (z >> (h + 1) << h) | (z & ((1 << h) - 1))
 
 
+# The table is filled a block of maps at a time, so that each temporary of
+# the build holds at most this many bytes, whatever m is.
+BUILD_BYTES = 1 << 18
+
+
 def stack_coset_maps(m: int, indices) -> CosetMap:
     """The coset maps of the subspaces in indices, stacked along a first
     axis; the arrays are read-only."""
@@ -65,10 +70,19 @@ def stack_coset_maps(m: int, indices) -> CosetMap:
     if i.size == 0 or not np.all((1 <= i) & (i <= n - 1)):
         raise ValueError(f"subspace indices must be in [1, {n - 1}], "
                          f"got {list(indices)}")
-    i, h, z = i.reshape(-1, 1), h.reshape(-1, 1), np.arange(n)
-    reps, partner_of = insert_zero_bit(z[:n // 2], h), z ^ i
-    return CosetMap(*_read_only(reps, reps ^ i, drop_bit(
-        np.minimum(z, partner_of), h), partner_of))
+    stack = CosetMap(*(np.empty((i.size, size), dtype=np.intp)
+                       for size in (n // 2, n // 2, n, n)))
+    z = np.arange(n)
+    step = max(1, BUILD_BYTES // (n * z.itemsize))
+    for start in range(0, i.size, step):
+        block = slice(start, start + step)
+        reps, partners, coset_of, partner_of = vars(stack[block]).values()
+        ib, hb = i[block, None], h[block, None]
+        reps[...] = insert_zero_bit(z[:n // 2], hb)
+        np.bitwise_xor(reps, ib, out=partners)
+        np.bitwise_xor(z, ib, out=partner_of)
+        coset_of[...] = drop_bit(np.minimum(z, partner_of), hb)
+    return CosetMap(*_read_only(*vars(stack).values()))
 
 
 @lru_cache(maxsize=None)
@@ -89,19 +103,36 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     rounding; a zero LLR projects to 0.  Only cmap's reps and partners are
     read: any pair of equal-shaped index arrays into the last axis of l
     projects the same way.  The projection is in l's float dtype.
+
+    u and the signs are taken coordinates first, as (n, rows) arrays of
+    the rows of l, so that each of the four gathers copies a run of rows
+    per index.  The result has shape l.shape[:-1] + (k, n/2) for k stacked
+    maps (no k for one map) and is a view: with one row its memory holds
+    the projections in the order of cmap's indices, and with more it holds
+    each projected vector as a column, (n/2, k, rows), through the
+    transposed indices.
     """
     l = float_array(l)
-    u = np.exp(-np.minimum(np.abs(l), LLR_CLAMP))
-    ua = np.take(u, cmap.reps, axis=-1)
-    ub = np.take(u, cmap.partners, axis=-1)
+    lead, n = l.shape[:-1], l.shape[-1]
+    cols = np.ascontiguousarray(l.reshape(-1, n).T)
+    # with more than one row, the gathers write the projections as columns
+    columns = cols.shape[1] > 1
+    reps, partners = cmap.reps, cmap.partners
+    if columns:
+        reps, partners = reps.T, partners.T
+    u = np.exp(-np.minimum(np.abs(cols), LLR_CLAMP))
+    ua = u.take(reps, axis=0)
+    ub = u.take(partners, axis=0)
+    del u
     out = np.multiply(ua, ub)
     np.log1p(out, out=out)
     ua += ub
     out -= np.log(ua, out=ua)
-    sign = np.sign(l)
-    out *= np.take(sign, cmap.reps, axis=-1)
-    out *= np.take(sign, cmap.partners, axis=-1)
-    return out
+    del ua, ub
+    sign = np.sign(cols)
+    out *= sign.take(reps, axis=0)
+    out *= sign.take(partners, axis=0)
+    return (out.T if columns else out).reshape(lead + cmap.reps.shape)
 
 
 def clamp_llr(l: np.ndarray) -> np.ndarray:

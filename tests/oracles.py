@@ -17,8 +17,8 @@ import numpy as np
 
 from rmpa.channel import ChannelConfig, llr_from_channel
 from rmpa.codes import CodeParams, build_generator, encode
-from rmpa.decoder import (BLOCK_BYTES, WALK_DTYPE, _stacked_maps, _walk,
-                          check_convergence, decode_plan)
+from rmpa.decoder import (WALK_DTYPE, _stacked_maps, _walk, check_convergence,
+                          decode_plan)
 from rmpa.fod import float_array, fht_decode, form_bits
 from rmpa.geometry import (LLR_CLAMP, aggregate, clamp_llr, coset_signs,
                            project_llr)
@@ -167,18 +167,15 @@ def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
     """Decode a (batch, 2^m) stack along the plan node, every path on its
     own: each inner decoder projects and decodes its own inputs, and every
     aggregation gathers its signs through the coset maps.  Returns (bits,
-    iterations, converged), as rmpa's walk does, in the same blocks.
+    iterations, converged), as rmpa's walk does.  It decodes the whole stack
+    at once, where rmpa's walk goes through it in blocks of rows: blocks
+    change no bit, so the reference does not depend on how they are sized.
 
     The reference that rmpa's walk, which decodes each repeated quotient
     once and builds first-order signs from the decoded form, is checked
     against."""
     if not node.steps:
         return fod_bits(llr), 0, False
-    rows = max(1, BLOCK_BYTES // node.row_bytes)
-    if len(llr) > rows:
-        return np.concatenate([
-            walk_per_path(node, llr[start:start + rows])[0]
-            for start in range(0, len(llr), rows)]), len(node.steps), False
     iterations, converged = 0, False
     half = llr.shape[-1] // 2
     for iterations, (indices, inner) in enumerate(node.steps, 1):

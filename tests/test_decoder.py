@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import build_coset_map, fod_bits, is_codeword, ml_decode_oracle
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_generator, check_convergence, decode, decode_batch,
-                  decode_plan, encode, explicit_schedule_config, fht,
-                  fht_decode, preset, select_projection_indices,
-                  stack_coset_maps)
+                  decode_plan, encode, executed_fod_count,
+                  explicit_schedule_config, fht, fht_decode, preset,
+                  select_projection_indices, stack_coset_maps)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.decoder import _keep_freed_memory, _stacked_maps
 from rmpa.geometry import CosetMap, clamp_llr, coset_table, project_llr
@@ -581,17 +581,81 @@ def test_block_size_changes_no_result(block_bytes, monkeypatch):
     assert counter.per_level == default.per_level
 
 
-def test_decode_batch_memory_does_not_grow_with_the_batch():
+@pytest.mark.parametrize("block_bytes, frames", [(1, 3), (1 << 40, 16)])
+def test_block_size_changes_no_bit_of_the_headline_decode(block_bytes, frames,
+                                                         monkeypatch):
+    # the default budget walks the top node of RM(8,3) MFP 14 frames at a
+    # time; one row per block everywhere, or the whole batch in one block,
+    # decodes the same bits with the same counts
     p = CodeParams(8, 3)
-    llrs = np.random.default_rng(8).normal(size=(4, p.n))
+    llrs = np.random.default_rng(9).normal(1.0, 1.0, (frames, p.n)) * 2
+    default = FodCounter()
+    expected = decode_batch(llrs, p, MFP_83, default)
+    monkeypatch.setattr("rmpa.decoder.BLOCK_BYTES", block_bytes)
+    counter = FodCounter()
+    assert np.array_equal(decode_batch(llrs, p, MFP_83, counter), expected)
+    assert counter.per_level == default.per_level
+
+
+def test_the_headline_top_node_walks_several_frames_per_block(monkeypatch):
+    # a block is sized by the projections the node itself holds, not by the
+    # first-order inputs of its whole subtree
+    p = CodeParams(8, 3)
+    blocks = []
+
+    def recording(llr, cmap):
+        if cmap.reps.shape[-1] == p.n // 2:
+            blocks.append(len(llr))
+        return project_llr(llr, cmap)
+
+    monkeypatch.setattr("rmpa.decoder.project_llr", recording)
+    decode_batch(np.random.default_rng(3).normal(size=(32, p.n)), p, MFP_83)
+    # one top-level projection per block and iteration: at least 4 frames a
+    # block on average
+    assert sum(blocks) == 32 * MFP_83.n_max
+    assert len(blocks) <= MFP_83.n_max * 32 // 4
+
+
+@pytest.mark.parametrize("params, cfg", [
+    (CodeParams(8, 3), MFP_83),
+    (CodeParams(6, 3), preset(schedule=(4, 8))),
+], ids=["rm83-mfp", "rm63-schedule"])
+def test_first_order_inputs_are_views_with_one_fod_per_row(params, cfg,
+                                                           monkeypatch):
+    # the projections reach the first-order decoder as they lie in memory,
+    # one vector per row
+    fed = []
+
+    def recording(l, counter=None):
+        fed.append((l.ndim, len(l), l.flags.owndata))
+        return fht_decode(l, counter)
+
+    monkeypatch.setattr("rmpa.decoder.fht_decode", recording)
+    frames = 16
+    llrs = np.random.default_rng(6).normal(1.0, 1.0, (frames, params.n)) * 2
+    decode_batch(llrs, params, cfg)
+    assert {ndim for ndim, _, _ in fed} == {2}
+    assert not any(owns for _, rows, owns in fed if rows > 1)
+    assert sum(rows for _, rows, _ in fed) == frames * executed_fod_count(
+        params, cfg)
+
+
+def test_decode_batch_memory_does_not_grow_with_the_batch():
+    # 4 frames fit in one block of the top node, and 64 take several: the
+    # larger batch holds one larger block at a time, not all of its frames
+    p = CodeParams(8, 3)
+    llrs = np.random.default_rng(8).normal(size=(64, p.n))
     decode_batch(llrs[:1], p, MFP_83)
-    tracemalloc.start()
-    try:
-        decode_batch(llrs, p, MFP_83)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    peaks = {}
+    for frames in (4, 64):
+        tracemalloc.start()
+        try:
+            decode_batch(llrs[:frames], p, MFP_83)
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] < 16 * 2 ** 20
+    assert peaks[64] < 2 * peaks[4]
 
 
 @pytest.mark.skipif(not _keep_freed_memory(),

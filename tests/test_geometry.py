@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -152,6 +153,36 @@ def test_project_llr_matches_the_reference_on_stacked_maps(inputs):
     want = boxplus(l[..., cmap.reps], l[..., cmap.partners])
     assert got.shape == want.shape == l.shape[:1] + cmap.reps.shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)],
+                         ids=["1-D", "one-row", "rows", "3-D"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_project_llr_keeps_its_shape_and_values_in_either_memory_order(
+        shape, dtype):
+    # several rows are gathered as columns and one row in the order of the
+    # maps; either way the result is a view with the shape and the values
+    # that each map gives each row on its own
+    m = 5
+    indices = range(2, 31, 4)
+    l = (np.random.default_rng(4).normal(size=shape + (1 << m,)) * 4).astype(
+        dtype)
+    cases = [(coset_table(m)[1:30:4], indices),
+             (stack_coset_maps(m, [7]), [7]), (build_coset_map(m, 7), None)]
+    for cmap, maps in cases:
+        got = project_llr(l, cmap)
+        assert got.shape == shape + cmap.reps.shape
+        assert got.dtype == dtype and got.base is not None
+        for row in np.ndindex(shape):
+            if maps is None:
+                want = project_llr(l[row], cmap)
+            else:
+                want = np.stack([project_llr(l[row], build_coset_map(m, i))
+                                 for i in maps])
+            assert np.array_equal(got[row], want)
+            assert np.max(np.abs(got[row] - boxplus(
+                l[row][..., cmap.reps], l[row][..., cmap.partners]))) <= (
+                1e-12 if dtype == np.float64 else 1e-5)
 
 
 def test_project_llr_takes_any_finite_llr_without_a_warning():
@@ -310,3 +341,18 @@ def test_strided_maps_are_rows_of_the_coset_table(m):
             assert np.shares_memory(got, getattr(table, name))
             assert np.array_equal(got, getattr(built, name))
             assert np.array_equal(got, getattr(masked, name)[rows])
+
+
+def test_building_the_coset_table_holds_little_besides_it():
+    # the table is filled a block of maps at a time, not through full-size
+    # temporaries
+    tracemalloc.start()
+    try:
+        table = stack_coset_maps(10, range(1, 1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in vars(table).values())
+    assert size == 24 * 1024 * 1023
+    assert peak <= 1.1 * size
+    assert not any(a.flags.writeable for a in vars(table).values())
