@@ -75,25 +75,15 @@ def _spectra(batch: np.ndarray) -> np.ndarray:
     but in one BLAS call: up to RADIX_M bits one product over the transposed
     batch, whose columns come out C-ordered.  Above it the fewest digits of
     at most RADIX_M bits, as equal as can be and the widest lowest (4 + 3
-    bits for m = 7 measured faster than 6 + 1), are each transformed by one
-    product that follows the batch's memory.  C-ordered rows go row by row
-    and their columns are then a transpose; a batch held as columns, as
-    project_llr holds several rows' projections, is transformed as the
-    (2^m, rows) array it is, with no copy."""
+    bits for m = 7 measured faster than 6 + 1), are each transformed row by
+    row, as products over a transposed operand would cost more; the
+    columns are then a transpose."""
     rows, n = batch.shape
     m = n.bit_length() - 1
     if m <= RADIX_M:
         return _form_table(m, batch.dtype)[:n] @ batch.T
     k = -(-m // RADIX_M)
     digits = [m // k + (i < m % k) for i in range(k)]
-    if not batch.flags.c_contiguous:
-        # bits done so far and the rows are the trailing axis of each digit
-        out, done = batch.T, 0
-        for c in digits:
-            out = np.matmul(_form_table(c, batch.dtype)[:1 << c],
-                            out.reshape(-1, 1 << c, rows << done))
-            done += c
-        return out.reshape(n, rows)
     done = digits[0]
     out = batch.reshape(-1, 1 << done) @ _form_table(done, batch.dtype)[
         :1 << done]

@@ -43,7 +43,9 @@ BATCH_CASES = {
     "rm72_rpa": (7, 2, preset("rpa"), 80),
     "rm72_mfp": (7, 2, preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4),
                               delta_rec=F(1, 2)), 80),
-    # one frame per top-level block, several blocks at level 2
+    # one top-level block and several at level 2 (test_decoder's
+    # test_block_size_changes_no_bit_of_the_headline_decode walks several
+    # top-level blocks)
     "rm83_mfp": (8, 3, preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3),
                               delta_rec=F(3, 4)), 3),
 }

@@ -68,6 +68,9 @@ def test_fht_matches_the_butterfly(m, lead, seed):
     assert got.shape == x.shape
     tol = 1e-13 * np.abs(x).max() * 2 ** m
     assert np.abs(got - butterfly(x)).max() <= tol
+    # the same rows held as columns, as the decode walk hands them on
+    cols = np.asfortranarray(x.reshape(-1, 2 ** m))
+    assert np.abs(fht(cols) - butterfly(cols)).max() <= tol
 
 
 @pytest.mark.parametrize("values", [[1e308, 1e308], [np.inf, np.inf]])
