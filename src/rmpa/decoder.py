@@ -19,7 +19,8 @@ first-order codeword from the same form, which is zero on the span.  The
 decoded bits are therefore those of decoding every path on its own, bar a
 spectrum tie broken differently in another pair's coordinates.  Decoders
 whose inner decoder is first-order build the signs of their aggregation
-from the decoded forms, as rows of the form table of rmpa.fod.
+from the decoded forms (rmpa.geometry.form_signs), from the form tables of
+rmpa.fod.
 
 The walk runs in float32 (WALK_DTYPE): decode and decode_batch clamp the
 LLRs and cast them once, and every projection, first-order decoding,
@@ -42,11 +43,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .codes import CodeParams, _is_int
-from .fod import (FodCounter, _form_rows, _read_only, float_array, fht_decode,
-                  form_bits)
+from .fod import FodCounter, _read_only, float_array, fht_decode, form_bits
 from .geometry import (CosetMap, aggregate, clamp_llr, coset_signs,
-                       coset_table, drop_bit, insert_zero_bit, project_llr,
-                       top_bits)
+                       coset_table, drop_bit, form_signs, insert_zero_bit,
+                       project_llr, top_bits)
 
 FACTORS = ("gamma", "delta_itr", "delta_rec")
 
@@ -131,10 +131,13 @@ class DecodePlan:
 WALK_DTYPE = np.dtype(np.float32)
 # Bytes of projections one block of rows may hold at a node (row_bytes per
 # row); the node's inner walk takes those rows in blocks of its own.  A
-# level-2 block's traced peak is about 4 times this, its aggregation's
-# signs and gathered LLRs, and a level-3 decode's up to about 5.5 times,
-# as the level-3 block holds its projections and shared forms meanwhile.
-# Blocks change no result.
+# level-2 block's traced peak is about 3 times this where its aggregation
+# takes the rows coordinates first: the projection's result and its two
+# gathered operands, and then the gathered partner LLRs, twice this.  With
+# few rows the row-major aggregation holds its (rows, k, n) signs beside
+# them, about 4.5 times this, and so does a level-3 decode, as the level-3
+# block holds its projections and shared forms meanwhile.  Blocks change
+# no result.
 BLOCK_BYTES = 1 << 20
 # Keep freed block temporaries mapped, not faulted in again zeroed: 32 MiB
 # caps glibc's dynamic mmap threshold on 64-bit; glibc trims at twice that.
@@ -318,22 +321,31 @@ def _lift(f: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
     return b | (_PARITY.take(b & i) << h)
 
 
-@lru_cache(maxsize=128)
-def _shared_quotients(m: int, outer: range, inner: range) -> tuple:
-    """Which first-order decodings of a level-3 node's iteration repeat.
-
-    Pair (t, s) projects onto i = outer[t], whose top bit is h, and then
-    onto j = inner[s], which is the projection onto span{i, lift_h(j)}.
-    Returns the pairs (t, s) that come first in order for their span, as
-    arrays of t and of s, and the (k_i, k_j) int32 index of each pair's
-    span among them."""
+def _spans(m: int, outer: range, inner: range) -> np.ndarray:
+    """The span of each pair (t, s) of a level-3 node's iteration, shape
+    (k_i, k_j): pair (t, s) projects onto i = outer[t], whose top bit is h,
+    and then onto j = inner[s], which is the projection onto
+    span{i, lift_h(j)}, named by two of its three nonzero members."""
     i, h = _top_bits(outer)
     i, h = i[:, None], h[:, None]
     v = insert_zero_bit(_top_bits(inner)[0], h)
     w = i ^ v
-    # two of a span's three nonzero members name it
-    span = (np.minimum(np.minimum(i, v), w) << m) | np.maximum(
+    return (np.minimum(np.minimum(i, v), w) << m) | np.maximum(
         np.maximum(i, v), w)
+
+
+# A decode reads one share table per iteration of each level-3 node, and a
+# table is (k_i, k_j) int32, 2 MB at RM(10,3) full RPA: the cache holds the
+# tables of a few decodes, not those of every iteration of a long decaying
+# schedule.
+@lru_cache(maxsize=8)
+def _shared_quotients(m: int, outer: range, inner: range) -> tuple:
+    """Which first-order decodings of a level-3 node's iteration repeat.
+
+    Returns the pairs (t, s) that come first in order for their span
+    (_spans), as arrays of t and of s, and the (k_i, k_j) int32 index of
+    each pair's span among them."""
+    span = _spans(m, outer, inner)
     _, first, alias = np.unique(span.ravel(), return_index=True,
                                 return_inverse=True)
     order = np.argsort(first)
@@ -432,7 +444,7 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
                                      counter).reshape(len(i), len(llr)).T,
                           h, i)
         if forms is not None:
-            signs = _form_rows(forms, node.m, llr.dtype)
+            signs = form_signs(forms, node.m, llr.dtype)
         else:
             proj = project_llr(llr, cmap)
             first, below = inner.steps[0]
@@ -443,11 +455,11 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
             proj = proj.reshape(-1, half)
             chat = _walk(inner, proj, counter, forms=shared)[0]
             del proj, shared
-            signs = coset_signs(cmap,
-                                chat.reshape(len(llr), len(indices), half),
-                                llr.dtype)
+            signs = (coset_signs(cmap,
+                                 chat.reshape(len(llr), len(indices), half),
+                                 llr.dtype),)
         forms = chat = None
-        llr_new = aggregate(llr, cmap, signs)
+        llr_new = aggregate(llr, cmap, *signs)
         del signs
         converged = (theta is not None
                      and check_convergence(llr[0], llr_new[0], theta))
@@ -515,7 +527,9 @@ def executed_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
         for indices, inner in node.steps:
             if inner.steps and not inner.steps[0][1].steps:
                 first = inner.steps[0][0]
-                spans = len(_shared_quotients(node.m, indices, first)[0])
+                # counted sorted: numpy's hashed unique is slower here
+                span = np.sort(_spans(node.m, indices, first), axis=None)
+                spans = 1 + np.count_nonzero(span[1:] != span[:-1])
                 total += spans + len(indices) * (inner.fods - len(first))
             else:
                 total += len(indices) * executed(inner)

@@ -121,20 +121,29 @@ def _form_table(m: int, dtype) -> np.ndarray:
     return _read_only(np.concatenate([bits, bits ^ 1]))[0]
 
 
+def _form_factors(forms: np.ndarray, m: int, dtype, low: int) -> tuple:
+    """The rows of the forms on F_2^m over the high m - low bits of z and
+    over its low `low` bits, shapes forms.shape + (2^(m - low),) and
+    forms.shape + (2^low,): bits for uint8, signs for the LLRs' float
+    dtype.  The high row is that of the form shifted down, with u0, and
+    the low row that of its low bits, with u0 = 0, so that the form's row
+    over z is their xor, or product."""
+    return (_form_rows(forms >> low, m - low, dtype),
+            np.take(_form_table(low, dtype), forms & ((1 << low) - 1),
+                    axis=0))
+
+
 def _form_rows(forms: np.ndarray, m: int, dtype) -> np.ndarray:
     """The rows of the forms on F_2^m in the form table of dtype, shape
     forms.shape + (2^m,): bits for uint8, signs for the LLRs' float dtype.
-    Above FORM_TABLE_M bits a row is the xor, or product, of a row over the
-    high bits of z (the form shifted down) and one over the low bits."""
-    low = min(m, FORM_TABLE_M)
-    table = _form_table(low, dtype)
-    if low == m:
-        return np.take(table, forms, axis=0)
-    high = _form_rows(forms >> low, m - low, dtype)
-    rows = np.take(table, forms & ((1 << low) - 1), axis=0)
+    Above FORM_TABLE_M bits a row is the combination of its _form_factors
+    over the high bits of z and the low FORM_TABLE_M bits."""
+    if m <= FORM_TABLE_M:
+        return np.take(_form_table(m, dtype), forms, axis=0)
+    high, low = _form_factors(forms, m, dtype, FORM_TABLE_M)
     combine = np.bitwise_xor if dtype == np.uint8 else np.multiply
-    return combine(high[..., :, None], rows[..., None, :]).reshape(
-        forms.shape + (-1,))
+    return combine(high[..., :, None], low[..., None, :]).reshape(
+        forms.shape + (1 << m,))
 
 
 def form_bits(forms: np.ndarray, m: int) -> np.ndarray:

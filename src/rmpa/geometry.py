@@ -4,19 +4,20 @@ Coordinates are indexed by integers z in [0, 2^m); the subspace B_i = {0, i}
 partitions the index set into n/2 cosets {z, z^i}, ordered by their canonical
 representative min(z, z^i), whose bit h (the top bit of i) is clear.
 
-project_llr, coset_signs and aggregate compute in the LLRs' float dtype
-(rmpa.fod.float_array): float32, as the decode walk runs, stays float32,
-and anything else is float64.
+project_llr, coset_signs, form_signs and aggregate compute in the LLRs'
+float dtype (rmpa.fod.float_array): float32, as the decode walk runs,
+stays float32, and anything else is float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fod import _read_only, float_array
+from .fod import _form_factors, _form_rows, _read_only, float_array
 
 # Natural-log LLR saturation.  Beyond exp(-30) the error probabilities are
 # numerically irrelevant at the simulated SNRs, and the projection's
@@ -139,43 +140,101 @@ def clamp_llr(l: np.ndarray) -> np.ndarray:
     return np.clip(l, -LLR_CLAMP, LLR_CLAMP)
 
 
+# The most rows that aggregate, coset_signs and form_signs keep in the
+# row-major layout, by m from 5 to 10 (smaller m as 5, larger as 10); more
+# rows go coordinates first.  Each is the cutoff that lost least against
+# the faster layout, summed over both sign sources and rows 1 to 128, in
+# float32 timings of sign building and aggregation on a 2-core x86 host.
+ROW_MAJOR_ROWS = (24, 12, 12, 16, 6, 12)
+
+
+def _coordinates_first(rows: int, n: int) -> bool:
+    """Whether aggregation over rows vectors of length n takes them
+    coordinates first, (n, k, rows), or row-major, (rows, k, n).  Each
+    gather of the coordinates-first layout copies a run of rows, which pays
+    once there are enough rows; the cutoff is measured per m."""
+    return rows > ROW_MAJOR_ROWS[min(max(n.bit_length() - 6, 0), 5)]
+
+
 # the sign (-1)^bit of a decoded bit, by lookup, in each float dtype
 _SIGN = {t: np.array([1.0, -1.0], dtype=t) for t in (np.float32, np.float64)}
 
 
 def coset_signs(cmap: CosetMap, chat: np.ndarray,
                 dtype=np.float64) -> np.ndarray:
-    """The signs (-1)^chat[t, coset_t(z)] of every coordinate z, shape
-    (..., k, n), from the decoded projection bits chat of shape
-    (..., k, n/2) of the k stacked maps of cmap; float32 if dtype is, the
-    dtype of the LLRs they will sign, else float64."""
+    """The signs (-1)^chat[t, coset_t(z)] of every coordinate z, from the
+    decoded projection bits chat of shape (..., k, n/2) of the k stacked
+    maps of cmap, in aggregate's layout for the rows of chat: (..., k, n)
+    row-major, else (n, k, rows) coordinates first.  float32 if dtype is,
+    the dtype of the LLRs they will sign, else float64."""
     chat = np.asarray(chat)
     k, half = cmap.reps.shape
     if chat.shape[-2:] != (k, half):
         raise ValueError(f"decoded bits of shape {chat.shape} do not match "
                          f"{k} projections of length {half}")
-    flat = chat.reshape(chat.shape[:-2] + (k * half,))
-    # the signs of the cosets, map t's from t * n/2, gathered to coordinates
+    flat = chat.reshape(-1, k * half)
     sign = _SIGN[np.float32 if dtype == np.float32 else np.float64]
+    # the signs of the cosets, map t's from t * n/2, gathered to coordinates
     cosets = cmap.coset_of + np.arange(0, k * half, half)[:, None]
-    return np.take(sign.take(flat), cosets, axis=-1)
+    if _coordinates_first(len(flat), 2 * half):
+        return sign.take(flat.T).take(cosets.T, axis=0)
+    return np.take(sign.take(flat), cosets, axis=-1).reshape(
+        chat.shape[:-1] + (2 * half,))
 
 
-def aggregate(l: np.ndarray, cmap: CosetMap, signs: np.ndarray) -> np.ndarray:
+def form_signs(forms: np.ndarray, m: int, dtype) -> tuple:
+    """The signs of the forms f = b + 2^m * u0 on F_2^m, shape (rows, k),
+    that the first-order decodings of k maps gave, in aggregate's layout
+    for rows vectors: one array (rows, k, 2^m) row-major, else the
+    rmpa.fod._form_factors over the high m // 2 and the low m - m // 2
+    bits of z, (2^b, k, rows) each; in dtype, the LLRs' float dtype."""
+    if not _coordinates_first(len(forms), 1 << m):
+        return (_form_rows(forms, m, dtype),)
+    return tuple(np.ascontiguousarray(np.moveaxis(factor, -1, 0))
+                 for factor in _form_factors(forms.T, m, dtype, m - m // 2))
+
+
+def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
     """Average the partner LLRs, sign-flipped per projection.
 
     cmap stacks the k maps of the projections (stack_coset_maps) and signs
-    holds the +-1 of each map at each coordinate, shape (..., k, n), as
-    coset_signs gives them; output coordinate z is
-    (1/k) * sum_t signs[t, z] * l[z ^ i_t], summed in the order of the
-    stack, in l's float dtype, which signs must have.  signs is overwritten.
+    holds the +-1 of each map at each coordinate, as coset_signs and
+    form_signs give them for l's rows, in l's float dtype: row-major, one
+    array (..., k, n); or coordinates first, factors (2^b_j, k, rows) over
+    the bits of z, the highest first, whose product is the sign.  Output
+    coordinate z is (1/k) * sum_t signs[t, z] * l[z ^ i_t], summed in the
+    order of the stack, in l's float dtype.
+
+    The partner LLRs are gathered in the layout of the signs, coordinates
+    first as runs of rows, and one einsum, without its optimize path,
+    multiplies and sums them, with the sum over t outside the loop over
+    the rows or over z: the +-1 products are exact, and each output is
+    summed t = 0, 1, ... as the per-map loop sums it.
     """
     l = float_array(l)
-    if signs.shape[-2:] != cmap.partner_of.shape:
-        raise ValueError(f"signs of shape {signs.shape} do not match "
-                         f"{len(cmap.reps)} projections of length {l.shape[-1]}")
-    if signs.dtype != l.dtype:
-        raise ValueError(f"signs of dtype {signs.dtype} do not match LLRs "
-                         f"of dtype {l.dtype}")
-    signs *= np.take(l, cmap.partner_of, axis=-1)
-    return signs.sum(axis=-2) / len(cmap.reps)
+    lead, n = l.shape[:-1], l.shape[-1]
+    k = len(cmap.reps)
+    rows = math.prod(lead)
+    for factor in signs:
+        if factor.dtype != l.dtype:
+            raise ValueError(f"signs of dtype {factor.dtype} do not match "
+                             f"LLRs of dtype {l.dtype}")
+    if not _coordinates_first(rows, n):
+        if len(signs) != 1 or signs[0].shape[-2:] != cmap.partner_of.shape:
+            raise ValueError(f"signs of shapes {[f.shape for f in signs]} "
+                             f"do not match {k} projections of length {n}")
+        return np.einsum("...tz,...tz->...z", signs[0],
+                         np.take(l, cmap.partner_of, axis=-1)) / k
+    sizes = tuple(len(factor) for factor in signs)
+    if (math.prod(sizes) != n
+            or any(factor.shape[1:] != (k, rows) for factor in signs)):
+        raise ValueError(f"sign factors of shapes "
+                         f"{[f.shape for f in signs]} do not match {k} "
+                         f"projections of {rows} rows of length {n}")
+    cols = np.ascontiguousarray(l.reshape(rows, n).T)
+    partners = cols.take(cmap.partner_of.T, axis=0).reshape(sizes + (k, rows))
+    # one letter per factor for its bits of z: "abtr,atr,btr->abr"
+    z = "abcdefgh"[:len(signs)]
+    out = np.einsum(f"{z}tr,{','.join(c + 'tr' for c in z)}->{z}r",
+                    partners, *signs)
+    return (out.reshape(n, rows).T / k).reshape(lead + (n,))

@@ -2,10 +2,10 @@
 
 None of these is on a decoding path: an exhaustive ML decoder, the code's
 membership test, single coset maps, hard projections, the logaddexp form
-of the soft projection, the butterfly form of the Walsh-Hadamard transform,
-the codeword bits of first-order decodings, the per-path decode walk, the
-decode walk in float64, the frame-by-frame channel, and a z-test for
-comparing two frame error rates.
+of the soft projection, the per-map loop of the aggregation, the butterfly
+form of the Walsh-Hadamard transform, the codeword bits of first-order
+decodings, the per-path decode walk, the decode walk in float64, the
+frame-by-frame channel, and a z-test for comparing two frame error rates.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from rmpa.codes import CodeParams, build_generator, encode
 from rmpa.decoder import (WALK_DTYPE, _stacked_maps, _walk, check_convergence,
                           decode_plan)
 from rmpa.fod import float_array, fht_decode, form_bits
-from rmpa.geometry import (LLR_CLAMP, aggregate, clamp_llr, coset_signs,
-                           project_llr)
+from rmpa.geometry import LLR_CLAMP, clamp_llr, project_llr
 
 ML_ORACLE_CAP = 2 ** 20
 
@@ -134,6 +133,25 @@ def boxplus(a, b):
     return np.clip(out, -LLR_CLAMP, LLR_CLAMP)
 
 
+def aggregate_per_map(l: np.ndarray, m: int, indices,
+                      chat: np.ndarray) -> np.ndarray:
+    """The aggregation of the LLRs l, shape (..., 2^m), from the decoded
+    projection bits chat, shape (..., k, 2^(m-1)), of the subspaces
+    {0, i} of indices, one map at a time from its coset map: output
+    coordinate z is (1/k) * sum_t (-1)^chat[t, coset_t(z)] * l[z ^ i_t],
+    summed t = 0, 1, ... in l's float dtype.
+
+    The reference that rmpa.aggregate is checked against."""
+    l = float_array(l)
+    chat = np.asarray(chat)
+    accu = np.zeros_like(l)
+    for t, i in enumerate(indices):
+        cm = build_coset_map(m, i)
+        sign = 1 - 2 * chat[..., t, cm.coset_of].astype(l.dtype)
+        accu += sign * l[..., cm.partner_of]
+    return accu / len(indices)
+
+
 def fht_butterfly(x: np.ndarray) -> np.ndarray:
     """The Walsh-Hadamard transform along the first axis, where each
     butterfly stage is a few long contiguous passes.  Each stage reads one
@@ -166,7 +184,7 @@ def fod_bits(l: np.ndarray) -> np.ndarray:
 def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
     """Decode a (batch, 2^m) stack along the plan node, every path on its
     own: each inner decoder projects and decodes its own inputs, and every
-    aggregation gathers its signs through the coset maps.  Returns (bits,
+    aggregation is the per-map loop of aggregate_per_map.  Returns (bits,
     iterations, converged), as rmpa's walk does.  It decodes the whole stack
     at once, where rmpa's walk goes through it in blocks of rows: blocks
     change no bit, so the reference does not depend on how they are sized.
@@ -179,11 +197,11 @@ def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
     iterations, converged = 0, False
     half = llr.shape[-1] // 2
     for iterations, (indices, inner) in enumerate(node.steps, 1):
-        cmap = _stacked_maps(node.m, indices)
         chat, _, _ = walk_per_path(
-            inner, project_llr(llr, cmap).reshape(-1, half))
-        llr_new = aggregate(llr, cmap, coset_signs(
-            cmap, chat.reshape(len(llr), len(indices), half), llr.dtype))
+            inner, project_llr(llr, _stacked_maps(node.m, indices)).reshape(
+                -1, half))
+        llr_new = aggregate_per_map(
+            llr, node.m, indices, chat.reshape(len(llr), len(indices), half))
         converged = (theta is not None
                      and check_convergence(llr[0], llr_new[0], theta))
         llr = llr_new

@@ -654,7 +654,7 @@ def test_decode_batch_memory_does_not_grow_with_the_batch():
             peaks[frames] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[64] < 16 * 2 ** 20
+    assert peaks[64] <= 5 * 2 ** 20
     assert peaks[64] < 2 * peaks[4]
 
 

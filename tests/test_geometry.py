@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import (boxplus, build_coset_map, in_row_space_batch,
-                     is_codeword, mask_coset_maps, project_hard)
+from oracles import (aggregate_per_map, boxplus, build_coset_map,
+                     in_row_space_batch, is_codeword, mask_coset_maps,
+                     project_hard)
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
                   coset_signs, encode, project_llr, stack_coset_maps)
-from rmpa.decoder import select_projection_indices
-from rmpa.geometry import clamp_llr, coset_table
+from rmpa import geometry
+from rmpa.decoder import _lift, select_projection_indices
+from rmpa.fod import _form_table
+from rmpa.geometry import clamp_llr, coset_table, form_signs, top_bits
 
 
 def test_coset_map_m2():
@@ -280,24 +284,65 @@ def test_aggregate_linear_in_magnitude():
     assert np.allclose(out2, 2.5 * out1)
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 7])
-def test_aggregate_equals_the_per_map_loop(m):
-    # stacked sum == 0 + term_1 + term_2 + ..., in float64, bit for bit
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 8])
+def test_aggregate_equals_the_per_map_loop(m, monkeypatch):
+    # stacked sum == 0 + term_1 + term_2 + ..., bit for bit, in float32 and
+    # float64, for signs from decoded projection bits and from the decoded
+    # forms that give those bits, in the layout the table picks for the
+    # rows and, from 2 rows, in each layout; one row at m = 8 and 144 maps
+    # sums in map order only in the row-major layout
     rng = np.random.default_rng(m)
     n = 1 << m
-    indices = sorted(rng.choice(np.arange(1, n), size=max(1, n // 3),
-                                replace=False).tolist())
-    l = rng.normal(size=(5, n)) * 4
-    chat = rng.integers(0, 2, size=(5, len(indices), n // 2), dtype=np.uint8)
-    accu = np.zeros_like(l)
-    for t, i in enumerate(indices):
-        cm = build_coset_map(m, i)
-        accu += (1.0 - 2.0 * chat[:, t, cm.coset_of]) * l[:, cm.partner_of]
-    cmap = stack_coset_maps(m, indices)
-    got = aggregate(l, cmap, coset_signs(cmap, chat))
-    assert np.array_equal(got, accu / len(indices))
-    assert np.array_equal(aggregate(l[2], cmap, coset_signs(cmap, chat[2])),
-                          got[2])
+    table = geometry.ROW_MAJOR_ROWS
+    for k in [144] if m == 8 else sorted({1, max(1, n // 3), n - 1}):
+        indices = sorted(rng.choice(np.arange(1, n), size=k,
+                                    replace=False).tolist())
+        cmap = stack_coset_maps(m, indices)
+        i, h = top_bits(indices)
+        for dtype, rows in itertools.product((np.float32, np.float64),
+                                             (0, 1, 2, 8, 42)):
+            l = (rng.normal(size=(rows, n)) * 4).astype(dtype)
+            chat = rng.integers(0, 2, (rows, k, n // 2), dtype=np.uint8)
+            # first-order forms on F_2^(m-1), lifted to F_2^m
+            decoded = (rng.integers(0, n // 2, (rows, k))
+                       + (n // 2) * rng.integers(0, 2, (rows, k)))
+            forms = _lift(decoded, h, i)
+            for bits, signs in [
+                    (chat, lambda: (coset_signs(cmap, chat, dtype),)),
+                    (_form_table(m - 1, np.uint8)[decoded],
+                     lambda: form_signs(forms, m, dtype))]:
+                want = aggregate_per_map(l, m, indices, bits)
+                assert want.dtype == dtype
+                for cutoff in [table] + ([(0,) * 6, (rows,) * 6]
+                                         if rows > 1 else []):
+                    monkeypatch.setattr(geometry, "ROW_MAJOR_ROWS", cutoff)
+                    got = aggregate(l, cmap, *signs())
+                    assert got.dtype == dtype
+                    assert np.array_equal(got, want), (k, dtype, rows,
+                                                       cutoff)
+                monkeypatch.setattr(geometry, "ROW_MAJOR_ROWS", table)
+                if rows:
+                    assert np.array_equal(aggregate(
+                        l[-1], cmap, coset_signs(cmap, bits[-1], dtype)),
+                        want[-1])
+
+
+def test_one_row_is_aggregated_row_major_at_every_m():
+    assert all(cutoff >= 1 for cutoff in geometry.ROW_MAJOR_ROWS)
+    for m in range(1, 13):
+        assert not geometry._coordinates_first(1, 1 << m)
+        assert geometry._coordinates_first(128, 1 << m)
+
+
+def test_aggregate_rejects_sign_factors_that_do_not_fit_the_maps():
+    cmap = stack_coset_maps(4, [1, 2])
+    l = np.zeros((64, 16))
+    with pytest.raises(ValueError, match="do not match"):
+        aggregate(l, cmap, np.ones((16, 2, 63)))
+    with pytest.raises(ValueError, match="do not match"):
+        aggregate(l, cmap, np.ones((4, 2, 64)), np.ones((2, 2, 64)))
+    assert aggregate(l, cmap, np.ones((4, 2, 64)),
+                     np.ones((4, 2, 64))).shape == l.shape
 
 
 def test_stacked_maps_are_the_single_maps_with_offset_cosets():

@@ -5,6 +5,7 @@ the walk runs the executed count of FODs, and every counter keeps the
 nominal count."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -64,6 +65,21 @@ def test_full_rpa_on_rm83_shares_a_fifth_of_its_fods(monkeypatch):
     params = CodeParams(8, 3)
     assert analytic_fod_count(params, preset("rpa")) == 291465
     assert executed_fod_count(params, preset("rpa")) == 291465 - 64770
+
+
+def test_counting_executed_fods_holds_no_share_table():
+    # 16 iterations of RM(10,3), each with its own share table of up to
+    # 2 MB: counting them held 69 MB of tables, and 278.6 MB at n_max 128
+    decoder._shared_quotients.cache_clear()
+    cfg = preset(gamma=1, delta_itr=F(99, 100), delta_rec=1, n_max=16)
+    tracemalloc.start()
+    try:
+        executed_fod_count(CodeParams(10, 3), cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 2 ** 20
+    assert decoder._shared_quotients.cache_info().currsize == 0
 
 
 def test_counting_nominal_fods_builds_no_share_table(capsys):
