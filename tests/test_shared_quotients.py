@@ -69,7 +69,7 @@ def test_full_rpa_on_rm83_shares_a_fifth_of_its_fods(monkeypatch):
 
 def test_counting_executed_fods_holds_no_share_table():
     # 16 iterations of RM(10,3), each with its own share table of up to
-    # 2 MB: counting them held 69 MB of tables, and 278.6 MB at n_max 128
+    # 2 MB: counting them held 72.6 MB of tables, and 278.6 MB at n_max 128
     decoder._shared_quotients.cache_clear()
     cfg = preset(gamma=1, delta_itr=F(99, 100), delta_rec=1, n_max=16)
     tracemalloc.start()
