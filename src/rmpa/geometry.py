@@ -145,15 +145,17 @@ def clamp_llr(l: np.ndarray) -> np.ndarray:
 # rows go coordinates first.  Each is the cutoff that lost least against
 # the faster layout, summed over both sign sources and rows 1 to 128, in
 # float32 timings of sign building and aggregation on a 2-core x86 host.
-ROW_MAJOR_ROWS = (24, 12, 12, 16, 6, 12)
+ROW_MAJOR_ROWS = (32, 24, 16, 16, 6, 8)
 
 
 def _coordinates_first(rows: int, n: int) -> bool:
     """Whether aggregation over rows vectors of length n takes them
     coordinates first, (n, k, rows), or row-major, (rows, k, n).  Each
     gather of the coordinates-first layout copies a run of rows, which pays
-    once there are enough rows; the cutoff is measured per m."""
-    return rows > ROW_MAJOR_ROWS[min(max(n.bit_length() - 6, 0), 5)]
+    once there are enough rows; the cutoff is measured per m, and one row
+    is always row-major."""
+    return rows > 1 and rows > ROW_MAJOR_ROWS[min(max(n.bit_length() - 6,
+                                                      0), 5)]
 
 
 # the sign (-1)^bit of a decoded bit, by lookup, in each float dtype
@@ -178,7 +180,9 @@ def coset_signs(cmap: CosetMap, chat: np.ndarray,
     cosets = cmap.coset_of + np.arange(0, k * half, half)[:, None]
     if _coordinates_first(len(flat), 2 * half):
         return sign.take(flat.T).take(cosets.T, axis=0)
-    return np.take(sign.take(flat), cosets, axis=-1).reshape(
+    # the cosets index the k * n/2 signs, so none wraps: a gather of one
+    # value per index runs faster unchecked
+    return np.take(sign.take(flat), cosets, axis=-1, mode="wrap").reshape(
         chat.shape[:-1] + (2 * half,))
 
 
@@ -215,6 +219,9 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
     lead, n = l.shape[:-1], l.shape[-1]
     k = len(cmap.reps)
     rows = math.prod(lead)
+    if cmap.partner_of.shape[-1] != n:
+        raise ValueError(f"LLRs of length {n} do not match maps of length "
+                         f"{cmap.partner_of.shape[-1]}")
     for factor in signs:
         if factor.dtype != l.dtype:
             raise ValueError(f"signs of dtype {factor.dtype} do not match "
@@ -223,8 +230,12 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
         if len(signs) != 1 or signs[0].shape[-2:] != cmap.partner_of.shape:
             raise ValueError(f"signs of shapes {[f.shape for f in signs]} "
                              f"do not match {k} projections of length {n}")
-        return np.einsum("...tz,...tz->...z", signs[0],
-                         np.take(l, cmap.partner_of, axis=-1)) / k
+        # the partners index l's last axis, so none wraps: a gather of one
+        # value per index runs faster unchecked
+        out = np.einsum("...tz,...tz->...z", signs[0],
+                        np.take(l, cmap.partner_of, axis=-1, mode="wrap"))
+        out /= k
+        return out
     sizes = tuple(len(factor) for factor in signs)
     if (math.prod(sizes) != n
             or any(factor.shape[1:] != (k, rows) for factor in signs)):
@@ -237,4 +248,5 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
     z = "abcdefgh"[:len(signs)]
     out = np.einsum(f"{z}tr,{','.join(c + 'tr' for c in z)}->{z}r",
                     partners, *signs)
-    return (out.reshape(n, rows).T / k).reshape(lead + (n,))
+    out /= k
+    return out.reshape(n, rows).T.reshape(lead + (n,))

@@ -343,6 +343,9 @@ def test_aggregate_rejects_sign_factors_that_do_not_fit_the_maps():
         aggregate(l, cmap, np.ones((4, 2, 64)), np.ones((2, 2, 64)))
     assert aggregate(l, cmap, np.ones((4, 2, 64)),
                      np.ones((4, 2, 64))).shape == l.shape
+    for rows in (1, 64):
+        with pytest.raises(ValueError, match="do not match maps"):
+            aggregate(np.zeros((rows, 8)), cmap, np.ones((rows, 2, 8)))
 
 
 def test_stacked_maps_are_the_single_maps_with_offset_cosets():
