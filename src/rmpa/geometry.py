@@ -154,8 +154,10 @@ def _coordinates_first(rows: int, n: int) -> bool:
     gather of the coordinates-first layout copies a run of rows, which pays
     once there are enough rows; the cutoff is measured per m, and one row
     is always row-major."""
-    return rows > 1 and rows > ROW_MAJOR_ROWS[min(max(n.bit_length() - 6,
-                                                      0), 5)]
+    if rows <= 1:
+        return False
+    m = min(max(n.bit_length() - 1, 5), 10)
+    return rows > ROW_MAJOR_ROWS[m - 5]
 
 
 # the sign (-1)^bit of a decoded bit, by lookup, in each float dtype
