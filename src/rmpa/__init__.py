@@ -5,7 +5,7 @@ AWGN Monte Carlo harness."""
 from .codes import CodeParams, build_generator, encode
 from .geometry import (LLR_CLAMP, CosetMap, aggregate, coset_signs,
                        project_llr, stack_coset_maps)
-from .fod import FodCounter, fht, fht_decode, form_bits
+from .fod import FodCounter, fht_decode, form_bits
 from .decoder import (DecodePlan, DecodeResult, PruningConfig,
                       analytic_fod_count, check_convergence, decode,
                       decode_batch, decode_plan, executed_fod_count,
@@ -19,7 +19,7 @@ __all__ = [
     "CodeParams", "build_generator", "encode",
     "LLR_CLAMP", "CosetMap", "aggregate", "coset_signs", "project_llr",
     "stack_coset_maps",
-    "FodCounter", "fht", "fht_decode", "form_bits",
+    "FodCounter", "fht_decode", "form_bits",
     "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",
     "check_convergence", "decode", "decode_batch", "decode_plan",
     "executed_fod_count", "explicit_schedule_config", "preset",

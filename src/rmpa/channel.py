@@ -4,7 +4,9 @@ Convention: unit-energy BPSK (0 -> +1, 1 -> -1), per-dimension noise
 variance sigma^2 = 1 / (2 * R * 10^(EbN0_dB / 10)), channel LLR 2y/sigma^2.
 Every frame draws its randomness from the stream that
 np.random.default_rng((seed, SNR-point index, frame index)) gives, so
-results do not depend on batching or worker count.
+results do not depend on batching or worker count.  The message bits are
+those rng.integers(0, 2, dtype=np.uint8) draws, read off the stream's raw
+words; encode takes the parity of its float64 product in integers.
 """
 
 from __future__ import annotations
@@ -204,22 +206,39 @@ def _frame_states(seed: int, point: int, frames: range) -> list:
     return states
 
 
+def _draw_frames(seed: int, point: int, frames: range, k: int,
+                 n: int) -> tuple:
+    """The messages (frames, k) and standard-normal noise (frames, n) of the
+    frames: what rng.integers(0, 2, size=k, dtype=np.uint8) and then
+    rng.standard_normal(n) draw from np.random.default_rng((seed, point,
+    frame)), each stream set in turn on one Generator this call owns.
+
+    integers takes one byte per bit from the 32-bit halves of the 64-bit
+    words, low half first, and keeps the byte's top bit (Lemire's method,
+    which never rejects a range of 2).  So bit j is the top bit of byte j
+    of the frame's first ceil(k/8) raw words, read little-endian, and the
+    bits of the whole chunk are read at once.  The noise starts at the
+    next whole word, as standard_normal ignores a half word left over."""
+    words = np.empty((len(frames), -(-k // 8)), dtype=np.uint64)
+    noise = np.empty((len(frames), n))
+    pcg = np.random.PCG64(0)
+    rng = np.random.Generator(pcg)
+    for t, state in enumerate(_frame_states(seed, point, frames)):
+        pcg.state = state
+        words[t] = pcg.random_raw(words.shape[1])
+        rng.standard_normal(out=noise[t])
+    return words.astype("<u8", copy=False).view(np.uint8)[:, :k] >> 7, noise
+
+
 def _run_chunk(cfg: SimConfig, gen: np.ndarray, ch: ChannelConfig,
                point: int, frames: range):
     """Simulate the given frames; returns per-frame bit errors and FODs.
 
-    Only the draws are made frame by frame, each from its frame's own
-    stream, set on one Generator that this call owns: the message, then the
-    noise.  Seeding, encoding, modulation and the LLRs take one pass over
-    the chunk."""
+    Only the draws are made frame by frame (_draw_frames), each from its
+    frame's own stream: the message, then the noise.  Seeding, encoding,
+    modulation and the LLRs take one pass over the chunk."""
     code = cfg.code
-    msgs = np.empty((len(frames), code.k), dtype=np.uint8)
-    noise = np.empty((len(frames), code.n))
-    rng = np.random.Generator(np.random.PCG64(0))
-    for t, state in enumerate(_frame_states(cfg.seed, point, frames)):
-        rng.bit_generator.state = state
-        msgs[t] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        rng.standard_normal(out=noise[t])
+    msgs, noise = _draw_frames(cfg.seed, point, frames, code.k, code.n)
     sent = encode(msgs, gen)
     llrs = llr_from_channel(transmit(sent, ch, noise), ch)
     if cfg.decoder.early_stop_theta is not None:

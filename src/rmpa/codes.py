@@ -57,9 +57,11 @@ def encode(msg: np.ndarray, gen: np.ndarray) -> np.ndarray:
     """c = u G over F_2, for one message or a stack of them (last axis k).
 
     The product runs in float64, where BLAS does it; a sum of k terms of at
-    most 255 is exact there for any k < 2^45."""
+    most 255 is exact there for any k < 2^45.  Its parity is then taken in
+    integers, as the low bit of the int64 sum."""
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.ndim == 0 or msg.shape[-1] != gen.shape[0]:
         raise ValueError(f"message length {msg.shape} does not match k={gen.shape[0]}")
     product = msg.astype(np.float64) @ gen.astype(np.float64)
-    return (product % 2).astype(np.uint8)
+    # a sum above 255 has no uint8 value: the low bit is taken in int64
+    return (product.astype(np.int64) & 1).astype(np.uint8)

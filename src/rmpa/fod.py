@@ -58,16 +58,6 @@ def float_array(values) -> np.ndarray:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
-def fht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis, in values'
-    float dtype: out[a] = sum_z (-1)^<a, z> values[z]; values is only read."""
-    x = float_array(values)
-    n = x.shape[-1]
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    return _spectra(x.reshape(-1, n)).T.reshape(x.shape)
-
-
 def _spectra(batch: np.ndarray) -> np.ndarray:
     """The spectra of the rows of a (rows, 2^m) batch as the columns of a
     (2^m, rows) array in batch's dtype.  A product with the 2^c x 2^c +-1

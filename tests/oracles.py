@@ -2,8 +2,9 @@
 
 None of these is on a decoding path: an exhaustive ML decoder, the code's
 membership test, single coset maps, hard projections, the logaddexp form
-of the soft projection, the per-map loop of the aggregation, the butterfly
-form of the Walsh-Hadamard transform, the codeword bits of first-order
+of the soft projection, the per-map loop of the aggregation, the
+Walsh-Hadamard transform of any vectors over rmpa's kernel and its
+butterfly form, the codeword bits of first-order
 decodings, the per-path decode walk, the decode walk in float64, the
 frame-by-frame channel, and a z-test for comparing two frame error rates.
 """
@@ -19,7 +20,7 @@ from rmpa.channel import ChannelConfig, llr_from_channel
 from rmpa.codes import CodeParams, build_generator, encode
 from rmpa.decoder import (WALK_DTYPE, _stacked_maps, _walk, check_convergence,
                           decode_plan)
-from rmpa.fod import float_array, fht_decode, form_bits
+from rmpa.fod import _spectra, float_array, fht_decode, form_bits
 from rmpa.geometry import LLR_CLAMP, clamp_llr, project_llr
 
 ML_ORACLE_CAP = 2 ** 20
@@ -152,14 +153,27 @@ def aggregate_per_map(l: np.ndarray, m: int, indices,
     return accu / len(indices)
 
 
+def fht(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis, in values'
+    float dtype: out[a] = sum_z (-1)^<a, z> values[z]; values is only read.
+
+    rmpa's own transform, rmpa.fod._spectra, which fht_decode runs, for
+    vectors of any leading shape: the form in which the tests check it."""
+    x = float_array(values)
+    n = x.shape[-1]
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"length must be a power of two, got {n}")
+    return _spectra(x.reshape(-1, n)).T.reshape(x.shape)
+
+
 def fht_butterfly(x: np.ndarray) -> np.ndarray:
     """The Walsh-Hadamard transform along the first axis, where each
     butterfly stage is a few long contiguous passes.  Each stage reads one
     buffer and writes the other, so x is only read.  It sums in x's float
-    dtype, as rmpa.fht does.
+    dtype, as rmpa's transform does.
 
-    The reference that rmpa.fht's Hadamard-product form is checked
-    against."""
+    The reference that rmpa's Hadamard-product form of the transform (fht
+    above) is checked against."""
     x = float_array(x)
     n = x.shape[0]
     buffers = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype))

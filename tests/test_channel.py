@@ -5,7 +5,8 @@ from oracles import per_frame_channel, two_proportion_pvalue
 from rmpa import (ChannelConfig, CodeParams, SimConfig, binomial_ci,
                   csv_string, decode, llr_from_channel, points_to_json,
                   preset, run_sweep, transmit)
-from rmpa.channel import CSV_COLUMNS, MAX_WORKERS, _frame_states
+from rmpa.channel import (CSV_COLUMNS, MAX_WORKERS, _draw_frames,
+                          _frame_states)
 import json
 
 
@@ -191,6 +192,25 @@ def test_frame_states_are_the_default_rng_streams(seed, point):
             got, expected = [(gen.integers(0, 2, size=42, dtype=np.uint8),
                               gen.standard_normal(64)) for gen in (rng, want)]
             assert all(map(same_bits, got, expected))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 + 3])
+@pytest.mark.parametrize("k", [1, 3, 11, 42, 64, 256, 638])
+def test_frame_draws_are_the_default_rng_draws(seed, k):
+    # the messages are read off raw words, a byte per bit: k = 1, 3, 11
+    # and 42 take an odd number of 32-bit halves, so integers buffers the
+    # other half and the noise must skip it; 64 and 256 fill whole words,
+    # and 638 (RM(10,5)) ends two bytes short of its last word
+    n = 16
+    for frames in (range(3), range(2 ** 32 - 2, 2 ** 32 + 2)):
+        msgs, noise = _draw_frames(seed, 1, frames, k, n)
+        assert msgs.shape == (len(frames), k) and noise.shape == (
+            len(frames), n)
+        for t, frame in enumerate(frames):
+            want = np.random.default_rng((seed, 1, frame))
+            assert same_bits(msgs[t], want.integers(0, 2, size=k,
+                                                    dtype=np.uint8))
+            assert same_bits(noise[t], want.standard_normal(n))
 
 
 def test_sweep_builds_one_generator_per_chunk(monkeypatch):

@@ -110,9 +110,11 @@ def test_encode_takes_a_stack_of_messages():
 
 
 def test_encode_is_the_xor_of_the_rows_the_message_selects():
-    # encode's float64 product against the F_2 definition, row by row
+    # encode's float64 product and integer parity against the F_2
+    # definition, row by row.  The all-ones message sums k rows at z = n - 1:
+    # 256 at RM(9,4) and 638 at RM(10,5), past what a uint8 holds
     rng = np.random.default_rng(11)
-    for m, r in [(6, 3), (8, 3), (9, 4)]:
+    for m, r in [(6, 3), (8, 3), (9, 4), (10, 5)]:
         p = CodeParams(m, r)
         gen = build_generator(p)
         msgs = rng.integers(0, 2, (64, p.k), dtype=np.uint8)

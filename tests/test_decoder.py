@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import build_coset_map, fod_bits, is_codeword, ml_decode_oracle
+from oracles import (build_coset_map, fht, fod_bits, is_codeword,
+                     ml_decode_oracle)
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_generator, check_convergence, decode, decode_batch,
                   decode_plan, encode, executed_fod_count,
-                  explicit_schedule_config, fht, fht_decode, preset,
+                  explicit_schedule_config, fht_decode, preset,
                   select_projection_indices, stack_coset_maps)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.decoder import _keep_freed_memory, _stacked_maps

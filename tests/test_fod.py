@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boxplus, fht_butterfly, fod_bits, ml_decode_oracle
-from rmpa import CodeParams, FodCounter, fht, fht_decode, form_bits
+from oracles import boxplus, fht, fht_butterfly, fod_bits, ml_decode_oracle
+from rmpa import CodeParams, FodCounter, fht_decode, form_bits
 from rmpa.fod import TIE_RTOL, TIE_RTOL_FLOAT32
 
 

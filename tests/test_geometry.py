@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,6 +188,24 @@ def test_project_llr_keeps_its_shape_and_values_in_either_memory_order(
             assert np.max(np.abs(got[row] - boxplus(
                 l[row][..., cmap.reps], l[row][..., cmap.partners]))) <= (
                 1e-12 if dtype == np.float64 else 1e-5)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_project_llr_raises_on_an_index_outside_the_llrs(rows):
+    # one row is gathered unchecked through a CosetMap of the LLRs'
+    # length; index arrays of any other kind, and maps built for longer
+    # vectors, are checked, with one row as with several
+    m = 4
+    l = np.random.default_rng(9).normal(size=(rows, 1 << m)) * 4
+    table = coset_table(m)
+    pairs = SimpleNamespace(reps=table.reps.copy(),
+                            partners=table.partners.copy())
+    assert np.array_equal(project_llr(l, table), project_llr(l, pairs))
+    pairs.partners[2, 5] = 1 << m
+    with pytest.raises(IndexError):
+        project_llr(l, pairs)
+    with pytest.raises(IndexError):
+        project_llr(l, stack_coset_maps(m + 1, [1, 17, 31]))
 
 
 def test_project_llr_takes_any_finite_llr_without_a_warning():

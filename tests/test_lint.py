@@ -1,8 +1,11 @@
 """Static checks of the package sources and the test oracles, with the
 standard library only: every imported name is used, every top-level name of
-the package is read or exported, and every exported name exists."""
+the package is read or exported, every exported name exists, and every
+exported name is read by the package or shown in the README's library
+example."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,30 @@ def test_every_exported_name_resolves():
     assert len(set(rmpa.__all__)) == len(rmpa.__all__)
     missing = [name for name in rmpa.__all__ if not hasattr(rmpa, name)]
     assert missing == []
+
+
+# exported names that neither the package nor the README's library example
+# reads: explicit_schedule_config, which the benchmark's checks call, and
+# binomial_ci, which the sweep's output does not write yet.  The list may
+# only shrink.
+UNREAD_EXPORTS = {"explicit_schedule_config", "binomial_ci"}
+
+
+def names_read(source: str) -> set:
+    """The names a module loads."""
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_the_reader_finds_loads_only():
+    source = "from rmpa import decode, preset\nx = preset()\ny = x\n"
+    assert names_read(source) == {"preset", "x"}
+
+
+def test_every_exported_name_is_read_by_the_package_or_the_example():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    example = re.search(r"## Library example\s+```python\n(.*?)```", readme,
+                        re.S).group(1)
+    read = set().union(*(names_read(path.read_text()) for path in MODULES))
+    unread = set(rmpa.__all__) - read - names_read(example)
+    assert unread == UNREAD_EXPORTS

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import decode_per_path
+from oracles import boxplus, decode_per_path
 from rmpa import (CodeParams, FodCounter, analytic_fod_count, coset_signs,
                   decode, decode_batch, decode_plan, executed_fod_count,
                   preset, stack_coset_maps)
@@ -157,6 +157,32 @@ def test_the_shared_walk_equals_the_per_path_walk(params, cfg, count, rows):
     assert np.array_equal(decode_batch(llrs, params, cfg), expected)
     for llr, bits in zip(llrs, expected):
         assert np.array_equal(decode(llr, params, cfg).codeword, bits)
+
+
+def test_the_shared_quotients_of_one_row_are_gathered_in_range(monkeypatch):
+    # a one-frame decode reaches the shared step with one row, where
+    # project_llr gathers one value per index; the index arrays that step
+    # builds itself are no CosetMap, and each must index the LLRs it
+    # projects, as the reference's checked gathers read them
+    params = CodeParams(8, 3)
+    calls = []
+    original = decoder.project_llr
+
+    def checking(l, cmap):
+        got = original(l, cmap)
+        calls.append(isinstance(cmap, decoder.CosetMap))
+        assert 0 <= min(cmap.reps.min(), cmap.partners.min())
+        assert max(cmap.reps.max(), cmap.partners.max()) < l.shape[-1]
+        want = boxplus(l[..., cmap.reps], l[..., cmap.partners])
+        assert np.max(np.abs(got - want)) <= 1e-4
+        return got
+
+    monkeypatch.setattr(decoder, "project_llr", checking)
+    llr = gaussian_rows(params, 1, 2)[0]
+    bits = decode(llr, params, MFP_83).codeword
+    assert not all(calls) and any(calls)
+    assert np.array_equal(bits, decode_per_path(llr[None, :], params,
+                                                MFP_83)[0][0])
 
 
 def test_early_stopping_equals_the_per_path_walk():

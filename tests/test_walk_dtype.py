@@ -12,10 +12,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import decode_float64, fod_bits
+from oracles import decode_float64, fht, fod_bits
 from rmpa import (LLR_CLAMP, CodeParams, aggregate,
                   build_generator, coset_signs, decode, decode_batch, encode,
-                  fht, fht_decode, preset, project_llr, stack_coset_maps)
+                  fht_decode, preset, project_llr, stack_coset_maps)
 from rmpa import decoder, fod
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.fod import TIE_RTOL_FLOAT32
