@@ -243,7 +243,13 @@ def check_convergence(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> boo
     l_new = float_array(l_new)
     if l_old.shape != l_new.shape:
         raise ValueError("LLR vectors must have equal length")
-    return bool(np.all(np.abs(l_new - l_old) < theta * np.abs(l_old)))
+    return _converged(l_old, l_new, theta)
+
+
+def _converged(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> bool:
+    """check_convergence of two arrays of one float dtype and shape, as the
+    walk holds them, without converting or checking them."""
+    return bool((np.abs(l_new - l_old) < theta * np.abs(l_old)).all())
 
 
 # The kept subspaces are strided, so their maps are views of the one coset
@@ -462,7 +468,7 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
         llr_new = aggregate(llr, cmap, *signs)
         del signs
         converged = (theta is not None
-                     and check_convergence(llr[0], llr_new[0], theta))
+                     and _converged(llr[0], llr_new[0], theta))
         llr = llr_new
         if converged:
             break

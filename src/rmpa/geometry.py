@@ -36,12 +36,25 @@ class CosetMap:
     row slice of a stack is a stack: map[a:b:s] holds views.  Every index
     lies in [0, n), n the length of partner_of, as stack_coset_maps builds
     them: the kernels gather through a map of their vectors' length
-    unchecked."""
+    unchecked.
+
+    The run fields serve the row-major gathers, which go by the maps' XOR
+    structure.  A map's representatives depend only on the top bit h of i,
+    and z ^ i is z with its low b = _run_bits(m) bits XORed by those of i
+    and its high bits by the rest.  So a vector w is gathered once per call
+    into the table of _xor_index(m): its 2^b low-bit XOR shifts w[z ^ a]
+    for a < 2^b, then w at the representatives of the maps 2^h for h < b
+    and at the partners of the maps 1 ... 2^b - 1.  Every map's operands
+    are then runs of 2^b values of that table, w[z ^ i] for a run of z
+    being a run of shift i mod 2^b, and the run fields name those runs."""
 
     reps: np.ndarray      # canonical representatives, ascending (n/2,)
     partners: np.ndarray  # reps ^ i (n/2,)
     coset_of: np.ndarray  # coordinate z -> coset index (n,)
     partner_of: np.ndarray  # coordinate z -> z ^ i (n,)
+    rep_runs: np.ndarray  # the runs that hold w[reps] (n/2^(b+1),)
+    partner_runs: np.ndarray  # those that hold w[partners] (n/2^(b+1),)
+    partner_of_runs: np.ndarray  # those that hold w[partner_of] (n/2^b,)
 
     def __getitem__(self, rows: slice) -> CosetMap:
         return CosetMap(*(a[rows] for a in vars(self).values()))
@@ -61,6 +74,60 @@ def drop_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (z >> (h + 1) << h) | (z & ((1 << h) - 1))
 
 
+# The most low bits of z that a run of the row-major gathers keeps
+# together: 8 float32 values, 32 bytes, the longest chunk numpy's take
+# copies without a memmove call.
+RUN_BITS = 3
+
+
+# The fewest values, k * n, of a stack's partner_of from which the row-major
+# gathers go by the XOR structure: below it the table of shifts costs more
+# than it saves, and the gathers take one value per index.
+XOR_GATHER_VALUES = 1 << 11
+
+
+def _run_bits(m: int) -> int:
+    return max(0, min(RUN_BITS, m - 1))
+
+
+@lru_cache(maxsize=None)
+def _xor_index(m: int) -> np.ndarray:
+    """The coordinates of the table that the row-major gathers take runs of
+    (CosetMap), for b = _run_bits(m): z ^ a for each shift a < 2^b, the
+    representatives of the maps 2^h for h < b, and the partners of the maps
+    1 ... 2^b - 1, one after the other; read-only."""
+    b = _run_bits(m)
+    z = np.arange(1 << m)
+    c = z[:len(z) // 2]
+    i, h = top_bits(range(1, 1 << b))
+    return _read_only(np.concatenate([
+        (z ^ np.arange(1 << b)[:, None]).ravel(),
+        insert_zero_bit(c, np.arange(b)[:, None]).ravel(),
+        (insert_zero_bit(c, h[:, None]) ^ i[:, None]).ravel()]))[0]
+
+
+def _runs(m: int, i: np.ndarray, h: np.ndarray) -> tuple:
+    """The run fields of CosetMap for the maps i, (k, 1), of top bits h:
+    indices of runs of 2^b values in the table of _xor_index(m)."""
+    b = _run_bits(m)
+    run = 1 << b
+    # runs per shift of the table, and the runs of n/2 cosets
+    blocks = (1 << m) >> b
+    cosets = np.arange(blocks // 2)
+    low, high = i & (run - 1), i >> b
+    # h >= b: the representatives are the runs of z whose bit h - b is
+    # clear, and w[z ^ i] is run z ^ high of shift low
+    wide = h >= b
+    rep_blocks = insert_zero_bit(cosets, np.maximum(h - b, 0))
+    # h < b: the rows that follow the shifts, those of the representatives
+    # of map 2^h and of the partners of map i
+    rows = run * blocks + cosets
+    return (np.where(wide, rep_blocks, rows + h * (blocks // 2)),
+            np.where(wide, low * blocks + (rep_blocks ^ high),
+                     rows + (b + i - 1) * (blocks // 2)),
+            low * blocks + (np.arange(blocks) ^ high))
+
+
 # The table is filled a block of maps at a time, so that each temporary of
 # the build holds at most this many bytes, whatever m is.
 BUILD_BYTES = 1 << 18
@@ -74,24 +141,30 @@ def stack_coset_maps(m: int, indices) -> CosetMap:
     if i.size == 0 or not np.all((1 <= i) & (i <= n - 1)):
         raise ValueError(f"subspace indices must be in [1, {n - 1}], "
                          f"got {list(indices)}")
+    runs = n >> _run_bits(m)
     stack = CosetMap(*(np.empty((i.size, size), dtype=np.intp)
-                       for size in (n // 2, n // 2, n, n)))
+                       for size in (n // 2, n // 2, n, n,
+                                    runs // 2, runs // 2, runs)))
     z = np.arange(n)
     step = max(1, BUILD_BYTES // (n * z.itemsize))
     for start in range(0, i.size, step):
         block = slice(start, start + step)
-        reps, partners, coset_of, partner_of = vars(stack[block]).values()
+        reps, partners, coset_of, partner_of, *run_fields = vars(
+            stack[block]).values()
         ib, hb = i[block, None], h[block, None]
         reps[...] = insert_zero_bit(z[:n // 2], hb)
         np.bitwise_xor(reps, ib, out=partners)
         np.bitwise_xor(z, ib, out=partner_of)
         coset_of[...] = drop_bit(np.minimum(z, partner_of), hb)
+        for field, values in zip(run_fields, _runs(m, ib, hb)):
+            field[...] = values
     return CosetMap(*_read_only(*vars(stack).values()))
 
 
 @lru_cache(maxsize=None)
 def coset_table(m: int) -> CosetMap:
-    """All n - 1 maps of F_2^m, 24 n (n - 1) bytes; map i is row i - 1."""
+    """All n - 1 maps of F_2^m, 24 n (n - 1) bytes and their runs, 2 n (n - 1)
+    more from m = 4; map i is row i - 1."""
     return stack_coset_maps(m, range(1, 1 << m))
 
 
@@ -105,44 +178,68 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     sign(a)*sign(b).  LLRs beyond +-LLR_CLAMP count as +-LLR_CLAMP, as
     decode clamps them on entry, so the output stays within the clamp up to
     rounding; a zero LLR projects to 0.  Only cmap's reps and partners are
-    read: any pair of equal-shaped index arrays into the last axis of l
-    projects the same way, and an index outside it raises.  Only one row
-    through a CosetMap of l's length is gathered unchecked, its indices
-    being in range as built.  The projection is in l's float dtype.
+    read, bar one row through a CosetMap of l's length: any pair of
+    equal-shaped index arrays into the last axis of l projects the same
+    way, gathered checked, so that an index outside it raises.  The
+    projection is in l's float dtype.
 
-    u and the signs are taken coordinates first, as (n, rows) arrays of
-    the rows of l, so that each of the four gathers copies a run of rows
-    per index.  The result has shape l.shape[:-1] + (k, n/2) for k stacked
-    maps (no k for one map) and is a view: with one row its memory holds
-    the projections in the order of cmap's indices, and with more it holds
-    each projected vector as a column, (n/2, k, rows), through the
+    One row through a CosetMap of its length is gathered by the maps' XOR
+    structure: u and the signs go into one table of 2^b low-bit XOR
+    shifts and low-bit maps (_xor_index), one value per index, and each
+    map's operands are runs of 2^b values of it (the map's run fields).
+    Otherwise u and the signs are taken coordinates first, as (n, rows)
+    arrays of the rows of l, so that each of the four gathers copies a run
+    of rows per index.  The result has shape l.shape[:-1] + (k, n/2) for k
+    stacked maps (no k for one map) and is a view: with one row its memory
+    holds the projections in the order of cmap's indices, and with more it
+    holds each projected vector as a column, (n/2, k, rows), through the
     transposed indices.
     """
     l = float_array(l)
     lead, n = l.shape[:-1], l.shape[-1]
+    # one row through a CosetMap of its length: the indices are in range as
+    # built, and unchecked gathers run faster
+    unchecked = (l.size == n and isinstance(cmap, CosetMap)
+                 and cmap.partner_of.shape[-1] == n)
+    if unchecked and cmap.partner_of.size >= XOR_GATHER_VALUES:
+        m = n.bit_length() - 1
+        w = np.empty((2, n), dtype=l.dtype)
+        np.exp(-np.minimum(np.abs(l.reshape(n)), LLR_CLAMP), out=w[0])
+        np.sign(l.reshape(n), out=w[1])
+        table = w.take(_xor_index(m), axis=1, mode="wrap").reshape(
+            2, -1, 1 << _run_bits(m))
+        a = table.take(cmap.rep_runs, axis=1, mode="wrap")
+        b = table.take(cmap.partner_runs, axis=1, mode="wrap")
+        out = _soft_xor(a[0], b[0])
+        out *= a[1]
+        out *= b[1]
+        return out.reshape(lead + cmap.reps.shape)
+    mode = "wrap" if unchecked else "raise"
     cols = np.ascontiguousarray(l.reshape(-1, n).T)
     # with more than one row, the gathers write the projections as columns
     columns = cols.shape[1] > 1
     reps, partners = cmap.reps, cmap.partners
     if columns:
         reps, partners = reps.T, partners.T
-    # a gather of one value per index, as with one row, runs faster
-    # unchecked; runs of rows do not
-    mode = ("wrap" if not columns and isinstance(cmap, CosetMap)
-            and cmap.partner_of.shape[-1] == n else "raise")
     u = np.exp(-np.minimum(np.abs(cols), LLR_CLAMP))
     ua = u.take(reps, axis=0, mode=mode)
     ub = u.take(partners, axis=0, mode=mode)
     del u
-    out = np.multiply(ua, ub)
-    np.log1p(out, out=out)
-    ua += ub
-    out -= np.log(ua, out=ua)
+    out = _soft_xor(ua, ub)
     del ua, ub
     sign = np.sign(cols)
     out *= sign.take(reps, axis=0, mode=mode)
     out *= sign.take(partners, axis=0, mode=mode)
     return (out.T if columns else out).reshape(lead + cmap.reps.shape)
+
+
+def _soft_xor(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """|a [+] b| = log1p(u_a*u_b) - log(u_a + u_b); ua is overwritten."""
+    out = np.multiply(ua, ub)
+    np.log1p(out, out=out)
+    ua += ub
+    out -= np.log(ua, out=ua)
+    return out
 
 
 def clamp_llr(l: np.ndarray) -> np.ndarray:
@@ -151,10 +248,12 @@ def clamp_llr(l: np.ndarray) -> np.ndarray:
 
 # The most rows that aggregate, coset_signs and form_signs keep in the
 # row-major layout, by m from 5 to 10 (smaller m as 5, larger as 10); more
-# rows go coordinates first.  Each is the cutoff that lost least against
-# the faster layout, summed over both sign sources and rows 1 to 128, in
-# float32 timings of sign building and aggregation on a 2-core x86 host.
-ROW_MAJOR_ROWS = (32, 24, 16, 16, 6, 8)
+# rows go coordinates first.  Each is the smallest cutoff whose time
+# relative to the faster layout, summed over both sign sources and rows 1
+# to 128, is within 1% of the least, in float32 timings of sign building
+# and aggregation on a 2-core x86 host.  Near-ties go to the
+# coordinates-first layout, which builds no (rows, k, n) sign array.
+ROW_MAJOR_ROWS = (32, 24, 32, 32, 12, 8)
 
 
 def _coordinates_first(rows: int, n: int) -> bool:
@@ -192,7 +291,10 @@ def coset_signs(cmap: CosetMap, chat: np.ndarray,
     if _coordinates_first(len(flat), 2 * half):
         return sign.take(flat.T).take(cosets.T, axis=0)
     # the cosets index the k * n/2 signs, so none wraps: a gather of one
-    # value per index runs faster unchecked
+    # value per index runs faster unchecked.  The maps' XOR structure does
+    # not pay here: a sign's coset is z's own for half the coordinates and
+    # its partner's for the rest, which needs each map's decoded bits
+    # shifted by its own i, one value per index.
     return np.take(sign.take(flat), cosets, axis=-1, mode="wrap").reshape(
         chat.shape[:-1] + (2 * half,))
 
@@ -209,6 +311,22 @@ def form_signs(forms: np.ndarray, m: int, dtype) -> tuple:
                  for factor in _form_factors(forms.T, m, dtype, m - m // 2))
 
 
+def _partners(rows: np.ndarray, cmap: CosetMap) -> np.ndarray:
+    """The partner LLRs rows[:, z ^ i] of each map of cmap, (rows, k, n) or,
+    through the XOR structure, (rows, k, n/L, L), L = 2^_run_bits(m): each
+    row's low-bit XOR shifts, one value per index, and then runs of L of
+    them.  The indices are in range as built, so the gathers run unchecked,
+    which is faster."""
+    n = rows.shape[-1]
+    if cmap.partner_of.size < XOR_GATHER_VALUES:
+        return rows.take(cmap.partner_of, axis=1, mode="wrap")
+    m = n.bit_length() - 1
+    run = 1 << _run_bits(m)
+    shifts = rows.take(_xor_index(m)[:run * n], axis=1, mode="wrap")
+    return shifts.reshape(len(rows), n, run).take(
+        cmap.partner_of_runs, axis=1, mode="wrap")
+
+
 def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
     """Average the partner LLRs, sign-flipped per projection.
 
@@ -220,11 +338,13 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
     coordinate z is (1/k) * sum_t signs[t, z] * l[z ^ i_t], summed in the
     order of the stack, in l's float dtype.
 
-    The partner LLRs are gathered in the layout of the signs, coordinates
-    first as runs of rows, and one einsum, without its optimize path,
-    multiplies and sums them, with the sum over t outside the loop over
-    the rows or over z: the +-1 products are exact, and each output is
-    summed t = 0, 1, ... as the per-map loop sums it.
+    The partner LLRs are gathered in the layout of the signs: coordinates
+    first as runs of rows, row-major through the maps' XOR structure, each
+    row's low-bit XOR shifts and then runs of them (_partners).  One
+    einsum, without its optimize path, multiplies and sums them, with the
+    sum over t outside the loop over the rows or over z: the +-1 products
+    are exact, and each output is summed t = 0, 1, ... as the per-map loop
+    sums it.
     """
     l = float_array(l)
     lead, n = l.shape[:-1], l.shape[-1]
@@ -241,10 +361,9 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
         if len(signs) != 1 or signs[0].shape[-2:] != cmap.partner_of.shape:
             raise ValueError(f"signs of shapes {[f.shape for f in signs]} "
                              f"do not match {k} projections of length {n}")
-        # the partners index l's last axis, so none wraps: a gather of one
-        # value per index runs faster unchecked
         out = np.einsum("...tz,...tz->...z", signs[0],
-                        np.take(l, cmap.partner_of, axis=-1, mode="wrap"))
+                        _partners(l.reshape(-1, n), cmap).reshape(
+                            lead + (k, n)))
         out /= k
         return out
     sizes = tuple(len(factor) for factor in signs)

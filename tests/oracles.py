@@ -2,15 +2,17 @@
 
 None of these is on a decoding path: an exhaustive ML decoder, the code's
 membership test, single coset maps, hard projections, the logaddexp form
-of the soft projection, the per-map loop of the aggregation, the
-Walsh-Hadamard transform of any vectors over rmpa's kernel and its
-butterfly form, the codeword bits of first-order
-decodings, the per-path decode walk, the decode walk in float64, the
-frame-by-frame channel, and a z-test for comparing two frame error rates.
+of the soft projection, the per-map loops of the projection, the coset
+signs and the aggregation, the Walsh-Hadamard transform of any vectors
+over rmpa's kernel and its butterfly form, the codeword bits of
+first-order decodings, the per-path decode walk, the decode walk in
+float64, the frame-by-frame channel, and a z-test for comparing two frame
+error rates.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from statistics import NormalDist
 from types import SimpleNamespace
 
@@ -18,10 +20,9 @@ import numpy as np
 
 from rmpa.channel import ChannelConfig, llr_from_channel
 from rmpa.codes import CodeParams, build_generator, encode
-from rmpa.decoder import (WALK_DTYPE, _stacked_maps, _walk, check_convergence,
-                          decode_plan)
+from rmpa.decoder import WALK_DTYPE, _walk, check_convergence, decode_plan
 from rmpa.fod import _spectra, float_array, fht_decode, form_bits
-from rmpa.geometry import LLR_CLAMP, clamp_llr, project_llr
+from rmpa.geometry import LLR_CLAMP, clamp_llr
 
 ML_ORACLE_CAP = 2 ** 20
 
@@ -78,20 +79,24 @@ def ml_decode_oracle(llr: np.ndarray, params: CodeParams) -> np.ndarray:
     return rows[order[0]].copy()
 
 
+@lru_cache(maxsize=None)
 def build_coset_map(m: int, i: int) -> SimpleNamespace:
     """The coset map of the one subspace {0, i}, from the definition: the
     cosets {z, z ^ i}, each named by its smaller member, in ascending order.
-    It has the fields of a single rmpa.geometry.CosetMap."""
+    It has the index fields of a single rmpa.geometry.CosetMap, read-only,
+    as each map is built once."""
     n = 1 << m
     if not 1 <= i <= n - 1:
         raise ValueError(f"subspace index must be in [1, {n - 1}], got {i}")
     reps = sorted({min(z, z ^ i) for z in range(n)})
     coset = {rep: t for t, rep in enumerate(reps)}
-    return SimpleNamespace(
-        m=m, i=i, reps=np.array(reps),
-        partners=np.array([rep ^ i for rep in reps]),
+    fields = dict(
+        reps=np.array(reps), partners=np.array([rep ^ i for rep in reps]),
         coset_of=np.array([coset[min(z, z ^ i)] for z in range(n)]),
         partner_of=np.array([z ^ i for z in range(n)]))
+    for a in fields.values():
+        a.setflags(write=False)
+    return SimpleNamespace(m=m, i=i, **fields)
 
 
 def mask_coset_maps(m: int, indices) -> SimpleNamespace:
@@ -134,6 +139,39 @@ def boxplus(a, b):
     return np.clip(out, -LLR_CLAMP, LLR_CLAMP)
 
 
+def project_per_map(l: np.ndarray, m: int, indices) -> np.ndarray:
+    """The soft projections of the LLRs l, shape (..., 2^m), onto the
+    subspaces {0, i} of indices, shape (..., k, 2^(m-1)), one map at a time
+    from its coset map, with rmpa's exp-domain arithmetic in l's float
+    dtype: u = exp(-min(|l|, LLR_CLAMP)), then (log1p(u_a * u_b)
+    - log(u_a + u_b)) * sign(a) * sign(b).
+
+    The reference that rmpa.project_llr's gathers are checked against."""
+    l = float_array(l)
+    u = np.exp(-np.minimum(np.abs(l), LLR_CLAMP))
+    sign = np.sign(l)
+    out = np.empty(l.shape[:-1] + (len(indices), l.shape[-1] // 2), l.dtype)
+    for t, i in enumerate(indices):
+        cm = build_coset_map(m, i)
+        ua, ub = u[..., cm.reps], u[..., cm.partners]
+        out[..., t, :] = ((np.log1p(ua * ub) - np.log(ua + ub))
+                          * sign[..., cm.reps] * sign[..., cm.partners])
+    return out
+
+
+def coset_signs_per_map(m: int, indices, chat: np.ndarray,
+                        dtype) -> np.ndarray:
+    """The signs (-1)^chat[t, coset_t(z)], shape (..., k, 2^m), of the
+    decoded projection bits chat, shape (..., k, 2^(m-1)), of the
+    subspaces {0, i} of indices, one map at a time from its coset map, in
+    dtype.
+
+    The reference that rmpa.coset_signs is checked against."""
+    chat = np.asarray(chat)
+    return np.stack([1 - 2 * chat[..., t, build_coset_map(m, i).coset_of]
+                     .astype(dtype) for t, i in enumerate(indices)], axis=-2)
+
+
 def aggregate_per_map(l: np.ndarray, m: int, indices,
                       chat: np.ndarray) -> np.ndarray:
     """The aggregation of the LLRs l, shape (..., 2^m), from the decoded
@@ -144,12 +182,10 @@ def aggregate_per_map(l: np.ndarray, m: int, indices,
 
     The reference that rmpa.aggregate is checked against."""
     l = float_array(l)
-    chat = np.asarray(chat)
+    signs = coset_signs_per_map(m, indices, chat, l.dtype)
     accu = np.zeros_like(l)
     for t, i in enumerate(indices):
-        cm = build_coset_map(m, i)
-        sign = 1 - 2 * chat[..., t, cm.coset_of].astype(l.dtype)
-        accu += sign * l[..., cm.partner_of]
+        accu += signs[..., t, :] * l[..., build_coset_map(m, i).partner_of]
     return accu / len(indices)
 
 
@@ -198,10 +234,11 @@ def fod_bits(l: np.ndarray) -> np.ndarray:
 def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
     """Decode a (batch, 2^m) stack along the plan node, every path on its
     own: each inner decoder projects and decodes its own inputs, and every
-    aggregation is the per-map loop of aggregate_per_map.  Returns (bits,
-    iterations, converged), as rmpa's walk does.  It decodes the whole stack
-    at once, where rmpa's walk goes through it in blocks of rows: blocks
-    change no bit, so the reference does not depend on how they are sized.
+    projection and aggregation is a per-map loop, project_per_map and
+    aggregate_per_map.  Returns (bits, iterations, converged), as rmpa's
+    walk does.  It decodes the whole stack at once, where rmpa's walk goes
+    through it in blocks of rows: blocks change no bit, so the reference
+    does not depend on how they are sized.
 
     The reference that rmpa's walk, which decodes each repeated quotient
     once and builds first-order signs from the decoded form, is checked
@@ -212,8 +249,7 @@ def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
     half = llr.shape[-1] // 2
     for iterations, (indices, inner) in enumerate(node.steps, 1):
         chat, _, _ = walk_per_path(
-            inner, project_llr(llr, _stacked_maps(node.m, indices)).reshape(
-                -1, half))
+            inner, project_per_map(llr, node.m, indices).reshape(-1, half))
         llr_new = aggregate_per_map(
             llr, node.m, indices, chat.reshape(len(llr), len(indices), half))
         converged = (theta is not None

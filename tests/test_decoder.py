@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (build_coset_map, fht, fod_bits, is_codeword,
-                     ml_decode_oracle)
+from oracles import (build_coset_map, decode_per_path, fht, fod_bits,
+                     is_codeword, ml_decode_oracle)
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_generator, check_convergence, decode, decode_batch,
                   decode_plan, encode, executed_fod_count,
@@ -17,7 +17,8 @@ from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   select_projection_indices, stack_coset_maps)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.decoder import _keep_freed_memory, _stacked_maps
-from rmpa.geometry import CosetMap, clamp_llr, coset_table, project_llr
+from rmpa.geometry import (CosetMap, _run_bits, clamp_llr, coset_table,
+                           project_llr)
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
@@ -344,8 +345,10 @@ def record_tables(monkeypatch):
 def hollow_maps(m, indices):
     """Maps of the right shapes that hold no memory."""
     n, rows = 1 << m, len(indices)
+    runs = n >> _run_bits(m)
     return CosetMap(*(np.broadcast_to(np.intp(0), (rows, size))
-                      for size in (n // 2, n // 2, n, n)))
+                      for size in (n // 2, n // 2, n, n,
+                                   runs // 2, runs // 2, runs)))
 
 
 @pytest.mark.parametrize("m, r, cfg", [
@@ -736,3 +739,30 @@ def test_unpruned_preset_equals_textbook_loop(m):
         llr = rng.normal(size=p.n) * 3
         res = decode(llr, p, preset("rpa"))
         assert np.array_equal(res.codeword, textbook_rpa_order2(llr, m, 3))
+
+
+def test_early_stopping_on_rm72_frames_equals_the_per_path_walk():
+    # the sweep decodes every early-stopping frame alone, the walk taking
+    # its one row through the maps' XOR structure; the per-path walk
+    # projects and aggregates map by map
+    params = CodeParams(7, 2)
+    theta = 0.05
+    cfg = preset("rpa", early_stop_theta=theta)
+    ch = ChannelConfig(ebno_db=2.0, rate=params.rate)
+    rng = np.random.default_rng(72)
+    gen = build_generator(params)
+    words = encode(rng.integers(0, 2, (300, params.k), dtype=np.uint8), gen)
+    llrs = llr_from_channel(
+        transmit(words, ch, rng.standard_normal(words.shape)), ch)
+    stops = set()
+    for llr in llrs:
+        result = decode(llr, params, cfg)
+        bits, iterations, converged = decode_per_path(llr[None, :], params,
+                                                      cfg, theta)
+        assert np.array_equal(result.codeword, bits[0])
+        assert (result.iterations_run, result.converged_early) == (
+            iterations, converged)
+        stops.add((iterations, converged))
+    # frames stop early after two and after three iterations, and some run
+    # the whole budget
+    assert {(2, True), (3, True), (3, False)} <= stops

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (aggregate_per_map, boxplus, build_coset_map,
-                     in_row_space_batch, is_codeword, mask_coset_maps,
-                     project_hard)
+                     coset_signs_per_map, in_row_space_batch, is_codeword,
+                     mask_coset_maps, project_hard, project_per_map)
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
                   coset_signs, encode, project_llr, stack_coset_maps)
 from rmpa import geometry
@@ -188,6 +188,102 @@ def test_project_llr_keeps_its_shape_and_values_in_either_memory_order(
             assert np.max(np.abs(got[row] - boxplus(
                 l[row][..., cmap.reps], l[row][..., cmap.partners]))) <= (
                 1e-12 if dtype == np.float64 else 1e-5)
+
+
+def test_the_per_map_projection_is_the_kernel_and_the_boxplus():
+    # the per-map loop does the kernel's arithmetic on each map's own
+    # gathers: equal to project_llr bit for bit, and to the logaddexp form
+    # within rounding
+    rng = np.random.default_rng(12)
+    for m, dtype, rows in itertools.product((1, 3, 6, 8),
+                                            (np.float32, np.float64),
+                                            (1, 3)):
+        n = 1 << m
+        indices = list(rng.permutation(np.arange(1, n))[:5])
+        l = clamp_llr(rng.normal(size=(rows, n)) * 12).astype(dtype)
+        want = project_per_map(l, m, indices)
+        assert want.dtype == dtype
+        got = project_llr(l, stack_coset_maps(m, indices))
+        assert np.array_equal(bit_pattern(got), bit_pattern(want))
+        reference = np.stack([boxplus(l[:, build_coset_map(m, i).reps],
+                                      l[:, build_coset_map(m, i).partners])
+                              for i in indices], axis=1)
+        assert np.max(np.abs(want - reference)) <= (
+            1e-12 if dtype == np.float64 else 1e-5)
+
+
+def bit_pattern(values: np.ndarray) -> np.ndarray:
+    """The bits of float values as unsigned integers: equal arrays of them
+    are equal bit for bit, signed zeros too."""
+    values = np.ascontiguousarray(values)
+    return values.view(f"u{values.itemsize}")
+
+
+def index_sets(m: int):
+    """Index sets of F_2^m as stack_coset_maps takes them: one map, all
+    n - 1, a strided set as the pruning rule keeps, or any set in any
+    order."""
+    n = 1 << m
+    return st.one_of(
+        st.integers(1, n - 1).map(lambda i: [i]),
+        st.just(list(range(1, n))),
+        st.integers(1, n - 1).map(
+            lambda count: list(select_projection_indices(n, count))),
+        st.lists(st.integers(1, n - 1), min_size=2, max_size=min(n - 1, 40),
+                 unique=True))
+
+
+def cutoff(m: int) -> int:
+    """The most rows the kernels keep row-major at m."""
+    return geometry.ROW_MAJOR_ROWS[min(max(m, 5), 10) - 5]
+
+
+@st.composite
+def kernel_inputs(draw):
+    m = draw(st.integers(2, 9))
+    indices = draw(index_sets(m))
+    rows = draw(st.sampled_from([1, 2, cutoff(m), cutoff(m) + 1]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = 1 << m
+    l = clamp_llr(rng.normal(size=(rows, n)) * 10)
+    # exact zeros of either sign and the clamp of either sign, often
+    special = np.array([0.0, -0.0, LLR_CLAMP, -LLR_CLAMP])
+    where = rng.random(l.shape) < 0.2
+    l[where] = rng.choice(special, size=where.sum())
+    chat = rng.integers(0, 2, (rows, len(indices), n // 2), dtype=np.uint8)
+    # the XOR-structured gathers for every stack, or from the size they
+    # start at
+    threshold = draw(st.sampled_from([0, geometry.XOR_GATHER_VALUES]))
+    return m, indices, l.astype(dtype), chat, threshold
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs())
+def test_the_kernels_equal_the_per_map_loops_bit_for_bit(inputs):
+    # whatever their gathers, the projection, the coset signs and the
+    # aggregation give each map's own values: row-major through the maps'
+    # XOR structure or one value per index, more rows coordinates first
+    m, indices, l, chat, threshold = inputs
+    n = 1 << m
+    cmap = stack_coset_maps(m, indices)
+    default = geometry.XOR_GATHER_VALUES
+    geometry.XOR_GATHER_VALUES = threshold
+    try:
+        got = project_llr(l, cmap)
+        signs = coset_signs(cmap, chat, l.dtype)
+        aggregated = aggregate(l, cmap, signs)
+    finally:
+        geometry.XOR_GATHER_VALUES = default
+    assert got.dtype == aggregated.dtype == l.dtype
+    assert np.array_equal(bit_pattern(got),
+                          bit_pattern(project_per_map(l, m, indices)))
+    want = coset_signs_per_map(m, indices, chat, l.dtype)
+    if geometry._coordinates_first(len(l), n):
+        want = want.transpose(2, 1, 0)
+    assert np.array_equal(bit_pattern(signs), bit_pattern(want))
+    assert np.array_equal(bit_pattern(aggregated), bit_pattern(
+        aggregate_per_map(l, m, indices, chat)))
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -420,6 +516,7 @@ def test_building_the_coset_table_holds_little_besides_it():
     finally:
         tracemalloc.stop()
     size = sum(a.nbytes for a in vars(table).values())
-    assert size == 24 * 1024 * 1023
+    # 24 n bytes of maps and 2 n of runs (runs of 8 values) per map
+    assert size == 26 * 1024 * 1023
     assert peak <= 1.1 * size
     assert not any(a.flags.writeable for a in vars(table).values())
