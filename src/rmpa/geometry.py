@@ -42,11 +42,14 @@ class CosetMap:
     structure.  A map's representatives depend only on the top bit h of i,
     and z ^ i is z with its low b = _run_bits(m) bits XORed by those of i
     and its high bits by the rest.  So a vector w is gathered once per call
-    into the table of _xor_index(m): its 2^b low-bit XOR shifts w[z ^ a]
-    for a < 2^b, then w at the representatives of the maps 2^h for h < b
-    and at the partners of the maps 1 ... 2^b - 1.  Every map's operands
-    are then runs of 2^b values of that table, w[z ^ i] for a run of z
-    being a run of shift i mod 2^b, and the run fields name those runs."""
+    into the table of _xor_index(m), runs of 2^b values: run z holds the
+    low-bit XOR shifts w[z ^ a] for a < 2^b, and the runs after the first
+    n hold w at the representatives of the maps 2^h for h < b and at the
+    partners of the maps 1 ... 2^b - 1.  Every map's operands are then runs
+    of that table, which the run fields name: w[z ^ i] for the run of z
+    from a multiple of 2^b is run z ^ i, so partner_of_runs is partner_of
+    strided by 2^b, and so are rep_runs and partner_runs, reps and partners
+    strided, for h >= b."""
 
     reps: np.ndarray      # canonical representatives, ascending (n/2,)
     partners: np.ndarray  # reps ^ i (n/2,)
@@ -80,12 +83,6 @@ def drop_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
 RUN_BITS = 3
 
 
-# The fewest values, k * n, of a stack's partner_of from which the row-major
-# gathers go by the XOR structure: below it the table of shifts costs more
-# than it saves, and the gathers take one value per index.
-XOR_GATHER_VALUES = 1 << 11
-
-
 def _run_bits(m: int) -> int:
     return max(0, min(RUN_BITS, m - 1))
 
@@ -93,39 +90,36 @@ def _run_bits(m: int) -> int:
 @lru_cache(maxsize=None)
 def _xor_index(m: int) -> np.ndarray:
     """The coordinates of the table that the row-major gathers take runs of
-    (CosetMap), for b = _run_bits(m): z ^ a for each shift a < 2^b, the
-    representatives of the maps 2^h for h < b, and the partners of the maps
-    1 ... 2^b - 1, one after the other; read-only."""
+    (CosetMap), for b = _run_bits(m): z ^ a for each z and then each shift
+    a < 2^b, the representatives of the maps 2^h for h < b, and the
+    partners of the maps 1 ... 2^b - 1, one after the other; read-only."""
     b = _run_bits(m)
     z = np.arange(1 << m)
     c = z[:len(z) // 2]
     i, h = top_bits(range(1, 1 << b))
     return _read_only(np.concatenate([
-        (z ^ np.arange(1 << b)[:, None]).ravel(),
+        (z[:, None] ^ np.arange(1 << b)).ravel(),
         insert_zero_bit(c, np.arange(b)[:, None]).ravel(),
         (insert_zero_bit(c, h[:, None]) ^ i[:, None]).ravel()]))[0]
 
 
-def _runs(m: int, i: np.ndarray, h: np.ndarray) -> tuple:
-    """The run fields of CosetMap for the maps i, (k, 1), of top bits h:
-    indices of runs of 2^b values in the table of _xor_index(m)."""
+def _runs(m: int, i: np.ndarray, h: np.ndarray, reps: np.ndarray,
+          partners: np.ndarray, partner_of: np.ndarray) -> tuple:
+    """The run fields of CosetMap for the maps i, (k, 1), of top bits h and
+    of the given index fields: indices of runs of 2^b values in the table
+    of _xor_index(m)."""
     b = _run_bits(m)
-    run = 1 << b
-    # runs per shift of the table, and the runs of n/2 cosets
-    blocks = (1 << m) >> b
-    cosets = np.arange(blocks // 2)
-    low, high = i & (run - 1), i >> b
-    # h >= b: the representatives are the runs of z whose bit h - b is
-    # clear, and w[z ^ i] is run z ^ high of shift low
+    n, run = 1 << m, 1 << b
+    # h >= b: the representatives come in runs of 2^b from multiples of
+    # 2^b, and so do their partners, each a run of the shifts.  h < b: the
+    # runs that follow the n of the shifts, those of the representatives of
+    # map 2^h and of the partners of map i
+    cosets = n // 2 // run
+    rows = n + np.arange(cosets)
     wide = h >= b
-    rep_blocks = insert_zero_bit(cosets, np.maximum(h - b, 0))
-    # h < b: the rows that follow the shifts, those of the representatives
-    # of map 2^h and of the partners of map i
-    rows = run * blocks + cosets
-    return (np.where(wide, rep_blocks, rows + h * (blocks // 2)),
-            np.where(wide, low * blocks + (rep_blocks ^ high),
-                     rows + (b + i - 1) * (blocks // 2)),
-            low * blocks + (np.arange(blocks) ^ high))
+    return (np.where(wide, reps[:, ::run], rows + h * cosets),
+            np.where(wide, partners[:, ::run], rows + (b + i - 1) * cosets),
+            partner_of[:, ::run])
 
 
 # The table is filled a block of maps at a time, so that each temporary of
@@ -156,7 +150,8 @@ def stack_coset_maps(m: int, indices) -> CosetMap:
         np.bitwise_xor(reps, ib, out=partners)
         np.bitwise_xor(z, ib, out=partner_of)
         coset_of[...] = drop_bit(np.minimum(z, partner_of), hb)
-        for field, values in zip(run_fields, _runs(m, ib, hb)):
+        for field, values in zip(run_fields, _runs(m, ib, hb, reps, partners,
+                                                   partner_of)):
             field[...] = values
     return CosetMap(*_read_only(*vars(stack).values()))
 
@@ -184,24 +179,21 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     projection is in l's float dtype.
 
     One row through a CosetMap of its length is gathered by the maps' XOR
-    structure: u and the signs go into one table of 2^b low-bit XOR
-    shifts and low-bit maps (_xor_index), one value per index, and each
-    map's operands are runs of 2^b values of it (the map's run fields).
-    Otherwise u and the signs are taken coordinates first, as (n, rows)
-    arrays of the rows of l, so that each of the four gathers copies a run
-    of rows per index.  The result has shape l.shape[:-1] + (k, n/2) for k
-    stacked maps (no k for one map) and is a view: with one row its memory
-    holds the projections in the order of cmap's indices, and with more it
-    holds each projected vector as a column, (n/2, k, rows), through the
-    transposed indices.
+    structure, unchecked, as the map's indices are in range as built: u and
+    the signs go into one table of 2^b low-bit XOR shifts and low-bit maps
+    (_xor_index), one value per index, and each map's operands are runs of
+    2^b values of it (the map's run fields).  Otherwise u and the signs are
+    taken coordinates first, as (n, rows) arrays of the rows of l, so that
+    each of the four gathers copies a run of rows per index.  The result
+    has shape l.shape[:-1] + (k, n/2) for k stacked maps (no k for one
+    map) and is a view: with one row its memory holds the projections in
+    the order of cmap's indices, and with more it holds each projected
+    vector as a column, (n/2, k, rows), through the transposed indices.
     """
     l = float_array(l)
     lead, n = l.shape[:-1], l.shape[-1]
-    # one row through a CosetMap of its length: the indices are in range as
-    # built, and unchecked gathers run faster
-    unchecked = (l.size == n and isinstance(cmap, CosetMap)
-                 and cmap.partner_of.shape[-1] == n)
-    if unchecked and cmap.partner_of.size >= XOR_GATHER_VALUES:
+    if (l.size == n and isinstance(cmap, CosetMap)
+            and cmap.partner_of.shape[-1] == n):
         m = n.bit_length() - 1
         w = np.empty((2, n), dtype=l.dtype)
         np.exp(-np.minimum(np.abs(l.reshape(n)), LLR_CLAMP), out=w[0])
@@ -214,7 +206,6 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
         out *= a[1]
         out *= b[1]
         return out.reshape(lead + cmap.reps.shape)
-    mode = "wrap" if unchecked else "raise"
     cols = np.ascontiguousarray(l.reshape(-1, n).T)
     # with more than one row, the gathers write the projections as columns
     columns = cols.shape[1] > 1
@@ -222,14 +213,14 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     if columns:
         reps, partners = reps.T, partners.T
     u = np.exp(-np.minimum(np.abs(cols), LLR_CLAMP))
-    ua = u.take(reps, axis=0, mode=mode)
-    ub = u.take(partners, axis=0, mode=mode)
+    ua = u.take(reps, axis=0)
+    ub = u.take(partners, axis=0)
     del u
     out = _soft_xor(ua, ub)
     del ua, ub
     sign = np.sign(cols)
-    out *= sign.take(reps, axis=0, mode=mode)
-    out *= sign.take(partners, axis=0, mode=mode)
+    out *= sign.take(reps, axis=0)
+    out *= sign.take(partners, axis=0)
     return (out.T if columns else out).reshape(lead + cmap.reps.shape)
 
 
@@ -312,14 +303,12 @@ def form_signs(forms: np.ndarray, m: int, dtype) -> tuple:
 
 
 def _partners(rows: np.ndarray, cmap: CosetMap) -> np.ndarray:
-    """The partner LLRs rows[:, z ^ i] of each map of cmap, (rows, k, n) or,
-    through the XOR structure, (rows, k, n/L, L), L = 2^_run_bits(m): each
-    row's low-bit XOR shifts, one value per index, and then runs of L of
-    them.  The indices are in range as built, so the gathers run unchecked,
-    which is faster."""
+    """The partner LLRs rows[:, z ^ i] of each map of cmap through the XOR
+    structure, (rows, k, n/L, L), L = 2^_run_bits(m): each row's low-bit XOR
+    shifts, one value per index, and then runs of L of them.  The indices
+    are in range as built, so the gathers run unchecked, which is
+    faster."""
     n = rows.shape[-1]
-    if cmap.partner_of.size < XOR_GATHER_VALUES:
-        return rows.take(cmap.partner_of, axis=1, mode="wrap")
     m = n.bit_length() - 1
     run = 1 << _run_bits(m)
     shifts = rows.take(_xor_index(m)[:run * n], axis=1, mode="wrap")

@@ -252,10 +252,7 @@ def kernel_inputs(draw):
     where = rng.random(l.shape) < 0.2
     l[where] = rng.choice(special, size=where.sum())
     chat = rng.integers(0, 2, (rows, len(indices), n // 2), dtype=np.uint8)
-    # the XOR-structured gathers for every stack, or from the size they
-    # start at
-    threshold = draw(st.sampled_from([0, geometry.XOR_GATHER_VALUES]))
-    return m, indices, l.astype(dtype), chat, threshold
+    return m, indices, l.astype(dtype), chat
 
 
 @settings(max_examples=100, deadline=None)
@@ -263,18 +260,13 @@ def kernel_inputs(draw):
 def test_the_kernels_equal_the_per_map_loops_bit_for_bit(inputs):
     # whatever their gathers, the projection, the coset signs and the
     # aggregation give each map's own values: row-major through the maps'
-    # XOR structure or one value per index, more rows coordinates first
-    m, indices, l, chat, threshold = inputs
+    # XOR structure, more rows coordinates first
+    m, indices, l, chat = inputs
     n = 1 << m
     cmap = stack_coset_maps(m, indices)
-    default = geometry.XOR_GATHER_VALUES
-    geometry.XOR_GATHER_VALUES = threshold
-    try:
-        got = project_llr(l, cmap)
-        signs = coset_signs(cmap, chat, l.dtype)
-        aggregated = aggregate(l, cmap, signs)
-    finally:
-        geometry.XOR_GATHER_VALUES = default
+    got = project_llr(l, cmap)
+    signs = coset_signs(cmap, chat, l.dtype)
+    aggregated = aggregate(l, cmap, signs)
     assert got.dtype == aggregated.dtype == l.dtype
     assert np.array_equal(bit_pattern(got),
                           bit_pattern(project_per_map(l, m, indices)))
