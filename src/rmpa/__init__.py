@@ -4,11 +4,11 @@ AWGN Monte Carlo harness."""
 
 from .codes import CodeParams, build_generator, encode
 from .geometry import (LLR_CLAMP, CosetMap, aggregate, coset_signs,
-                       project_llr, stack_coset_maps)
+                       coset_table, project_llr)
 from .fod import FodCounter, fht_decode, form_bits
 from .decoder import (DecodePlan, DecodeResult, PruningConfig,
-                      analytic_fod_count, check_convergence, decode,
-                      decode_batch, decode_plan, executed_fod_count,
+                      analytic_fod_count, decode, decode_batch,
+                      decode_plan, executed_fod_count,
                       explicit_schedule_config, preset,
                       select_projection_indices)
 from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
@@ -17,11 +17,11 @@ from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
 
 __all__ = [
     "CodeParams", "build_generator", "encode",
-    "LLR_CLAMP", "CosetMap", "aggregate", "coset_signs", "project_llr",
-    "stack_coset_maps",
+    "LLR_CLAMP", "CosetMap", "aggregate", "coset_signs", "coset_table",
+    "project_llr",
     "FodCounter", "fht_decode", "form_bits",
     "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",
-    "check_convergence", "decode", "decode_batch", "decode_plan",
+    "decode", "decode_batch", "decode_plan",
     "executed_fod_count", "explicit_schedule_config", "preset",
     "select_projection_indices",
     "ChannelConfig", "FerPoint", "SimConfig", "binomial_ci", "csv_string",

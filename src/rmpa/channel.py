@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -25,7 +26,7 @@ from .codes import CodeParams, _is_int, build_generator, encode
 from .decoder import (PruningConfig, _is_real, decode, decode_batch,
                       decode_plan)
 from .fod import FodCounter
-from .geometry import LLR_CLAMP
+from .geometry import clamp_llr
 
 RESULT_SCHEMA_VERSION = 1
 # each worker is a thread and runs one chunk per round
@@ -33,8 +34,6 @@ MAX_WORKERS = 256
 # frames that go through the channel and the decoder together; no result
 # depends on it
 CHUNK_FRAMES = 64
-CSV_COLUMNS = ["ebno_db", "frames", "frame_errors", "bit_errors", "fer",
-               "ber", "fods_total", "fods_per_frame", "wall_seconds"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,16 @@ class SimConfig:
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be in [1, {MAX_WORKERS}], "
                              f"got {self.workers}")
+        # the channel divides by sigma^2, which over- or underflows at
+        # thousands of dB
+        for ebno in self.ebno_points:
+            try:
+                variance = ChannelConfig(ebno, self.code.rate).sigma ** 2
+            except (OverflowError, ZeroDivisionError):
+                variance = math.nan
+            if not 0 < variance < math.inf:
+                raise ValueError(f"ebno_db {ebno} gives a noise sigma^2 that "
+                                 "is not finite and positive")
         # a decoder that does not fit the code fails here, not mid-sweep
         decode_plan(self.code, self.decoder)
 
@@ -97,6 +106,10 @@ class FerPoint:
     wall_seconds: float
 
 
+# the CSV output's header: FerPoint's fields, as the JSON output names them
+CSV_COLUMNS = [field.name for field in fields(FerPoint)]
+
+
 def transmit(c: np.ndarray, ch: ChannelConfig,
              noise: np.ndarray) -> np.ndarray:
     """BPSK-modulate c and add white Gaussian noise; noise holds
@@ -106,8 +119,7 @@ def transmit(c: np.ndarray, ch: ChannelConfig,
 
 def llr_from_channel(y: np.ndarray, ch: ChannelConfig) -> np.ndarray:
     """L(z) = 2 y(z) / sigma^2, clamped."""
-    l = 2.0 * np.asarray(y, dtype=np.float64) / ch.sigma ** 2
-    return np.clip(l, -LLR_CLAMP, LLR_CLAMP)
+    return clamp_llr(2.0 * np.asarray(y, dtype=np.float64) / ch.sigma ** 2)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -23,9 +24,10 @@ from .decoder import DECODERS, PruningConfig, analytic_fod_count, decode, preset
 from .fod import FodCounter
 
 SPEC_SCHEMA_VERSION = 1
-# the largest m the CLI takes: any decode at m = 12 holds the 0.40 GB coset
-# table, and full RPA on RM(12,2) peaks near 0.69 GB RSS; memory grows at
-# least with n^2
+# the largest m the CLI takes: any decode at m = 12 holds the 0.44 GB coset
+# table, and a one-iteration full-RPA decode of RM(12,2) peaks at 0.66 GB
+# RSS; memory grows at least with n^2.  The plans the CLI compiles are
+# bounded by rmpa.decoder.MAX_PLAN_STEPS.
 MAX_M = 12
 
 EXIT_OK = 0
@@ -37,11 +39,19 @@ class SpecError(ValueError):
     pass
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"bad fraction {text!r}: {exc}") from exc
+def _fraction(value) -> Fraction:
+    """An exact fraction from a JSON number or from text, decimal or a/b (a
+    flag's text); bools, NaN, infinities, other text and decimal exponents
+    past float's range, whose exact values are huge integers, are
+    SpecError."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            exponent = re.search(r"[eE]([-+]?\d+)", str(value))
+            if exponent is None or abs(int(exponent[1])) <= 400:
+                return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecError(f"expected a finite number, got {value!r}")
 
 
 def _integer(value) -> int:
@@ -98,7 +108,7 @@ def _parse_bits(text: str, k: int) -> np.ndarray:
 
 # how each decoder key of a spec or of the CLI flags is read; which keys a
 # decoder takes is rmpa.decoder's decision
-DECODER_VALUES = {"preset": str, "q": _fraction, "d": _real,
+DECODER_VALUES = {"preset": str, "q": _fraction, "d": _fraction,
                   "gamma": _fraction, "delta_itr": _fraction,
                   "delta_rec": _fraction,
                   "schedule": lambda counts: [_integer(c) for c in counts],

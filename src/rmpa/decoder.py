@@ -3,8 +3,8 @@
 The pruning factor gamma * delta_itr^(j-1) * delta_rec^(l-2) sets the
 fraction of the n-1 coset projections kept at iteration j and recursion
 level l.  (1,1,1) is the unpruned decoder; (q,1,1) and (1,1/d,1) recover
-the sparse and iteration-decay variants.  Factors may be exact Fractions
-so the ceil() in the projection count is free of float rounding.
+the sparse and iteration-decay variants.  Factors are held as exact
+Fractions, so the ceil() in the projection count is free of float rounding.
 
 Complexity is counted in first-order decodings (FODs).  The nominal count
 is the paper's: one FOD per first-order decoding the plan describes, which
@@ -36,6 +36,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -43,7 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .codes import CodeParams, _is_int
-from .fod import FodCounter, _read_only, float_array, fht_decode, form_bits
+from .fod import FodCounter, _read_only, fht_decode, form_bits
 from .geometry import (CosetMap, aggregate, clamp_llr, coset_signs,
                        coset_table, drop_bit, form_signs, insert_zero_bit,
                        project_llr, top_bits)
@@ -54,7 +55,8 @@ FACTORS = ("gamma", "delta_itr", "delta_rec")
 @dataclass(frozen=True, eq=False)
 class PruningConfig:
     """Pruning factors plus iteration cap; fully determines decoder
-    behavior and complexity (early stopping aside)."""
+    behavior and complexity (early stopping aside).  The factors are held
+    as Fractions, a float at its exact binary value."""
 
     gamma: Fraction | float = Fraction(1)
     delta_itr: Fraction | float = Fraction(1)
@@ -85,6 +87,8 @@ class PruningConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
             if schedule is not None and v != 1:
                 raise ValueError(f"{name} does not apply beside a schedule")
+            object.__setattr__(self, name, Fraction(
+                v if isinstance(v, numbers.Rational) else float(v)))
         if not (_is_int(self.n_max) and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         theta = self.early_stop_theta
@@ -129,6 +133,18 @@ class DecodePlan:
 # the float32 tie band of fht_decode keeps decoded bits independent of how
 # BLAS sums.
 WALK_DTYPE = np.dtype(np.float32)
+# The most steps (iterations, summed over a plan's distinct nodes) that a
+# plan may compile to.  A step takes about 20 us to compile with small
+# factors.  Its exact factor g_j gains the bits of delta_itr each
+# iteration, and the step multiplies it by delta_itr and by
+# delta_rec^(r-2), whose gcds take time with the sizes of both operands:
+# about as long again per 2^23 of the bits of g_j and delta_rec^(r-2)
+# times those of delta_itr and delta_rec^(r-2) plus 1024, for which a step
+# counts once more.  (Counted once a step, RM(12,2) with a 27-bit delta_itr
+# just below 1 took 33 s at this bound.)  So compiling a plan takes about a
+# second at most on a 2-core x86 host.  RM(8,3) rpa_sch may run n_max 180
+# at d = 101/100 and 3,640 at d = 2, and full RPA on RM(12,2) 32,768.
+MAX_PLAN_STEPS = 1 << 15
 # Bytes of projections one block of rows may hold at a node (row_bytes per
 # row); the node's inner walk takes those rows in blocks of its own.  A
 # level-2 block's traced peak is about 3 times this where its aggregation
@@ -182,6 +198,14 @@ def _decay(d) -> Fraction:
     return Fraction(d)
 
 
+def _shown(value) -> str:
+    """A decoder key's value for a message: a Fraction, which may be
+    hundreds of digits long exactly, in decimal to six digits; else repr."""
+    if isinstance(value, Fraction):
+        return f"{Decimal(value.numerator) / value.denominator:.6g}"
+    return repr(value)
+
+
 def preset(name: str | None = None, **keys) -> PruningConfig:
     """The PruningConfig that decoder keys describe: the keys DECODERS
     lists for the named decoder, plus any of SHARED_KEYS.
@@ -214,7 +238,9 @@ def preset(name: str | None = None, **keys) -> PruningConfig:
     try:
         triple = [Fraction(x) for x in factors(**given)]
     except (ArithmeticError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad {name} parameters {given}: {exc}") from exc
+        shown = ", ".join(f"{key}={_shown(value)}"
+                          for key, value in given.items())
+        raise ValueError(f"bad {name} parameters {shown}: {exc}") from exc
     return PruningConfig(*triple, explicit_schedule=given.get("schedule"),
                          **keys)
 
@@ -236,19 +262,9 @@ def select_projection_indices(n: int, np_: int) -> range:
     return range(1, np_ * stride + 1, stride)
 
 
-def check_convergence(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> bool:
-    """True iff every coordinate changed by less than theta * |old value|,
-    compared in the LLRs' float dtype (float_array)."""
-    l_old = float_array(l_old)
-    l_new = float_array(l_new)
-    if l_old.shape != l_new.shape:
-        raise ValueError("LLR vectors must have equal length")
-    return _converged(l_old, l_new, theta)
-
-
 def _converged(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> bool:
-    """check_convergence of two arrays of one float dtype and shape, as the
-    walk holds them, without converting or checking them."""
+    """The early-stopping test: every coordinate changed by less than theta
+    * |old value|, in the dtype of the arrays, of one dtype and shape."""
     return bool((np.abs(l_new - l_old) < theta * np.abs(l_old)).all())
 
 
@@ -270,7 +286,9 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     keeps the schedule's count for level r, else ceil(g_j *
     delta_rec^(r-2) * (n-1)) subspaces, where g_j = g * delta_itr^(j-1)
     and g is gamma at the top level and the caller's g_j below it.  Inner
-    decoders of equal (m, r, g) are one node."""
+    decoders of equal (m, r, g) are one node, and so are the leaves of one
+    m and the decoders of one (m, r) whose counts are all 1.  A plan of more than
+    MAX_PLAN_STEPS steps raises ValueError as it compiles."""
     if params.r < 1:
         raise ValueError("decoding requires r >= 1")
     schedule = cfg.explicit_schedule
@@ -279,20 +297,49 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
                          f"schedule counts (levels {params.r} down to 2), "
                          f"got {len(schedule)}")
 
+    def bits(factor: Fraction) -> int:
+        return factor.denominator.bit_length()
+
+    compiled = 0
+
+    def node(m, r, g) -> DecodePlan:
+        # the node's key: a leaf reads no factor, and a factor at which
+        # every count of RM(m, r) is 1 (at level l, of a code of length
+        # 2^(m-r+l)) is raised to the largest such, which changes no count
+        # as factors only fall as they decay and recurse
+        if r == 1:
+            g = None
+        elif schedule is None:
+            scale = max(cfg.delta_rec ** (l - 2) * ((1 << (m - r + l)) - 1)
+                        for l in range(2, r + 1))
+            g = max(g, 1 / scale)
+        return compile_level(m, r, g)
+
     @lru_cache(maxsize=None)
     def compile_level(m, r, g) -> DecodePlan:
+        nonlocal compiled
         if r == 1:
             return DecodePlan(m=m, steps=(), fods=1,
                               row_bytes=WALK_DTYPE.itemsize << m)
         n = 1 << m
-        steps = []
-        for j in range(1, cfg.n_max + 1):
-            # the factor decayed to iteration j; inner levels start from it
-            g_j = g * cfg.delta_itr ** (j - 1)
+        rec = cfg.delta_rec ** (r - 2)
+        other = bits(cfg.delta_itr) + bits(rec) + 1024
+        # g_j is the factor decayed to iteration j, one exact product a
+        # step, so that a step's arithmetic grows only linearly with g_j;
+        # inner levels start from it
+        steps, g_j = [], g
+        for _ in range(cfg.n_max):
+            compiled += 1 + ((bits(g_j) + bits(rec)) * other >> 23)
+            if compiled > MAX_PLAN_STEPS:
+                raise ValueError(
+                    f"RM({params.m},{params.r}) under this decoder compiles "
+                    f"to more than {MAX_PLAN_STEPS} steps (iterations summed "
+                    f"over the plan's distinct nodes); lower n_max")
             count = (schedule[params.r - r] if schedule is not None else
-                     math.ceil(g_j * cfg.delta_rec ** (r - 2) * (n - 1)))
+                     math.ceil(g_j * rec * (n - 1)))
             indices = select_projection_indices(n, count)
-            steps.append((indices, compile_level(m - 1, r - 1, g_j)))
+            steps.append((indices, node(m - 1, r - 1, g_j)))
+            g_j *= cfg.delta_itr
         # a row holds the projections of one iteration at a time
         widest = max(len(indices) for indices, _ in steps)
         return DecodePlan(
@@ -300,7 +347,7 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
             fods=sum(len(indices) * inner.fods for indices, inner in steps),
             row_bytes=widest * (WALK_DTYPE.itemsize << (m - 1)))
 
-    return compile_level(params.m, params.r, cfg.gamma)
+    return node(params.m, params.r, cfg.gamma)
 
 
 # A form f = b + 2^m * u0 names the codeword u0 ^ <b, z> (rmpa.fod).
@@ -368,8 +415,8 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     proj, (rows, k_i, 2^(m-1)), onto outer, each projected onto inner.
 
     Soft projections commute, so the pairs that span one subspace decode one
-    quotient.  Its first pair is projected and decoded, with the same
-    arithmetic as its own level-2 decoder; the decoded form lifts to a form
+    quotient.  Its first pair is projected and decoded by the step of its
+    own level-2 decoder, _decode_lifted; the decoded form lifts to a form
     on F_2^m that is zero on the span, and every pair reads it as a form on
     its own F_2^(m-1).  The counter gets the FODs of every pair.  Where no
     two pairs share a span this returns None: the level-2 decoders then
@@ -399,10 +446,9 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
             rows, half * k_b)
         reps = maps.reps.T[:, s] * k_b + (t - lo)
         partners = maps.partners.T[:, s] * k_b + (t - lo)
-        forms = fht_decode(_columns(project_llr(flat, SimpleNamespace(
-            reps=reps.T, partners=partners.T))))
-        lifted[:, start:start + width] = _lift(_lift(
-            forms.reshape(len(t), rows).T, hj[s], j[s]), h[t], i[t])
+        lifted[:, start:start + width] = _lift(_decode_lifted(
+            flat, SimpleNamespace(reps=reps.T, partners=partners.T),
+            j[s], hj[s]), h[t], i[t])
     if counter is not None:
         counter.record(m - 2, rows * k * len(inner))
     # the forms on F_2^(m-1) are below 2^m: held in the fewest bytes, as the
@@ -412,10 +458,22 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
         rows * k, len(inner))
 
 
-def _columns(proj: np.ndarray) -> np.ndarray:
-    """The projections (rows, k, n/2) of project_llr as a (k * rows, n/2)
-    view, map by map: one first-order input per row, on the first axis."""
-    return proj.swapaxes(0, 1).reshape(-1, proj.shape[-1])
+def _decode_lifted(llr: np.ndarray, maps, i: np.ndarray, h: np.ndarray,
+                   counter: FodCounter | None = None) -> np.ndarray:
+    """A level-2 decoder's first step: the forms (rows, k) decoded from the
+    projections of llr's rows through k maps (index pairs), each lifted to
+    be zero on its map's i, of top bit h; decoded map by map, one a row."""
+    proj = project_llr(llr, maps)
+    forms = fht_decode(proj.swapaxes(0, 1).reshape(-1, proj.shape[-1]),
+                       counter)
+    return _lift(forms.reshape(len(i), len(llr)).T, h, i)
+
+
+def _shared_step(inner: DecodePlan) -> range | None:
+    """inner's first projections if the level-3 iteration above it shares
+    quotients, which it does iff inner is level 2; else None."""
+    level_2 = inner.steps and not inner.steps[0][1].steps
+    return inner.steps[0][0] if level_2 else None
 
 
 def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
@@ -445,16 +503,13 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
         # the projections are freed before the signs are built; a level-2
         # inner decoder starts from the forms of its first iteration
         if forms is None and not inner.steps:
-            i, h = _top_bits(indices)
-            forms = _lift(fht_decode(_columns(project_llr(llr, cmap)),
-                                     counter).reshape(len(i), len(llr)).T,
-                          h, i)
+            forms = _decode_lifted(llr, cmap, *_top_bits(indices), counter)
         if forms is not None:
             signs = form_signs(forms, node.m, llr.dtype)
         else:
             proj = project_llr(llr, cmap)
-            first, below = inner.steps[0]
-            shared = (None if below.steps else
+            first = _shared_step(inner)
+            shared = (None if first is None else
                       _shared_forms(node.m, indices, first, proj, counter))
             # the inner decoders' rows frame by frame: a copy, and the
             # projections as columns are freed before the inner walk
@@ -531,8 +586,8 @@ def executed_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
             return 1
         total = 0
         for indices, inner in node.steps:
-            if inner.steps and not inner.steps[0][1].steps:
-                first = inner.steps[0][0]
+            first = _shared_step(inner)
+            if first is not None:
                 # counted sorted: numpy's hashed unique is slower here
                 span = np.sort(_spans(node.m, indices, first), axis=None)
                 spans = 1 + np.count_nonzero(span[1:] != span[:-1])

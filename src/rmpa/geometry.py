@@ -31,11 +31,11 @@ LLR_CLAMP = 30.0
 class CosetMap:
     """Coset structure of B_i = {0, i} inside F_2^m.
 
-    A stack of k maps (see stack_coset_maps) has a leading axis of length k
+    A stack of k maps (rows of coset_table) has a leading axis of length k
     on every array, and each map numbers its own cosets from 0, so that any
-    row slice of a stack is a stack: map[a:b:s] holds views.  Every index
-    lies in [0, n), n the length of partner_of, as stack_coset_maps builds
-    them: the kernels gather through a map of their vectors' length
+    row slice of a stack is a stack: map[a:b:s] holds views (index arrays
+    copy).  Every index lies in [0, n), n the length of partner_of, as
+    built: the kernels gather through a map of their vectors' length
     unchecked.
 
     The run fields serve the row-major gathers, which go by the maps' XOR
@@ -59,7 +59,7 @@ class CosetMap:
     partner_runs: np.ndarray  # those that hold w[partners] (n/2^(b+1),)
     partner_of_runs: np.ndarray  # those that hold w[partner_of] (n/2^b,)
 
-    def __getitem__(self, rows: slice) -> CosetMap:
+    def __getitem__(self, rows) -> CosetMap:
         return CosetMap(*(a[rows] for a in vars(self).values()))
 
 
@@ -127,14 +127,11 @@ def _runs(m: int, i: np.ndarray, h: np.ndarray, reps: np.ndarray,
 BUILD_BYTES = 1 << 18
 
 
-def stack_coset_maps(m: int, indices) -> CosetMap:
-    """The coset maps of the subspaces in indices, stacked along a first
-    axis; the arrays are read-only."""
+def _build_coset_table(m: int) -> CosetMap:
+    """All n - 1 maps of F_2^m, stacked along a first axis, map i as row
+    i - 1; the arrays are read-only."""
     n = 1 << m
-    i, h = top_bits(indices)
-    if i.size == 0 or not np.all((1 <= i) & (i <= n - 1)):
-        raise ValueError(f"subspace indices must be in [1, {n - 1}], "
-                         f"got {list(indices)}")
+    i, h = top_bits(range(1, n))
     runs = n >> _run_bits(m)
     stack = CosetMap(*(np.empty((i.size, size), dtype=np.intp)
                        for size in (n // 2, n // 2, n, n,
@@ -158,9 +155,9 @@ def stack_coset_maps(m: int, indices) -> CosetMap:
 
 @lru_cache(maxsize=None)
 def coset_table(m: int) -> CosetMap:
-    """All n - 1 maps of F_2^m, 24 n (n - 1) bytes and their runs, 2 n (n - 1)
-    more from m = 4; map i is row i - 1."""
-    return stack_coset_maps(m, range(1, 1 << m))
+    """All n - 1 maps of F_2^m, built once: 24 n (n - 1) bytes and their
+    runs, 2 n (n - 1) more from m = 4; map i is row i - 1."""
+    return _build_coset_table(m)
 
 
 def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
@@ -319,7 +316,7 @@ def _partners(rows: np.ndarray, cmap: CosetMap) -> np.ndarray:
 def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
     """Average the partner LLRs, sign-flipped per projection.
 
-    cmap stacks the k maps of the projections (stack_coset_maps) and signs
+    cmap stacks the k maps of the projections (coset_table) and signs
     holds the +-1 of each map at each coordinate, as coset_signs and
     form_signs give them for l's rows, in l's float dtype: row-major, one
     array (..., k, n); or coordinates first, factors (2^b_j, k, rows) over
@@ -342,6 +339,8 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
     if cmap.partner_of.shape[-1] != n:
         raise ValueError(f"LLRs of length {n} do not match maps of length "
                          f"{cmap.partner_of.shape[-1]}")
+    if k == 0:
+        raise ValueError("aggregation needs at least one projection")
     for factor in signs:
         if factor.dtype != l.dtype:
             raise ValueError(f"signs of dtype {factor.dtype} do not match "

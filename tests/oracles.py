@@ -5,9 +5,9 @@ membership test, single coset maps, hard projections, the logaddexp form
 of the soft projection, the per-map loops of the projection, the coset
 signs and the aggregation, the Walsh-Hadamard transform of any vectors
 over rmpa's kernel and its butterfly form, the codeword bits of
-first-order decodings, the per-path decode walk, the decode walk in
-float64, the frame-by-frame channel, and a z-test for comparing two frame
-error rates.
+first-order decodings, the per-coordinate early-stopping test, the
+per-path decode walk, the decode walk in float64, the frame-by-frame
+channel, and a z-test for comparing two frame error rates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from rmpa.channel import ChannelConfig, llr_from_channel
 from rmpa.codes import CodeParams, build_generator, encode
-from rmpa.decoder import WALK_DTYPE, _walk, check_convergence, decode_plan
+from rmpa.decoder import WALK_DTYPE, _walk, decode_plan
 from rmpa.fod import _spectra, float_array, fht_decode, form_bits
 from rmpa.geometry import LLR_CLAMP, clamp_llr
 
@@ -231,14 +231,27 @@ def fod_bits(l: np.ndarray) -> np.ndarray:
     return form_bits(fht_decode(l), n.bit_length() - 1)
 
 
+def converged_per_coordinate(l_old: np.ndarray, l_new: np.ndarray,
+                             theta: float) -> bool:
+    """Whether an iteration that took the LLRs l_old to l_new moved every
+    coordinate by less than theta times its old magnitude, one coordinate
+    at a time in the LLRs' float dtype: |new - old| < theta * |old|.
+
+    The reference that rmpa's early-stopping test is checked against."""
+    theta = l_old.dtype.type(theta)
+    return all(abs(new - old) < theta * abs(old)
+               for old, new in zip(l_old, l_new))
+
+
 def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
     """Decode a (batch, 2^m) stack along the plan node, every path on its
-    own: each inner decoder projects and decodes its own inputs, and every
+    own: each inner decoder projects and decodes its own inputs, every
     projection and aggregation is a per-map loop, project_per_map and
-    aggregate_per_map.  Returns (bits, iterations, converged), as rmpa's
-    walk does.  It decodes the whole stack at once, where rmpa's walk goes
-    through it in blocks of rows: blocks change no bit, so the reference
-    does not depend on how they are sized.
+    aggregate_per_map, and early stopping tests converged_per_coordinate.
+    Returns (bits, iterations, converged), as rmpa's walk does.  It decodes
+    the whole stack at once, where rmpa's walk goes through it in blocks of
+    rows: blocks change no bit, so the reference does not depend on how
+    they are sized.
 
     The reference that rmpa's walk, which decodes each repeated quotient
     once and builds first-order signs from the decoded form, is checked
@@ -253,7 +266,7 @@ def walk_per_path(node, llr: np.ndarray, theta: float | None = None):
         llr_new = aggregate_per_map(
             llr, node.m, indices, chat.reshape(len(llr), len(indices), half))
         converged = (theta is not None
-                     and check_convergence(llr[0], llr_new[0], theta))
+                     and converged_per_coordinate(llr[0], llr_new[0], theta))
         llr = llr_new
         if converged:
             break

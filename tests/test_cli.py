@@ -173,8 +173,16 @@ def test_rpa_sch_with_d_below_1_names_d(capsys, d):
     code, out, err = run_cli(capsys, "fods", "--m", "3", "--r", "2",
                              "--preset", "rpa_sch", "--d", d)
     assert (code, out) == (2, "")
-    assert f"{{'d': {float(d)}}}: d must be at least 1" in err
+    assert f"d={d}: d must be at least 1" in err
     assert len(err) < 100
+
+
+@pytest.mark.parametrize("d,delta_itr", [
+    ("4/3", F(3, 4)), ("1.01", F(100, 101)), ("2", F(1, 2))])
+def test_d_is_read_as_the_exact_fraction_it_writes(d, delta_itr):
+    spec = {"schema_version": 1, "code": {"m": 7, "r": 2},
+            "decoder": {"preset": "rpa_sch", "d": d}, "ebno_db": [3.0]}
+    assert load_experiment_spec(spec)[0].decoder.delta_itr == delta_itr
 
 
 def test_simulate_unknown_decoder_key_exits_2(tmp_path, capsys):
@@ -273,9 +281,11 @@ def test_spec_reals_are_read_strictly(tmp_path, capsys, overrides, bad):
     assert f"expected a finite number, got {bad}" in err
 
 
-@pytest.mark.parametrize("flags", [["--theta", "nan", "--measure"],
-                                   ["--theta", "inf"],
-                                   ["--preset", "rpa_sch", "--d", "inf"]])
+@pytest.mark.parametrize("flags", [
+    ["--theta", "nan", "--measure"], ["--theta", "inf"],
+    ["--preset", "rpa_sch", "--d", "inf"],
+    # exactly, 1 over a power of ten of ten million digits
+    ["--preset", "rpa_sch", "--d", "1e-9999999"]])
 def test_real_flags_are_read_strictly(capsys, flags):
     code, out, err = run_cli(capsys, "fods", "--m", "5", "--r", "2", *flags)
     assert (code, out) == (2, "")
@@ -377,6 +387,39 @@ def test_fods_of_a_deep_many_iteration_plan_is_quick(capsys):
     assert out.strip() == str(28 ** 4 * 127 * 63 * 31 * 15)
     assert seconds < 2.0
     assert peak < 16 * 2 ** 20
+
+
+def test_the_largest_plans_the_cli_accepts_compile_quickly(tmp_path, capsys):
+    # RM(8,3) rpa_sch at d = 1.01 holds n_max + n_max^2 steps, 32,580 at
+    # n_max 180 and 32,942 at 181, past MAX_PLAN_STEPS; at d = 2 the nodes
+    # whose counts are all 1 are one, so n_max 3,640 compiles.  Uncapped
+    # and a node per factor, n_max 1,024 took 28.7 s at d = 2
+    flags = ["fods", "--m", "8", "--r", "3", "--preset", "rpa_sch",
+             "--d", "1.01"]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *flags, "--nmax", "180")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and int(out) > 0
+    code, out, err = run_cli(capsys, *flags, "--nmax", "181")
+    assert (code, out) == (2, "")
+    assert "more than 32768 steps" in err and err.count("\n") == 1
+    spec = make_spec(tmp_path, code={"m": 8, "r": 3}, decoder={
+        "preset": "rpa_sch", "d": 1.01, "n_max": 181})
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert "more than 32768 steps" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ebno", [4000, -4000])
+def test_ebno_db_past_the_channels_range_exits_2(tmp_path, capsys, ebno):
+    # 10^(ebno/10) overflows at 4000 dB and is 0 at -4000, which raised
+    # OverflowError and ZeroDivisionError from the channel: rejected as the
+    # spec loads, before the first point runs
+    spec = make_spec(tmp_path, ebno_db=[3.0, ebno])
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert f"ebno_db {float(ebno)} gives a noise sigma^2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (build_coset_map, decode_per_path, fht, fod_bits,
-                     is_codeword, ml_decode_oracle)
+from oracles import (build_coset_map, converged_per_coordinate,
+                     decode_per_path, fht, fod_bits, is_codeword,
+                     ml_decode_oracle)
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
-                  build_generator, check_convergence, decode, decode_batch,
-                  decode_plan, encode, executed_fod_count,
-                  explicit_schedule_config, fht_decode, preset,
-                  select_projection_indices, stack_coset_maps)
+                  build_generator, decode, decode_batch, decode_plan, encode,
+                  executed_fod_count, explicit_schedule_config, fht_decode,
+                  preset, select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
-from rmpa.decoder import _keep_freed_memory, _stacked_maps
-from rmpa.geometry import (CosetMap, _run_bits, clamp_llr, coset_table,
-                           project_llr)
+from rmpa.decoder import _converged, _keep_freed_memory, _stacked_maps
+from rmpa.geometry import (CosetMap, _build_coset_table, _run_bits,
+                           clamp_llr, coset_table, project_llr)
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
@@ -288,15 +288,41 @@ def distinct_nodes(plan) -> set:
 
 
 def test_equal_inner_configs_share_one_node():
-    # below level r, iteration j of a level hands on g * delta_itr^(j-1),
-    # so level r - d sees at most (n_max - 1) * d + 1 factors: 115 nodes in
-    # all, where a tree of nodes would have 22,621
+    # below level r, iteration j of a level hands on g * delta_itr^(j-1).
+    # Each inner level keeps the nodes of 2/3 and 1/6, and one for every
+    # factor from 1/24 down, at which all its counts are 1; the leaves, which
+    # read no factor, are one node: 11 nodes in all, where a tree of nodes
+    # would have 22,621
     cfg = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2),
                  n_max=12)
     plan = decode_plan(CodeParams(7, 5), cfg)
-    assert len(distinct_nodes(plan)) == 1 + sum(11 * d + 1
-                                                for d in range(1, 5))
+    assert len(distinct_nodes(plan)) == 1 + 3 * 3 + 1
     assert plan.fods == 95395
+
+
+def test_inner_decoders_whose_counts_are_all_1_are_one_node():
+    # rpa_sch d = 2 on RM(8,3): level 2 keeps ceil(2^-(j-1) * 127)
+    # subspaces, 1 from j = 8 on, and every later factor gives the same
+    # node, so the plan holds 2,700 steps and not 90,300
+    plan = decode_plan(CodeParams(8, 3), preset("rpa_sch", d=2, n_max=300))
+    inner = {id(node): node for _, node in plan.steps}
+    assert len(inner) == 8
+    assert plan.steps[7][1] is plan.steps[-1][1]
+    assert {len(indices) for indices, _ in plan.steps[7][1].steps} == {1}
+    assert len(distinct_nodes(plan)) == 1 + 8 + 1
+    assert plan.fods == sum(len(indices) * inner.fods
+                            for indices, inner in plan.steps)
+
+
+@pytest.mark.parametrize("make", [float, F])
+def test_float_factors_count_as_their_exact_binary_values(make):
+    # a float factor is held as the Fraction of its binary value, so the
+    # decayed factor is exact whichever way it is formed
+    cfg = PruningConfig(gamma=make(0.9), delta_itr=make(0.7), n_max=40)
+    assert (cfg.gamma, cfg.delta_itr) == (F(0.9), F(0.7))
+    plan = decode_plan(CodeParams(6, 2), cfg)
+    assert [len(indices) for indices, _ in plan.steps] == [
+        math.ceil(F(0.9) * F(0.7) ** j * 63) for j in range(40)]
 
 
 def test_plans_of_equal_configs_share_their_coset_maps(monkeypatch):
@@ -322,19 +348,20 @@ def test_plans_of_equal_configs_share_their_coset_maps(monkeypatch):
 
 @pytest.fixture
 def record_tables(monkeypatch):
-    """A function that routes the coset-table builds through build(m,
-    indices), from empty map caches, and returns the list of the (m, rows)
-    of each; the caches are emptied again after the test."""
+    """A function that routes the coset-table builds through build(m),
+    from empty map caches, and returns the list of the (m, rows) of each;
+    the caches are emptied again after the test."""
     built = []
 
     def route(build):
-        def recording(m, indices):
-            built.append((m, len(indices)))
-            return build(m, indices)
+        def recording(m):
+            table = build(m)
+            built.append((m, len(table.reps)))
+            return table
 
         coset_table.cache_clear()
         _stacked_maps.cache_clear()
-        monkeypatch.setattr("rmpa.geometry.stack_coset_maps", recording)
+        monkeypatch.setattr("rmpa.geometry._build_coset_table", recording)
         return built
 
     yield route
@@ -342,10 +369,10 @@ def record_tables(monkeypatch):
     _stacked_maps.cache_clear()
 
 
-def hollow_maps(m, indices):
-    """Maps of the right shapes that hold no memory."""
-    n, rows = 1 << m, len(indices)
-    runs = n >> _run_bits(m)
+def hollow_maps(m):
+    """A table of the right shapes that holds no memory."""
+    n = 1 << m
+    rows, runs = n - 1, n >> _run_bits(m)
     return CosetMap(*(np.broadcast_to(np.intp(0), (rows, size))
                       for size in (n // 2, n // 2, n, n,
                                    runs // 2, runs // 2, runs)))
@@ -375,7 +402,7 @@ def test_cached_maps_are_one_table_per_m(record_tables, m, r, cfg):
 
 
 def test_a_decode_builds_one_table_per_m(record_tables):
-    built = record_tables(stack_coset_maps)
+    built = record_tables(_build_coset_table)
     p = CodeParams(7, 3)
     llr = np.random.default_rng(4).normal(size=(3, p.n))
     decode_batch(llr, p, MFP_83)
@@ -545,12 +572,40 @@ def test_decode_matches_ml_oracle_at_high_snr():
 
 def test_check_convergence_examples():
     l = np.array([1.0, -2.0, 3.0])
-    assert check_convergence(l, l, 0.05)
-    assert not check_convergence(np.array([0.0, 1.0]), np.array([0.1, 1.0]), 0.05)
-    assert not check_convergence(np.array([10.0, -10.0]),
-                                 np.array([10.4, -10.6]), 0.05)
-    assert check_convergence(np.array([10.0, -10.0]),
-                             np.array([10.4, -10.4]), 0.05)
+    assert _converged(l, l, 0.05)
+    assert not _converged(np.array([0.0, 1.0]), np.array([0.1, 1.0]), 0.05)
+    assert not _converged(np.array([10.0, -10.0]),
+                          np.array([10.4, -10.6]), 0.05)
+    assert _converged(np.array([10.0, -10.0]),
+                      np.array([10.4, -10.4]), 0.05)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_walks_convergence_test_is_the_per_coordinate_rule(dtype):
+    # the per-path reference decides early stopping with its own rule, so
+    # the two can only drift apart with this test failing
+    rng = np.random.default_rng(11)
+    old = (rng.normal(size=64) * 8).astype(dtype)
+    zero = old.copy()
+    zero[5] = 0
+    # changes of exactly theta * |old|: theta = 1/4 of powers of two
+    exact = np.array([8.0, -16.0, 4.0, -0.5], dtype=dtype)
+    moved = exact + np.copysign(np.abs(exact) / 4, exact)
+    cases = [(old, old, 0.05), (zero, zero, 0.05), (zero, zero + 1e-3, 0.05),
+             (np.zeros_like(old), np.zeros_like(old), 0.05),
+             (exact, moved, 0.25),
+             (exact, np.nextafter(moved, exact), 0.25),
+             (exact, 2 * exact - np.nextafter(moved, exact), 0.25),
+             (old, old * dtype(1.01), 0.05), (old, old * dtype(1.1), 0.05)]
+    results = []
+    for l_old, l_new, theta in cases:
+        l_new = l_new.astype(dtype)
+        assert l_new.dtype == l_old.dtype == dtype
+        want = converged_per_coordinate(l_old, l_new, theta)
+        assert _converged(l_old, l_new, theta) == want
+        results.append(want)
+    assert results == [True, False, False, False, False, True, True, True,
+                       False]
 
 
 def test_decode_deterministic():

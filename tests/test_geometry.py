@@ -14,11 +14,17 @@ from oracles import (aggregate_per_map, boxplus, build_coset_map,
                      coset_signs_per_map, in_row_space_batch, is_codeword,
                      mask_coset_maps, project_hard, project_per_map)
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
-                  coset_signs, encode, project_llr, stack_coset_maps)
+                  coset_signs, coset_table, encode, project_llr)
 from rmpa import geometry
 from rmpa.decoder import _lift, select_projection_indices
 from rmpa.fod import _form_table
-from rmpa.geometry import clamp_llr, coset_table, form_signs, top_bits
+from rmpa.geometry import _build_coset_table, clamp_llr, form_signs, top_bits
+
+
+def stack(m: int, indices):
+    """The coset maps of the subspaces in indices, as the rows of the coset
+    table of m that hold them."""
+    return coset_table(m)[np.asarray(indices, dtype=np.intp) - 1]
 
 
 def test_coset_map_m2():
@@ -50,11 +56,10 @@ def test_coset_map_partition():
 
 
 def test_coset_map_rejects_zero():
-    for build in (build_coset_map, lambda m, i: stack_coset_maps(m, [i])):
-        with pytest.raises(ValueError):
-            build(3, 0)
-        with pytest.raises(ValueError):
-            build(3, 8)
+    with pytest.raises(ValueError):
+        build_coset_map(3, 0)
+    with pytest.raises(ValueError):
+        build_coset_map(3, 8)
 
 
 def test_project_hard_examples():
@@ -147,7 +152,7 @@ def stacked_inputs(draw):
                             unique=True))
     l = draw(arrays(np.float64, (draw(st.integers(1, 3)), n),
                     elements=CLAMPED_LLRS))
-    return l, stack_coset_maps(m, indices)
+    return l, stack(m, indices)
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,7 +178,7 @@ def test_project_llr_keeps_its_shape_and_values_in_either_memory_order(
     l = (np.random.default_rng(4).normal(size=shape + (1 << m,)) * 4).astype(
         dtype)
     cases = [(coset_table(m)[1:30:4], indices),
-             (stack_coset_maps(m, [7]), [7]), (build_coset_map(m, 7), None)]
+             (stack(m, [7]), [7]), (build_coset_map(m, 7), None)]
     for cmap, maps in cases:
         got = project_llr(l, cmap)
         assert got.shape == shape + cmap.reps.shape
@@ -203,7 +208,7 @@ def test_the_per_map_projection_is_the_kernel_and_the_boxplus():
         l = clamp_llr(rng.normal(size=(rows, n)) * 12).astype(dtype)
         want = project_per_map(l, m, indices)
         assert want.dtype == dtype
-        got = project_llr(l, stack_coset_maps(m, indices))
+        got = project_llr(l, stack(m, indices))
         assert np.array_equal(bit_pattern(got), bit_pattern(want))
         reference = np.stack([boxplus(l[:, build_coset_map(m, i).reps],
                                       l[:, build_coset_map(m, i).partners])
@@ -220,7 +225,7 @@ def bit_pattern(values: np.ndarray) -> np.ndarray:
 
 
 def index_sets(m: int):
-    """Index sets of F_2^m as stack_coset_maps takes them: one map, all
+    """Index sets of F_2^m, the maps of each stacked by stack: one map, all
     n - 1, a strided set as the pruning rule keeps, or any set in any
     order."""
     n = 1 << m
@@ -263,7 +268,7 @@ def test_the_kernels_equal_the_per_map_loops_bit_for_bit(inputs):
     # XOR structure, more rows coordinates first
     m, indices, l, chat = inputs
     n = 1 << m
-    cmap = stack_coset_maps(m, indices)
+    cmap = stack(m, indices)
     got = project_llr(l, cmap)
     signs = coset_signs(cmap, chat, l.dtype)
     aggregated = aggregate(l, cmap, signs)
@@ -293,13 +298,13 @@ def test_project_llr_raises_on_an_index_outside_the_llrs(rows):
     with pytest.raises(IndexError):
         project_llr(l, pairs)
     with pytest.raises(IndexError):
-        project_llr(l, stack_coset_maps(m + 1, [1, 17, 31]))
+        project_llr(l, stack(m + 1, [1, 17, 31]))
 
 
 def test_project_llr_takes_any_finite_llr_without_a_warning():
     # exp(-|l|) alone underflows to 0 past |l| = 745, and log(0) warns;
     # LLRs beyond the clamp project as the clamped LLRs do
-    cmap = stack_coset_maps(2, [1, 2, 3])
+    cmap = coset_table(2)
     l = np.array([[1e3, 1e3, -1e3, 800.0],
                   [1e300, -1e300, 5.0, -1e300],
                   [-1e300, 0.0, 1e-300, 31.0]])
@@ -313,7 +318,7 @@ def test_project_llr_takes_any_finite_llr_without_a_warning():
 
 
 def test_a_zero_llr_projects_to_zero():
-    cmap = stack_coset_maps(3, range(1, 8))
+    cmap = coset_table(3)
     l = np.array([0.0, -0.0, 3.0, -LLR_CLAMP, 0.5, LLR_CLAMP, 0.0, -2.5])
     got = project_llr(l, cmap)
     zero = (l[cmap.reps] == 0) | (l[cmap.partners] == 0)
@@ -346,7 +351,7 @@ def test_project_llr_never_nan_at_saturation():
 
 def test_aggregate_single_projection():
     l = np.array([1.0, 2.0, 3.0, 4.0])
-    cmap = stack_coset_maps(2, [1])
+    cmap = coset_table(2)[:1]
     zero_bits = np.zeros((1, 2), dtype=np.uint8)
     out = aggregate(l, cmap, coset_signs(cmap, zero_bits))
     # decoded coset bit 0 passes the partner LLR through
@@ -358,11 +363,11 @@ def test_aggregate_single_projection():
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
-        aggregate(np.zeros(4), stack_coset_maps(2, []), np.zeros((0, 2)))
+        aggregate(np.zeros(4), coset_table(2)[:0], np.zeros((0, 4)))
 
 
 def test_aggregate_rejects_bits_that_do_not_fit_the_maps():
-    cmap = stack_coset_maps(3, [1, 2])
+    cmap = coset_table(3)[:2]
     with pytest.raises(ValueError, match="do not match"):
         coset_signs(cmap, np.zeros((3, 4), dtype=np.uint8))
     with pytest.raises(ValueError, match="do not match"):
@@ -372,7 +377,7 @@ def test_aggregate_rejects_bits_that_do_not_fit_the_maps():
 def test_aggregate_noiseless_reproduces_codeword():
     p = CodeParams(3, 2)
     gen = build_generator(p)
-    cmap = stack_coset_maps(p.m, range(1, p.n))
+    cmap = coset_table(p.m)
     rng = np.random.default_rng(2)
     for _ in range(20):
         c = encode(rng.integers(0, 2, p.k, dtype=np.uint8), gen)
@@ -384,7 +389,7 @@ def test_aggregate_noiseless_reproduces_codeword():
 def test_aggregate_linear_in_magnitude():
     rng = np.random.default_rng(9)
     l = rng.normal(size=8)
-    cmap = stack_coset_maps(3, (1, 3, 6))
+    cmap = stack(3, (1, 3, 6))
     chat = np.stack([rng.integers(0, 2, 4, dtype=np.uint8) for _ in range(3)])
     out1 = aggregate(l, cmap, coset_signs(cmap, chat))
     out2 = aggregate(2.5 * l, cmap, coset_signs(cmap, chat))
@@ -404,7 +409,7 @@ def test_aggregate_equals_the_per_map_loop(m, monkeypatch):
     for k in [144] if m == 8 else sorted({1, max(1, n // 3), n - 1}):
         indices = sorted(rng.choice(np.arange(1, n), size=k,
                                     replace=False).tolist())
-        cmap = stack_coset_maps(m, indices)
+        cmap = stack(m, indices)
         i, h = top_bits(indices)
         for dtype, rows in itertools.product((np.float32, np.float64),
                                              (0, 1, 2, 8, 42)):
@@ -442,7 +447,7 @@ def test_one_row_is_aggregated_row_major_at_every_m():
 
 
 def test_aggregate_rejects_sign_factors_that_do_not_fit_the_maps():
-    cmap = stack_coset_maps(4, [1, 2])
+    cmap = coset_table(4)[:2]
     l = np.zeros((64, 16))
     with pytest.raises(ValueError, match="do not match"):
         aggregate(l, cmap, np.ones((16, 2, 63)))
@@ -460,7 +465,7 @@ def test_stacked_maps_are_the_single_maps_with_offset_cosets():
     cases = [(4, (3, 5, 15))] + [(m, tuple(range(1, 1 << m)))
                                  for m in range(1, 6)]
     for m, indices in cases:
-        stacked = stack_coset_maps(m, indices)
+        stacked = stack(m, indices)
         # the partner of coordinate 0 is i
         assert tuple(stacked.partner_of[:, 0]) == indices
         for t, i in enumerate(indices):
@@ -481,8 +486,7 @@ MAP_FIELDS = ("reps", "partners", "coset_of", "partner_of")
 @pytest.mark.parametrize("m", range(1, 9))
 def test_strided_maps_are_rows_of_the_coset_table(m):
     # every strided set the pruning rule can keep, as a basic slice of the
-    # one table of m, equals the maps built for its indices by the bit rule
-    # and by a mask
+    # one table of m, equals the maps built for its indices by a mask
     n = 1 << m
     table = coset_table(m)
     masked = mask_coset_maps(m, range(1, n))
@@ -490,11 +494,9 @@ def test_strided_maps_are_rows_of_the_coset_table(m):
         indices = select_projection_indices(n, count)
         rows = slice(indices.start - 1, indices.stop - 1, indices.step)
         view = table[rows]
-        built = stack_coset_maps(m, list(indices))
         for name in MAP_FIELDS:
             got = getattr(view, name)
             assert np.shares_memory(got, getattr(table, name))
-            assert np.array_equal(got, getattr(built, name))
             assert np.array_equal(got, getattr(masked, name)[rows])
 
 
@@ -503,7 +505,7 @@ def test_building_the_coset_table_holds_little_besides_it():
     # temporaries
     tracemalloc.start()
     try:
-        table = stack_coset_maps(10, range(1, 1024))
+        table = _build_coset_table(10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

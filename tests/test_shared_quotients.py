@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import boxplus, decode_per_path
 from rmpa import (CodeParams, FodCounter, analytic_fod_count, coset_signs,
-                  decode, decode_batch, decode_plan, executed_fod_count,
-                  preset, stack_coset_maps)
+                  coset_table, decode, decode_batch, decode_plan,
+                  executed_fod_count, preset)
 from rmpa import decoder, fod
 from rmpa.cli import main
 from rmpa.fod import _form_table, form_bits
@@ -197,6 +197,28 @@ def test_early_stopping_equals_the_per_path_walk():
             iterations, converged)
 
 
+def test_the_shared_step_gives_each_spans_first_pair_its_own_forms():
+    # on RM(8,3) MFP, whose spans repeat, the form that the shared step
+    # gives the first pair of each span is the one that pair's own level-2
+    # decoder decodes in its first iteration, through the same step
+    params, rows = CodeParams(8, 3), 3
+    m = params.m
+    llr = gaussian_rows(params, rows, 8).astype(decoder.WALK_DTYPE)
+    for outer, inner in decode_plan(params, MFP_83).steps:
+        first = decoder._shared_step(inner)
+        proj = decoder.project_llr(llr, decoder._stacked_maps(m, outer))
+        canon_t, canon_s, alias = decoder._shared_quotients(m, outer, first)
+        assert len(canon_t) < alias.size
+        shared = decoder._shared_forms(m, outer, first, proj, None).reshape(
+            rows, len(outer), len(first))
+        maps = decoder._stacked_maps(m - 1, first)
+        for t in np.unique(canon_t):
+            own = decoder._decode_lifted(proj[:, t], maps,
+                                         *decoder._top_bits(first))
+            s = canon_s[canon_t == t]
+            assert np.array_equal(shared[:, t, s], own[:, s])
+
+
 def test_one_quotient_per_block_changes_no_bit(monkeypatch):
     params = CodeParams(6, 3)
     llrs = gaussian_rows(params, 2, 3)
@@ -221,7 +243,7 @@ def test_form_signs_equal_the_coset_gather(m, table_m, seed):
     u0 = rng.integers(0, 2, (2, n - 1))
     decoded = a + (n // 2) * u0
     chat = _form_table(m - 1, np.uint8)[decoded]
-    cmap = stack_coset_maps(m, indices)
+    cmap = coset_table(m)
     i, h = decoder._top_bits(indices)
     forms = decoder._lift(decoded, h, i)
     with pytest.MonkeyPatch.context() as patch:

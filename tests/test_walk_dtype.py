@@ -14,8 +14,8 @@ import pytest
 
 from oracles import decode_float64, fht, fod_bits
 from rmpa import (LLR_CLAMP, CodeParams, aggregate,
-                  build_generator, coset_signs, decode, decode_batch, encode,
-                  fht_decode, preset, project_llr, stack_coset_maps)
+                  build_generator, coset_signs, coset_table, decode,
+                  decode_batch, encode, fht_decode, preset, project_llr)
 from rmpa import decoder, fod
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.fod import TIE_RTOL_FLOAT32
@@ -31,7 +31,7 @@ def test_each_kernel_computes_in_its_input_dtype(dtype, monkeypatch):
     rng = np.random.default_rng(16)
     m, n = 6, 64
     l = (rng.normal(size=(3, n)) * 4).astype(dtype)
-    cmap = stack_coset_maps(m, (1, 5, 63))
+    cmap = coset_table(m)[np.array([1, 5, 63]) - 1]
     assert project_llr(l, cmap).dtype == dtype
     assert fht(l).dtype == dtype
     chat = rng.integers(0, 2, size=(3, 3, n // 2), dtype=np.uint8)
@@ -65,7 +65,7 @@ def test_the_float32_kernels_agree_with_the_float64_ones():
     l64 = rng.normal(size=(4, n)) * 5
     l32 = l64.astype(np.float32)
     tol = 64 * np.finfo(np.float32).eps
-    cmap = stack_coset_maps(m, (1, 6, 77, 127))
+    cmap = coset_table(m)[np.array([1, 6, 77, 127]) - 1]
     for kernel, scale in [(lambda l: project_llr(l, cmap), LLR_CLAMP),
                           (fht, np.abs(fht(l64)).max())]:
         got, want = kernel(l32), kernel(l64)
@@ -78,7 +78,7 @@ def test_the_float32_kernels_agree_with_the_float64_ones():
 
 
 def test_aggregate_rejects_signs_of_another_dtype():
-    cmap = stack_coset_maps(3, (1, 2))
+    cmap = coset_table(3)[:2]
     signs = coset_signs(cmap, np.zeros((2, 4), dtype=np.uint8))
     with pytest.raises(ValueError, match="dtype"):
         aggregate(np.ones(8, dtype=np.float32), cmap, signs)
