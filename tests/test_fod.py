@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import boxplus, fht, fht_butterfly, fod_bits, ml_decode_oracle
 from rmpa import CodeParams, FodCounter, fht_decode, form_bits
-from rmpa.fod import TIE_RTOL, TIE_RTOL_FLOAT32
+from rmpa.fod import TIE_RTOL, TIE_RTOL_FLOAT32, _spectra
 
 
 def naive_wht(values):
@@ -71,6 +71,51 @@ def test_fht_matches_the_butterfly(m, lead, seed):
     # the same rows held as columns, as the decode walk hands them on
     cols = np.asfortranarray(x.reshape(-1, 2 ** m))
     assert np.abs(fht(cols) - butterfly(cols)).max() <= tol
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_column_held_spectra_come_back_spectrum_major(m):
+    # the chain over a batch held as columns transforms it where it lies
+    x = np.random.default_rng(m).normal(size=(3, 2 ** m))
+    w = _spectra(np.asfortranarray(x))
+    assert w.shape == (2 ** m, 3)
+    assert w.flags.c_contiguous
+    tol = 1e-13 * np.abs(x).max() * 2 ** m
+    assert np.abs(w - butterfly(x).T).max() <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_column_held_batches_decode_like_their_row_held_copy(m, dtype):
+    rng = np.random.default_rng(m)
+    rows = np.concatenate([saturated_rows(m, 20, seed=m),
+                           rng.normal(size=(20, 2 ** m)) * 3])
+    # integer rows tie exactly
+    rows[::5] = np.round(rows[::5])
+    rows = rows.astype(dtype)
+    assert np.array_equal(fht_decode(np.asfortranarray(rows)),
+                          fht_decode(np.ascontiguousarray(rows)))
+
+
+# columns as the walk hands them on: at m' = 6 the RM(8,3) MFP walk's
+# widths, 42 rows by 32 or 96 level-2 maps and 14 rows by 227 pairs (one
+# shared-step block) or twice that; at m' = 7-12 blocks of BLOCK_BYTES
+@pytest.mark.parametrize("m, columns", [(6, 42 * 32), (6, 42 * 96),
+                                        (6, 14 * 227), (6, 14 * 455),
+                                        (7, 2048), (8, 1024), (9, 512),
+                                        (10, 256), (11, 128), (12, 64)])
+def test_float32_column_held_spectra_stay_near_float64(m, columns):
+    # the bound the float32 tie band rests on: within 5 eps of the float64
+    # spectra of the same inputs, relative to each spectrum's max
+    rng = np.random.default_rng(m + columns)
+    x = np.concatenate([saturated_rows(m, columns // 2, seed=m),
+                        rng.normal(size=(columns - columns // 2, 2 ** m)) * 4])
+    x = np.asfortranarray(x.astype(np.float32))
+    got = _spectra(x)
+    want = _spectra(x.astype(np.float64))
+    peak = np.abs(want).max(axis=0)
+    eps = np.finfo(np.float32).eps
+    assert (np.abs(got - want).max(axis=0) <= 5 * eps * peak).all()
 
 
 @pytest.mark.parametrize("values", [[1e308, 1e308], [np.inf, np.inf]])

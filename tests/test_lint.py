@@ -1,8 +1,8 @@
 """Static checks of the package sources and the test oracles, with the
 standard library only: every imported name is used, every top-level name of
-the package is read or exported, every exported name exists, and every
+the package is read or exported, every exported name exists, every
 exported name is read by the package or shown in the README's library
-example."""
+example, and the change log stays a readable size."""
 
 import ast
 import re
@@ -109,3 +109,11 @@ def test_every_exported_name_is_read_by_the_package_or_the_example():
     read = set().union(*(names_read(path.read_text()) for path in MODULES))
     unread = set(rmpa.__all__) - read - names_read(example)
     assert unread == UNREAD_EXPORTS
+
+
+def test_the_change_log_stays_under_a_megabyte():
+    # one line per change and finding: the longest is about 12 K characters,
+    # and the whole log under 200 KB; a log grown past 1 MB was rewritten
+    # wrongly, not written
+    log = SRC.parent.parent / "CHANGES.md"
+    assert log.stat().st_size < 1 << 20
