@@ -3,8 +3,7 @@ multi-factor pruning, first-order-decoding complexity accounting, and an
 AWGN Monte Carlo harness."""
 
 from .codes import CodeParams, build_generator, encode
-from .geometry import (LLR_CLAMP, CosetMap, aggregate, coset_signs,
-                       coset_table, project_llr)
+from .geometry import LLR_CLAMP, CosetMap, aggregate, coset_table, project_llr
 from .fod import FodCounter, fht_decode, form_bits
 from .decoder import (DecodePlan, DecodeResult, PruningConfig,
                       analytic_fod_count, decode, decode_batch,
@@ -17,8 +16,7 @@ from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
 
 __all__ = [
     "CodeParams", "build_generator", "encode",
-    "LLR_CLAMP", "CosetMap", "aggregate", "coset_signs", "coset_table",
-    "project_llr",
+    "LLR_CLAMP", "CosetMap", "aggregate", "coset_table", "project_llr",
     "FodCounter", "fht_decode", "form_bits",
     "DecodePlan", "DecodeResult", "PruningConfig", "analytic_fod_count",
     "decode", "decode_batch", "decode_plan",

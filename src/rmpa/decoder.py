@@ -18,9 +18,9 @@ arithmetic of that pair's own path, and every other pair reads its decoded
 first-order codeword from the same form, which is zero on the span.  The
 decoded bits are therefore those of decoding every path on its own, bar a
 spectrum tie broken differently in another pair's coordinates.  Decoders
-whose inner decoder is first-order build the signs of their aggregation
-from the decoded forms (rmpa.geometry.form_signs), from the form tables of
-rmpa.fod.
+whose inner decoder is first-order aggregate from the decoded forms, not
+from their bits: rmpa.geometry.aggregate builds the signs from the form
+tables of rmpa.fod.
 
 The walk runs in float32 (WALK_DTYPE): decode and decode_batch clamp the
 LLRs and cast them once, and every projection, first-order decoding,
@@ -45,9 +45,8 @@ import numpy as np
 
 from .codes import CodeParams, _is_int
 from .fod import FodCounter, _read_only, fht_decode, form_bits
-from .geometry import (CosetMap, aggregate, clamp_llr, coset_signs,
-                       coset_table, drop_bit, form_signs, insert_zero_bit,
-                       project_llr, top_bits)
+from .geometry import (CosetMap, aggregate, clamp_llr, coset_table,
+                       drop_bit, insert_zero_bit, project_llr, top_bits)
 
 FACTORS = ("gamma", "delta_itr", "delta_rec")
 
@@ -496,17 +495,15 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
                   forms=None if forms is None else forms[start:start + rows]
                   )[0]
             for start in range(0, len(llr), rows)]), len(node.steps), False
-    iterations, converged = 0, False
+    iterations, converged, chat = 0, False, None
     half = llr.shape[-1] // 2
     for iterations, (indices, inner) in enumerate(node.steps, 1):
         cmap = _stacked_maps(node.m, indices)
-        # the projections are freed before the signs are built; a level-2
-        # inner decoder starts from the forms of its first iteration
+        # the projections are freed before aggregate builds the signs; a
+        # level-2 inner decoder starts from the forms of its first iteration
         if forms is None and not inner.steps:
             forms = _decode_lifted(llr, cmap, *_top_bits(indices), counter)
-        if forms is not None:
-            signs = form_signs(forms, node.m, llr.dtype)
-        else:
+        if forms is None:
             proj = project_llr(llr, cmap)
             first = _shared_step(inner)
             shared = (None if first is None else
@@ -514,14 +511,11 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
             # the inner decoders' rows frame by frame: a copy, and the
             # projections as columns are freed before the inner walk
             proj = proj.reshape(-1, half)
-            chat = _walk(inner, proj, counter, forms=shared)[0]
+            chat = _walk(inner, proj, counter, forms=shared)[0].reshape(
+                len(llr), len(indices), half)
             del proj, shared
-            signs = (coset_signs(cmap,
-                                 chat.reshape(len(llr), len(indices), half),
-                                 llr.dtype),)
+        llr_new = aggregate(llr, cmap, chat=chat, forms=forms)
         forms = chat = None
-        llr_new = aggregate(llr, cmap, *signs)
-        del signs
         converged = (theta is not None
                      and _converged(llr[0], llr_new[0], theta))
         llr = llr_new

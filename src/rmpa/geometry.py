@@ -4,9 +4,9 @@ Coordinates are indexed by integers z in [0, 2^m); the subspace B_i = {0, i}
 partitions the index set into n/2 cosets {z, z^i}, ordered by their canonical
 representative min(z, z^i), whose bit h (the top bit of i) is clear.
 
-project_llr, coset_signs, form_signs and aggregate compute in the LLRs'
-float dtype (rmpa.fod.float_array): float32, as the decode walk runs,
-stays float32, and anything else is float64.
+project_llr and aggregate compute in the LLRs' float dtype
+(rmpa.fod.float_array): float32, as the decode walk runs, stays float32,
+and anything else is float64.
 """
 
 from __future__ import annotations
@@ -234,13 +234,13 @@ def clamp_llr(l: np.ndarray) -> np.ndarray:
     return np.clip(l, -LLR_CLAMP, LLR_CLAMP)
 
 
-# The most rows that aggregate, coset_signs and form_signs keep in the
-# row-major layout, by m from 5 to 10 (smaller m as 5, larger as 10); more
-# rows go coordinates first.  Each is the smallest cutoff whose time
-# relative to the faster layout, summed over both sign sources and rows 1
-# to 128, is within 1% of the least, in float32 timings of sign building
-# and aggregation on a 2-core x86 host.  Near-ties go to the
-# coordinates-first layout, which builds no (rows, k, n) sign array.
+# The most rows that aggregate keeps in the row-major layout, by m from 5
+# to 10 (smaller m as 5, larger as 10); more rows go coordinates first.
+# Each is the smallest cutoff whose time relative to the faster layout,
+# summed over both decoded inputs (bits and forms) and rows 1 to 128, is
+# within 1% of the least, in float32 timings of aggregation, its signs
+# built, on a 2-core x86 host.  Near-ties go to the coordinates-first
+# layout, which builds no (rows, k, n) sign array.
 ROW_MAJOR_ROWS = (32, 24, 32, 32, 12, 8)
 
 
@@ -260,40 +260,34 @@ def _coordinates_first(rows: int, n: int) -> bool:
 _SIGN = {t: np.array([1.0, -1.0], dtype=t) for t in (np.float32, np.float64)}
 
 
-def coset_signs(cmap: CosetMap, chat: np.ndarray,
-                dtype=np.float64) -> np.ndarray:
-    """The signs (-1)^chat[t, coset_t(z)] of every coordinate z, from the
-    decoded projection bits chat of shape (..., k, n/2) of the k stacked
-    maps of cmap, in aggregate's layout for the rows of chat: (..., k, n)
-    row-major, else (n, k, rows) coordinates first.  float32 if dtype is,
-    the dtype of the LLRs they will sign, else float64."""
-    chat = np.asarray(chat)
+def _coset_signs(cmap: CosetMap, chat: np.ndarray, dtype,
+                 columns: bool) -> tuple:
+    """The signs (-1)^chat[r, t, coset_t(z)] of every coordinate z, from
+    the decoded projection bits chat, (rows, k, n/2) for the k stacked maps
+    of cmap, in dtype: one array (rows, k, n) row-major, else one factor
+    (n, k, rows) if columns, coordinates first."""
     k, half = cmap.reps.shape
-    if chat.shape[-2:] != (k, half):
-        raise ValueError(f"decoded bits of shape {chat.shape} do not match "
-                         f"{k} projections of length {half}")
     flat = chat.reshape(-1, k * half)
-    sign = _SIGN[np.float32 if dtype == np.float32 else np.float64]
+    sign = _SIGN[dtype.type]
     # the signs of the cosets, map t's from t * n/2, gathered to coordinates
     cosets = cmap.coset_of + np.arange(0, k * half, half)[:, None]
-    if _coordinates_first(len(flat), 2 * half):
-        return sign.take(flat.T).take(cosets.T, axis=0)
+    if columns:
+        return (sign.take(flat.T).take(cosets.T, axis=0),)
     # the cosets index the k * n/2 signs, so none wraps: a gather of one
     # value per index runs faster unchecked.  The maps' XOR structure does
     # not pay here: a sign's coset is z's own for half the coordinates and
     # its partner's for the rest, which needs each map's decoded bits
     # shifted by its own i, one value per index.
-    return np.take(sign.take(flat), cosets, axis=-1, mode="wrap").reshape(
-        chat.shape[:-1] + (2 * half,))
+    return (np.take(sign.take(flat), cosets, axis=-1, mode="wrap"),)
 
 
-def form_signs(forms: np.ndarray, m: int, dtype) -> tuple:
-    """The signs of the forms f = b + 2^m * u0 on F_2^m, shape (rows, k),
-    that the first-order decodings of k maps gave, in aggregate's layout
-    for rows vectors: one array (rows, k, 2^m) row-major, else the
-    rmpa.fod._form_factors over the high m // 2 and the low m - m // 2
-    bits of z, (2^b, k, rows) each; in dtype, the LLRs' float dtype."""
-    if not _coordinates_first(len(forms), 1 << m):
+def _form_signs(forms: np.ndarray, m: int, dtype, columns: bool) -> tuple:
+    """The signs of the forms f = b + 2^m * u0 on F_2^m, (rows, k), that
+    the first-order decodings of k maps gave, in dtype: one array
+    (rows, k, 2^m) row-major, else, if columns, the rmpa.fod._form_factors
+    over the high m // 2 and the low m - m // 2 bits of z, (2^b, k, rows)
+    each."""
+    if not columns:
         return (_form_rows(forms, m, dtype),)
     return tuple(np.ascontiguousarray(np.moveaxis(factor, -1, 0))
                  for factor in _form_factors(forms.T, m, dtype, m - m // 2))
@@ -313,25 +307,33 @@ def _partners(rows: np.ndarray, cmap: CosetMap) -> np.ndarray:
         cmap.partner_of_runs, axis=1, mode="wrap")
 
 
-def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
-    """Average the partner LLRs, sign-flipped per projection.
+def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
+              forms: np.ndarray = None) -> np.ndarray:
+    """Average the partner LLRs, sign-flipped by what each projection
+    decoded.
 
-    cmap stacks the k maps of the projections (coset_table) and signs
-    holds the +-1 of each map at each coordinate, as coset_signs and
-    form_signs give them for l's rows, in l's float dtype: row-major, one
-    array (..., k, n); or coordinates first, factors (2^b_j, k, rows) over
-    the bits of z, the highest first, whose product is the sign.  Output
-    coordinate z is (1/k) * sum_t signs[t, z] * l[z ^ i_t], summed in the
-    order of the stack, in l's float dtype.
+    cmap stacks the k maps of the projections (coset_table), and exactly
+    one of chat and forms gives what their decoders returned: chat the
+    projections' bits, shape l.shape[:-1] + (k, n/2); forms, below a
+    first-order decoder, the forms f = b + 2^m * u0 lifted to F_2^m, shape
+    (rows, k) for the rows of l.  Output coordinate z is
+    (1/k) * sum_t s_t(z) * l[z ^ i_t], s_t(z) the +-1 of map t's decoding
+    at z, summed in the order of the stack, in l's float dtype.
 
-    The partner LLRs are gathered in the layout of the signs: coordinates
-    first as runs of rows, row-major through the maps' XOR structure, each
-    row's low-bit XOR shifts and then runs of them (_partners).  One
-    einsum, without its optimize path, multiplies and sums them, with the
-    sum over t outside the loop over the rows or over z: the +-1 products
-    are exact, and each output is summed t = 0, 1, ... as the per-map loop
-    sums it.
+    The layout is chosen once for l's rows (_coordinates_first), and the
+    signs are built in it, in l's dtype: row-major, one array (rows, k, n);
+    coordinates first, factors (2^b_j, k, rows) over the bits of z, the
+    highest first, whose product is the sign, so that forms build no
+    (rows, k, n) array.  The partner LLRs are gathered in the same layout:
+    coordinates first as runs of rows, row-major through the maps' XOR
+    structure, each row's low-bit XOR shifts and then runs of them
+    (_partners).  One einsum, without its optimize path, multiplies and
+    sums them, with the sum over t outside the loop over the rows or over
+    z: the +-1 products are exact, and each output is summed t = 0, 1, ...
+    as the per-map loop sums it.
     """
+    if (chat is None) == (forms is None):
+        raise ValueError("aggregation takes either decoded bits or forms")
     l = float_array(l)
     lead, n = l.shape[:-1], l.shape[-1]
     k = len(cmap.reps)
@@ -341,25 +343,22 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *signs) -> np.ndarray:
                          f"{cmap.partner_of.shape[-1]}")
     if k == 0:
         raise ValueError("aggregation needs at least one projection")
-    for factor in signs:
-        if factor.dtype != l.dtype:
-            raise ValueError(f"signs of dtype {factor.dtype} do not match "
-                             f"LLRs of dtype {l.dtype}")
-    if not _coordinates_first(rows, n):
-        if len(signs) != 1 or signs[0].shape[-2:] != cmap.partner_of.shape:
-            raise ValueError(f"signs of shapes {[f.shape for f in signs]} "
-                             f"do not match {k} projections of length {n}")
-        out = np.einsum("...tz,...tz->...z", signs[0],
+    decoded, shape = ((chat, lead + (k, n // 2)) if forms is None
+                      else (forms, (rows, k)))
+    if decoded.shape != shape:
+        raise ValueError(f"decoded input of shape {decoded.shape} does not "
+                         f"match the {shape} of {k} projections of LLRs of "
+                         f"shape {l.shape}")
+    columns = _coordinates_first(rows, n)
+    signs = (_coset_signs(cmap, chat, l.dtype, columns) if forms is None
+             else _form_signs(forms, n.bit_length() - 1, l.dtype, columns))
+    if not columns:
+        out = np.einsum("...tz,...tz->...z", *signs,
                         _partners(l.reshape(-1, n), cmap).reshape(
-                            lead + (k, n)))
+                            rows, k, n))
         out /= k
-        return out
+        return out.reshape(lead + (n,))
     sizes = tuple(len(factor) for factor in signs)
-    if (math.prod(sizes) != n
-            or any(factor.shape[1:] != (k, rows) for factor in signs)):
-        raise ValueError(f"sign factors of shapes "
-                         f"{[f.shape for f in signs]} do not match {k} "
-                         f"projections of {rows} rows of length {n}")
     cols = np.ascontiguousarray(l.reshape(rows, n).T)
     partners = cols.take(cmap.partner_of.T, axis=0).reshape(sizes + (k, rows))
     # one letter per factor for its bits of z: "abtr,atr,btr->abr"

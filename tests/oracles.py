@@ -166,7 +166,7 @@ def coset_signs_per_map(m: int, indices, chat: np.ndarray,
     subspaces {0, i} of indices, one map at a time from its coset map, in
     dtype.
 
-    The reference that rmpa.coset_signs is checked against."""
+    The reference that rmpa.geometry._coset_signs is checked against."""
     chat = np.asarray(chat)
     return np.stack([1 - 2 * chat[..., t, build_coset_map(m, i).coset_of]
                      .astype(dtype) for t, i in enumerate(indices)], axis=-2)

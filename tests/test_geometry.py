@@ -14,11 +14,11 @@ from oracles import (aggregate_per_map, boxplus, build_coset_map,
                      coset_signs_per_map, in_row_space_batch, is_codeword,
                      mask_coset_maps, project_hard, project_per_map)
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
-                  coset_signs, coset_table, encode, project_llr)
+                  coset_table, encode, project_llr)
 from rmpa import geometry
 from rmpa.decoder import _lift, select_projection_indices
 from rmpa.fod import _form_table
-from rmpa.geometry import _build_coset_table, clamp_llr, form_signs, top_bits
+from rmpa.geometry import _build_coset_table, clamp_llr, top_bits
 
 
 def stack(m: int, indices):
@@ -265,18 +265,20 @@ def kernel_inputs(draw):
 def test_the_kernels_equal_the_per_map_loops_bit_for_bit(inputs):
     # whatever their gathers, the projection, the coset signs and the
     # aggregation give each map's own values: row-major through the maps'
-    # XOR structure, more rows coordinates first
+    # XOR structure, more rows coordinates first.  The signs are checked
+    # apart, in the layout aggregate picks, as a flipped sign times a
+    # partner LLR of +-0 leaves the sum's bits alone
     m, indices, l, chat = inputs
-    n = 1 << m
     cmap = stack(m, indices)
     got = project_llr(l, cmap)
-    signs = coset_signs(cmap, chat, l.dtype)
-    aggregated = aggregate(l, cmap, signs)
+    aggregated = aggregate(l, cmap, chat=chat)
     assert got.dtype == aggregated.dtype == l.dtype
     assert np.array_equal(bit_pattern(got),
                           bit_pattern(project_per_map(l, m, indices)))
+    columns = geometry._coordinates_first(len(l), 1 << m)
+    (signs,) = geometry._coset_signs(cmap, chat, l.dtype, columns)
     want = coset_signs_per_map(m, indices, chat, l.dtype)
-    if geometry._coordinates_first(len(l), n):
+    if columns:
         want = want.transpose(2, 1, 0)
     assert np.array_equal(bit_pattern(signs), bit_pattern(want))
     assert np.array_equal(bit_pattern(aggregated), bit_pattern(
@@ -353,25 +355,53 @@ def test_aggregate_single_projection():
     l = np.array([1.0, 2.0, 3.0, 4.0])
     cmap = coset_table(2)[:1]
     zero_bits = np.zeros((1, 2), dtype=np.uint8)
-    out = aggregate(l, cmap, coset_signs(cmap, zero_bits))
+    out = aggregate(l, cmap, chat=zero_bits)
     # decoded coset bit 0 passes the partner LLR through
     assert out.tolist() == [2.0, 1.0, 4.0, 3.0]
-    out = aggregate(l, cmap,
-                    coset_signs(cmap, np.ones((1, 2), dtype=np.uint8)))
+    out = aggregate(l, cmap, chat=np.ones((1, 2), dtype=np.uint8))
     assert out.tolist() == [-2.0, -1.0, -4.0, -3.0]
 
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
-        aggregate(np.zeros(4), coset_table(2)[:0], np.zeros((0, 4)))
+        aggregate(np.zeros(4), coset_table(2)[:0],
+                  chat=np.zeros((0, 2), dtype=np.uint8))
+
+
+def test_aggregate_takes_exactly_one_decoded_input():
+    cmap = coset_table(3)[:2]
+    l = np.zeros(8)
+    chat = np.zeros((2, 4), dtype=np.uint8)
+    forms = np.zeros((1, 2), dtype=np.intp)
+    assert np.array_equal(aggregate(l, cmap, chat=chat),
+                          aggregate(l, cmap, forms=forms))
+    for both_or_neither in [{}, {"chat": chat, "forms": forms}]:
+        with pytest.raises(ValueError, match="either decoded bits or forms"):
+            aggregate(l, cmap, **both_or_neither)
 
 
 def test_aggregate_rejects_bits_that_do_not_fit_the_maps():
-    cmap = coset_table(3)[:2]
-    with pytest.raises(ValueError, match="do not match"):
-        coset_signs(cmap, np.zeros((3, 4), dtype=np.uint8))
-    with pytest.raises(ValueError, match="do not match"):
-        aggregate(np.zeros(8), cmap, np.ones((2, 4)))
+    # decoded bits (rows, k, n/2) and forms (rows, k) with a leading or a
+    # trailing axis wrong, for one row as for rows taken coordinates first
+    cmap = coset_table(4)[:2]
+    for rows in (1, 64):
+        l = np.zeros((rows, 16))
+        chat = np.zeros((rows, 2, 8), dtype=np.uint8)
+        forms = np.zeros((rows, 2), dtype=np.intp)
+        assert aggregate(l, cmap, chat=chat).shape == l.shape
+        assert aggregate(l, cmap, forms=forms).shape == l.shape
+        for bad in [{"chat": chat[:, :1]}, {"chat": chat[..., :7]},
+                    {"chat": chat[0]}, {"chat": chat[None]},
+                    {"chat": np.zeros((rows + 1, 2, 8), dtype=np.uint8)},
+                    {"forms": forms[:, :1]}, {"forms": forms[..., None]},
+                    {"forms": forms[0]},
+                    {"forms": np.zeros((rows + 1, 2), dtype=np.intp)}]:
+            with pytest.raises(ValueError, match="decoded input of shape"):
+                aggregate(l, cmap, **bad)
+        # LLRs of another length than the maps'
+        with pytest.raises(ValueError, match="do not match maps"):
+            aggregate(np.zeros((rows, 8)), cmap,
+                      chat=np.zeros((rows, 2, 4), dtype=np.uint8))
 
 
 def test_aggregate_noiseless_reproduces_codeword():
@@ -382,7 +412,7 @@ def test_aggregate_noiseless_reproduces_codeword():
     for _ in range(20):
         c = encode(rng.integers(0, 2, p.k, dtype=np.uint8), gen)
         l = 20.0 * (1.0 - 2.0 * c)
-        out = aggregate(l, cmap, coset_signs(cmap, project_hard(c, cmap)))
+        out = aggregate(l, cmap, chat=project_hard(c, cmap))
         assert np.array_equal((out < 0).astype(np.uint8), c)
 
 
@@ -391,8 +421,8 @@ def test_aggregate_linear_in_magnitude():
     l = rng.normal(size=8)
     cmap = stack(3, (1, 3, 6))
     chat = np.stack([rng.integers(0, 2, 4, dtype=np.uint8) for _ in range(3)])
-    out1 = aggregate(l, cmap, coset_signs(cmap, chat))
-    out2 = aggregate(2.5 * l, cmap, coset_signs(cmap, chat))
+    out1 = aggregate(l, cmap, chat=chat)
+    out2 = aggregate(2.5 * l, cmap, chat=chat)
     assert np.allclose(out2, 2.5 * out1)
 
 
@@ -419,24 +449,22 @@ def test_aggregate_equals_the_per_map_loop(m, monkeypatch):
             decoded = (rng.integers(0, n // 2, (rows, k))
                        + (n // 2) * rng.integers(0, 2, (rows, k)))
             forms = _lift(decoded, h, i)
-            for bits, signs in [
-                    (chat, lambda: (coset_signs(cmap, chat, dtype),)),
-                    (_form_table(m - 1, np.uint8)[decoded],
-                     lambda: form_signs(forms, m, dtype))]:
+            for bits, decoded_input in [
+                    (chat, {"chat": chat}),
+                    (_form_table(m - 1, np.uint8)[decoded], {"forms": forms})]:
                 want = aggregate_per_map(l, m, indices, bits)
                 assert want.dtype == dtype
                 for cutoff in [table] + ([(0,) * 6, (rows,) * 6]
                                          if rows > 1 else []):
                     monkeypatch.setattr(geometry, "ROW_MAJOR_ROWS", cutoff)
-                    got = aggregate(l, cmap, *signs())
+                    got = aggregate(l, cmap, **decoded_input)
                     assert got.dtype == dtype
                     assert np.array_equal(got, want), (k, dtype, rows,
                                                        cutoff)
                 monkeypatch.setattr(geometry, "ROW_MAJOR_ROWS", table)
                 if rows:
-                    assert np.array_equal(aggregate(
-                        l[-1], cmap, coset_signs(cmap, bits[-1], dtype)),
-                        want[-1])
+                    assert np.array_equal(
+                        aggregate(l[-1], cmap, chat=bits[-1]), want[-1])
 
 
 def test_one_row_is_aggregated_row_major_at_every_m():
@@ -444,20 +472,6 @@ def test_one_row_is_aggregated_row_major_at_every_m():
     for m in range(1, 13):
         assert not geometry._coordinates_first(1, 1 << m)
         assert geometry._coordinates_first(128, 1 << m)
-
-
-def test_aggregate_rejects_sign_factors_that_do_not_fit_the_maps():
-    cmap = coset_table(4)[:2]
-    l = np.zeros((64, 16))
-    with pytest.raises(ValueError, match="do not match"):
-        aggregate(l, cmap, np.ones((16, 2, 63)))
-    with pytest.raises(ValueError, match="do not match"):
-        aggregate(l, cmap, np.ones((4, 2, 64)), np.ones((2, 2, 64)))
-    assert aggregate(l, cmap, np.ones((4, 2, 64)),
-                     np.ones((4, 2, 64))).shape == l.shape
-    for rows in (1, 64):
-        with pytest.raises(ValueError, match="do not match maps"):
-            aggregate(np.zeros((rows, 8)), cmap, np.ones((rows, 2, 8)))
 
 
 def test_stacked_maps_are_the_single_maps_with_offset_cosets():

@@ -2,10 +2,15 @@
 standard library only: every imported name is used, every top-level name of
 the package is read or exported, every exported name exists, every
 exported name is read by the package or shown in the README's library
-example, and the change log stays a readable size."""
+example, every dotted rmpa.<module>.<name> in the README and in the
+package's docstrings and comments names something, and the change log
+stays a readable size."""
 
 import ast
+import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,7 @@ import pytest
 import rmpa
 
 SRC = Path(rmpa.__file__).parent
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ORACLES = Path(__file__).parent / "oracles.py"
 
@@ -103,12 +109,54 @@ def test_the_reader_finds_loads_only():
 
 
 def test_every_exported_name_is_read_by_the_package_or_the_example():
-    readme = (SRC.parent.parent / "README.md").read_text()
+    readme = README.read_text()
     example = re.search(r"## Library example\s+```python\n(.*?)```", readme,
                         re.S).group(1)
     read = set().union(*(names_read(path.read_text()) for path in MODULES))
     unread = set(rmpa.__all__) - read - names_read(example)
     assert unread == UNREAD_EXPORTS
+
+
+def prose(source: str) -> str:
+    """The docstrings and comments of a module, one after another."""
+    tree = ast.parse(source)
+    docs = [ast.get_docstring(node, clean=False) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    comments = [token.string for token in tokenize.generate_tokens(
+        io.StringIO(source).readline) if token.type == tokenize.COMMENT]
+    return "\n".join(text for text in docs + comments if text)
+
+
+def unresolved_references(text: str) -> list:
+    """The dotted rmpa.<module>.<name> references in text that name no
+    module of rmpa or no attribute of it."""
+    unresolved = set()
+    for module, name in re.findall(r"\brmpa\.(\w+)\.(\w+)", text):
+        try:
+            found = hasattr(importlib.import_module(f"rmpa.{module}"), name)
+        except ImportError:
+            found = False
+        if not found:
+            unresolved.add(f"rmpa.{module}.{name}")
+    return sorted(unresolved)
+
+
+def test_the_checker_finds_an_unresolved_reference():
+    source = ('"""Signs by rmpa.geometry.form_signs, tables of rmpa.fod."""\n'
+              "# rmpa.fod._form_table and rmpa.nowhere.x, rmpa.decoder.\n"
+              "def f():\n    '''rmpa.cli.MAX_M, rmpa.cli.gone'''\n"
+              "    return 'rmpa.geometry.in_a_string'\n")
+    assert unresolved_references(prose(source)) == [
+        "rmpa.cli.gone", "rmpa.geometry.form_signs", "rmpa.nowhere.x"]
+
+
+def test_every_dotted_reference_resolves():
+    # a docstring or the README naming a function that was renamed or
+    # removed points its reader nowhere
+    texts = [README.read_text()] + [prose(path.read_text())
+                                    for path in SRC.glob("*.py")]
+    assert unresolved_references("\n".join(texts)) == []
 
 
 def test_the_change_log_stays_under_a_megabyte():

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import boxplus, decode_per_path
-from rmpa import (CodeParams, FodCounter, analytic_fod_count, coset_signs,
+from rmpa import (CodeParams, FodCounter, aggregate, analytic_fod_count,
                   coset_table, decode, decode_batch, decode_plan,
                   executed_fod_count, preset)
-from rmpa import decoder, fod
+from rmpa import decoder, fod, geometry
 from rmpa.cli import main
 from rmpa.fod import _form_table, form_bits
 
@@ -229,26 +229,32 @@ def test_one_quotient_per_block_changes_no_bit(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.integers(2, 8), table_m=st.integers(1, 8),
+@given(m=st.integers(2, 8), table_m=st.integers(1, 8), columns=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_form_signs_equal_the_coset_gather(m, table_m, seed):
+def test_aggregating_forms_equals_aggregating_their_bits(m, table_m, columns,
+                                                         seed):
     # a first-order codeword decoded from each projection onto every
-    # subspace: the rows of the form table are its bits and the signs
-    # aggregate gathers through the coset maps, split into high and low
-    # bits above FORM_TABLE_M
+    # subspace: the rows of the form table are its bits, and aggregate
+    # signs the partner LLRs from the forms as from the bits, through form
+    # tables split into high and low bits above FORM_TABLE_M, for one row
+    # and, coordinates first, for more rows than the row-major cutoff, as
+    # factors over the high and the low bits of z
     n = 1 << m
+    rows = 1 + columns * geometry.ROW_MAJOR_ROWS[max(m, 5) - 5]
+    assert geometry._coordinates_first(rows, n) == columns
     rng = np.random.default_rng(seed)
     indices = tuple(range(1, n))
-    a = rng.integers(0, n // 2, (2, n - 1))
-    u0 = rng.integers(0, 2, (2, n - 1))
+    a = rng.integers(0, n // 2, (rows, n - 1))
+    u0 = rng.integers(0, 2, (rows, n - 1))
     decoded = a + (n // 2) * u0
     chat = _form_table(m - 1, np.uint8)[decoded]
     cmap = coset_table(m)
     i, h = decoder._top_bits(indices)
     forms = decoder._lift(decoded, h, i)
+    l = (rng.normal(size=(rows, n)) * 4).astype(np.float32)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fod, "FORM_TABLE_M", table_m)
         bits = form_bits(decoded[..., None], m - 1)
-        signs = fod._form_rows(forms, m, np.float64)
+        got = aggregate(l, cmap, forms=forms)
     assert np.array_equal(bits, chat)
-    assert np.array_equal(signs, coset_signs(cmap, chat))
+    assert np.array_equal(got, aggregate(l, cmap, chat=chat))

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from oracles import decode_float64, fht, fod_bits
-from rmpa import (LLR_CLAMP, CodeParams, aggregate,
-                  build_generator, coset_signs, coset_table, decode,
-                  decode_batch, encode, fht_decode, preset, project_llr)
-from rmpa import decoder, fod
+from rmpa import (LLR_CLAMP, CodeParams, aggregate, build_generator,
+                  coset_table, decode, decode_batch, encode, fht_decode,
+                  preset, project_llr)
+from rmpa import decoder, fod, geometry
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa.fod import TIE_RTOL_FLOAT32
 from test_decode_corpus import (BATCH_CASES, CORPUS, EARLY_STOP_CASES,
@@ -35,10 +35,14 @@ def test_each_kernel_computes_in_its_input_dtype(dtype, monkeypatch):
     assert project_llr(l, cmap).dtype == dtype
     assert fht(l).dtype == dtype
     chat = rng.integers(0, 2, size=(3, 3, n // 2), dtype=np.uint8)
-    signs = coset_signs(cmap, chat, dtype)
-    assert signs.dtype == dtype
-    assert aggregate(l, cmap, signs).dtype == dtype
     forms = rng.integers(0, 2 * n, size=(3, 3))
+    # the signs aggregate builds, in each layout, and its sums
+    for columns in (False, True):
+        for signs in (geometry._coset_signs(cmap, chat, l.dtype, columns)
+                      + geometry._form_signs(forms, m, l.dtype, columns)):
+            assert signs.dtype == dtype
+    assert aggregate(l, cmap, chat=chat).dtype == dtype
+    assert aggregate(l, cmap, forms=forms).dtype == dtype
     whole = fod._form_rows(forms, m, dtype)
     assert whole.dtype == dtype
     # past the whole form table the split tables keep the dtype too
@@ -71,17 +75,10 @@ def test_the_float32_kernels_agree_with_the_float64_ones():
         got, want = kernel(l32), kernel(l64)
         assert np.abs(got - want).max() <= tol * scale
     chat = rng.integers(0, 2, size=(4, 4, n // 2), dtype=np.uint8)
-    got = aggregate(l32, cmap, coset_signs(cmap, chat, np.float32))
-    want = aggregate(l64, cmap, coset_signs(cmap, chat))
+    got = aggregate(l32, cmap, chat=chat)
+    want = aggregate(l64, cmap, chat=chat)
     assert np.abs(got - want).max() <= tol * np.abs(l64).max()
     assert np.array_equal(fht_decode(l32), fht_decode(l64))
-
-
-def test_aggregate_rejects_signs_of_another_dtype():
-    cmap = coset_table(3)[:2]
-    signs = coset_signs(cmap, np.zeros((2, 4), dtype=np.uint8))
-    with pytest.raises(ValueError, match="dtype"):
-        aggregate(np.ones(8, dtype=np.float32), cmap, signs)
 
 
 @pytest.mark.parametrize("dtype,ties", [(np.float32, True),
@@ -106,9 +103,9 @@ def fed_dtypes(monkeypatch):
     for name, calls in seen.items():
         original = getattr(decoder, name)
 
-        def recording(l, *args, _original=original, _calls=calls):
+        def recording(l, *args, _original=original, _calls=calls, **kwargs):
             _calls.append((l.dtype, l.shape[-1]))
-            return _original(l, *args)
+            return _original(l, *args, **kwargs)
 
         monkeypatch.setattr(decoder, name, recording)
     return seen
