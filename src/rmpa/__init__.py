@@ -10,9 +10,8 @@ from .decoder import (DecodePlan, DecodeResult, PruningConfig,
                       decode_plan, executed_fod_count,
                       explicit_schedule_config, preset,
                       select_projection_indices)
-from .channel import (ChannelConfig, FerPoint, SimConfig, binomial_ci,
-                      csv_string, llr_from_channel, points_to_json,
-                      run_sweep, transmit)
+from .channel import (ChannelConfig, FerPoint, SimConfig, csv_string,
+                      llr_from_channel, points_to_json, run_sweep, transmit)
 
 __all__ = [
     "CodeParams", "build_generator", "encode",
@@ -22,7 +21,7 @@ __all__ = [
     "decode", "decode_batch", "decode_plan",
     "executed_fod_count", "explicit_schedule_config", "preset",
     "select_projection_indices",
-    "ChannelConfig", "FerPoint", "SimConfig", "binomial_ci", "csv_string",
+    "ChannelConfig", "FerPoint", "SimConfig", "csv_string",
     "llr_from_channel", "points_to_json", "run_sweep", "transmit",
 ]
 

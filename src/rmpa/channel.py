@@ -18,13 +18,11 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields
-from statistics import NormalDist
 
 import numpy as np
 
 from .codes import CodeParams, _is_int, build_generator, encode
-from .decoder import (PruningConfig, _is_real, decode, decode_batch,
-                      decode_plan)
+from .decoder import PruningConfig, decode, decode_batch, decode_plan
 from .fod import FodCounter
 from .geometry import clamp_llr
 
@@ -344,20 +342,3 @@ def csv_string(points) -> str:
         writer.writerow([repr(getattr(p, col)) if isinstance(getattr(p, col), float)
                          else getattr(p, col) for col in CSV_COLUMNS])
     return buf.getvalue()
-
-
-def binomial_ci(errors: int, trials: int, confidence: float = 0.95):
-    """Wilson score interval for a binomial proportion."""
-    if not (_is_int(trials) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if not (_is_int(errors) and 0 <= errors <= trials):
-        raise ValueError(f"errors must be an integer in [0, trials], got {errors!r}")
-    if not (_is_real(confidence) and 0 < confidence < 1):
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    phat = errors / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = (z / denom) * (phat * (1 - phat) / trials
-                          + z * z / (4 * trials * trials)) ** 0.5
-    return center - half, center + half

@@ -436,13 +436,12 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
         t = canon_t[start:start + width]
         s = canon_s[start:start + width]
         # The first pairs come in order of t, so this block reads only maps
-        # lo ... t[-1] of proj.  Their inputs are laid out cosets first,
-        # coordinate c of map t at c * k_b + t - lo, as the projections of
-        # several rows lie in memory; the indices are built as columns,
-        # (n/4, pairs), as the gathers of several rows read them.
+        # lo ... t[-1] of proj.  Their inputs are copied once into columns,
+        # coordinate c of map t at row c * k_b + t - lo, as the gathers of
+        # several rows read them, and so are the indices, (n/4, pairs).
         lo, k_b = t[0], t[-1] + 1 - t[0]
-        flat = proj[:, lo:lo + k_b].transpose(0, 2, 1).reshape(
-            rows, half * k_b)
+        flat = np.ascontiguousarray(proj.T[:, lo:lo + k_b]).reshape(
+            half * k_b, rows).T
         reps = maps.reps.T[:, s] * k_b + (t - lo)
         partners = maps.partners.T[:, s] * k_b + (t - lo)
         lifted[:, start:start + width] = _lift(_decode_lifted(
@@ -495,33 +494,42 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
                   forms=None if forms is None else forms[start:start + rows]
                   )[0]
             for start in range(0, len(llr), rows)]), len(node.steps), False
-    iterations, converged, chat = 0, False, None
-    half = llr.shape[-1] // 2
+    iterations, converged = 0, False
     for iterations, (indices, inner) in enumerate(node.steps, 1):
         cmap = _stacked_maps(node.m, indices)
-        # the projections are freed before aggregate builds the signs; a
-        # level-2 inner decoder starts from the forms of its first iteration
+        # a level-2 inner decoder starts from the forms of its first
+        # iteration; a deeper one's bits go to aggregate unnamed here, so
+        # that it frees them once it has built its signs
         if forms is None and not inner.steps:
             forms = _decode_lifted(llr, cmap, *_top_bits(indices), counter)
-        if forms is None:
-            proj = project_llr(llr, cmap)
-            first = _shared_step(inner)
-            shared = (None if first is None else
-                      _shared_forms(node.m, indices, first, proj, counter))
-            # the inner decoders' rows frame by frame: a copy, and the
-            # projections as columns are freed before the inner walk
-            proj = proj.reshape(-1, half)
-            chat = _walk(inner, proj, counter, forms=shared)[0].reshape(
-                len(llr), len(indices), half)
-            del proj, shared
-        llr_new = aggregate(llr, cmap, chat=chat, forms=forms)
-        forms = chat = None
+        llr_new = (aggregate(llr, cmap, forms=forms) if forms is not None
+                   else aggregate(llr, cmap, chat=_inner_bits(
+                       node.m, indices, inner, llr, cmap, counter)))
+        forms = None
         converged = (theta is not None
                      and _converged(llr[0], llr_new[0], theta))
         llr = llr_new
         if converged:
             break
     return (llr < 0).astype(np.uint8), iterations, converged
+
+
+def _inner_bits(m: int, indices: range, inner: DecodePlan, llr: np.ndarray,
+                cmap: CosetMap, counter: FodCounter | None) -> np.ndarray:
+    """The bits that inner decodes from the projections of llr's rows onto
+    the k maps cmap of indices, shape (rows, k, 2^(m-1)).  The projections
+    are freed before this returns, and so before aggregate builds its
+    signs."""
+    proj = project_llr(llr, cmap)
+    first = _shared_step(inner)
+    shared = (None if first is None else
+              _shared_forms(m, indices, first, proj, counter))
+    # the inner decoders' rows frame by frame: a copy, and the projections
+    # as columns are freed before the inner walk
+    half = proj.shape[-1]
+    proj = proj.reshape(-1, half)
+    return _walk(inner, proj, counter, forms=shared)[0].reshape(
+        len(llr), len(indices), half)
 
 
 def _start(llr: np.ndarray, params: CodeParams, cfg: PruningConfig):

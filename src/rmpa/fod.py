@@ -145,26 +145,24 @@ def _form_table(m: int, dtype) -> np.ndarray:
     return _read_only(np.concatenate([bits, bits ^ 1]))[0]
 
 
-def _form_factors(forms: np.ndarray, m: int, dtype, low: int) -> tuple:
-    """The rows of the forms on F_2^m over the high m - low bits of z and
-    over its low `low` bits, shapes forms.shape + (2^(m - low),) and
-    forms.shape + (2^low,): bits for uint8, signs for the LLRs' float
-    dtype.  The high row is that of the form shifted down, with u0, and
-    the low row that of its low bits, with u0 = 0, so that the form's row
-    over z is their xor, or product."""
-    return (_form_rows(forms >> low, m - low, dtype),
-            np.take(_form_table(low, dtype), forms & ((1 << low) - 1),
-                    axis=0))
+def _form_parts(forms: np.ndarray, m: int, low: int) -> tuple:
+    """The parts of the forms on F_2^m over the high m - low bits of z and
+    over its low `low` bits, each after its number of bits: the form
+    shifted down, with u0, and its low bits, with u0 = 0, so that the
+    form's row over z is the xor, or product, of their rows in the form
+    tables of m - low and of low bits."""
+    return (m - low, forms >> low), (low, forms & ((1 << low) - 1))
 
 
 def _form_rows(forms: np.ndarray, m: int, dtype) -> np.ndarray:
     """The rows of the forms on F_2^m in the form table of dtype, shape
     forms.shape + (2^m,): bits for uint8, signs for the LLRs' float dtype.
-    Above FORM_TABLE_M bits a row is the combination of its _form_factors
-    over the high bits of z and the low FORM_TABLE_M bits."""
+    Above FORM_TABLE_M bits a row is the combination of its rows over the
+    high bits of z and the low FORM_TABLE_M bits (_form_parts)."""
     if m <= FORM_TABLE_M:
         return np.take(_form_table(m, dtype), forms, axis=0)
-    high, low = _form_factors(forms, m, dtype, FORM_TABLE_M)
+    high, low = (np.take(_form_table(bits, dtype), part, axis=0)
+                 for bits, part in _form_parts(forms, m, FORM_TABLE_M))
     combine = np.bitwise_xor if dtype == np.uint8 else np.multiply
     return combine(high[..., :, None], low[..., None, :]).reshape(
         forms.shape + (1 << m,))
@@ -207,14 +205,18 @@ def fht_decode(l: np.ndarray, counter: FodCounter | None = None) -> np.ndarray:
     neg = w < 0
     mag = np.abs(w, out=w)
     # |W| orders as its bits do, and an integer max is the faster one
-    peak = mag.view(f"i{mag.itemsize}").max(axis=0).view(mag.dtype)
+    peak = np.maximum.reduce(mag.view(f"i{mag.itemsize}"), axis=0).view(
+        mag.dtype)
     peak *= 1.0 - rtol
     # a* has the largest key, 2 * (n - a) + (W[a] < 0) in the band and at
-    # most 1 outside it
+    # most 1 outside it.  The band's bools are bytes 0 and 1, scaled where
+    # they lie when the keys fit a byte (n < 128), else into wider keys
     countdown, form_of_key = _band_keys(n)
-    key = (mag >= peak) * countdown
+    key = np.greater_equal(mag, peak).view(np.uint8)
+    key = np.multiply(key, countdown,
+                      out=key if key.dtype == countdown.dtype else None)
     key += neg.view(np.uint8)
-    forms = form_of_key.take(key.max(axis=0))
+    forms = form_of_key.take(np.maximum.reduce(key, axis=0))
     if counter is not None:
         counter.record(n.bit_length() - 1, count=mag.shape[1])
     return forms.reshape(l.shape[:-1] + (1,))

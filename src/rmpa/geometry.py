@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fod import _form_factors, _form_rows, _read_only, float_array
+from .fod import (_form_parts, _form_rows, _form_table, _read_only,
+                  float_array)
 
 # Natural-log LLR saturation.  Beyond exp(-30) the error probabilities are
 # numerically irrelevant at the simulated SNRs, and the projection's
@@ -231,7 +232,10 @@ def _soft_xor(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
 
 
 def clamp_llr(l: np.ndarray) -> np.ndarray:
-    return np.clip(l, -LLR_CLAMP, LLR_CLAMP)
+    """l within +-LLR_CLAMP, as np.clip gives it: +-0 and NaN pass
+    through, and +-inf clamps."""
+    out = np.minimum(l, LLR_CLAMP)
+    return np.maximum(out, -LLR_CLAMP, out=out)
 
 
 # The most rows that aggregate keeps in the row-major layout, by m from 5
@@ -256,10 +260,6 @@ def _coordinates_first(rows: int, n: int) -> bool:
     return rows > ROW_MAJOR_ROWS[m - 5]
 
 
-# the sign (-1)^bit of a decoded bit, by lookup, in each float dtype
-_SIGN = {t: np.array([1.0, -1.0], dtype=t) for t in (np.float32, np.float64)}
-
-
 def _coset_signs(cmap: CosetMap, chat: np.ndarray, dtype,
                  columns: bool) -> tuple:
     """The signs (-1)^chat[r, t, coset_t(z)] of every coordinate z, from
@@ -268,29 +268,34 @@ def _coset_signs(cmap: CosetMap, chat: np.ndarray, dtype,
     (n, k, rows) if columns, coordinates first."""
     k, half = cmap.reps.shape
     flat = chat.reshape(-1, k * half)
-    sign = _SIGN[dtype.type]
-    # the signs of the cosets, map t's from t * n/2, gathered to coordinates
+    # the signs of the cosets, 1 - 2 * bit, exact in dtype; coordinates
+    # first their rows are the cosets, map t's from t * n/2
+    sign = np.multiply(flat.T if columns else flat, -2, dtype=dtype,
+                       order="C")
+    sign += 1
     cosets = cmap.coset_of + np.arange(0, k * half, half)[:, None]
     if columns:
-        return (sign.take(flat.T).take(cosets.T, axis=0),)
+        return (sign.take(cosets.T, axis=0),)
     # the cosets index the k * n/2 signs, so none wraps: a gather of one
     # value per index runs faster unchecked.  The maps' XOR structure does
     # not pay here: a sign's coset is z's own for half the coordinates and
     # its partner's for the rest, which needs each map's decoded bits
     # shifted by its own i, one value per index.
-    return (np.take(sign.take(flat), cosets, axis=-1, mode="wrap"),)
+    return (np.take(sign, cosets, axis=-1, mode="wrap"),)
 
 
 def _form_signs(forms: np.ndarray, m: int, dtype, columns: bool) -> tuple:
     """The signs of the forms f = b + 2^m * u0 on F_2^m, (rows, k), that
     the first-order decodings of k maps gave, in dtype: one array
-    (rows, k, 2^m) row-major, else, if columns, the rmpa.fod._form_factors
-    over the high m // 2 and the low m - m // 2 bits of z, (2^b, k, rows)
-    each."""
+    (rows, k, 2^m) row-major, else, if columns, the factors over the high
+    m // 2 and the low m - m // 2 bits of z (rmpa.fod._form_parts),
+    (2^b, k, rows) each, whose product is the sign.  Each factor is built
+    z first, one gather from the transposed form table of its bits."""
     if not columns:
         return (_form_rows(forms, m, dtype),)
-    return tuple(np.ascontiguousarray(np.moveaxis(factor, -1, 0))
-                 for factor in _form_factors(forms.T, m, dtype, m - m // 2))
+    return tuple(np.take(_form_table(bits, dtype).T, part, axis=1,
+                         mode="wrap")
+                 for bits, part in _form_parts(forms.T, m, m - m // 2))
 
 
 def _partners(rows: np.ndarray, cmap: CosetMap) -> np.ndarray:
@@ -352,6 +357,9 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     columns = _coordinates_first(rows, n)
     signs = (_coset_signs(cmap, chat, l.dtype, columns) if forms is None
              else _form_signs(forms, n.bit_length() - 1, l.dtype, columns))
+    # the decoded input is not read again: freed before the sums, if the
+    # caller holds it no longer
+    del chat, forms, decoded
     if not columns:
         out = np.einsum("...tz,...tz->...z", *signs,
                         _partners(l.reshape(-1, n), cmap).reshape(

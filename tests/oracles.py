@@ -7,7 +7,8 @@ signs and the aggregation, the Walsh-Hadamard transform of any vectors
 over rmpa's kernel and its butterfly form, the codeword bits of
 first-order decodings, the per-coordinate early-stopping test, the
 per-path decode walk, the decode walk in float64, the frame-by-frame
-channel, and a z-test for comparing two frame error rates.
+channel, the Wilson confidence interval of a frame error rate, and a
+z-test for comparing two frame error rates.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from rmpa.channel import ChannelConfig, llr_from_channel
-from rmpa.codes import CodeParams, build_generator, encode
-from rmpa.decoder import WALK_DTYPE, _walk, decode_plan
+from rmpa.codes import CodeParams, _is_int, build_generator, encode
+from rmpa.decoder import WALK_DTYPE, _is_real, _walk, decode_plan
 from rmpa.fod import _spectra, float_array, fht_decode, form_bits
 from rmpa.geometry import LLR_CLAMP, clamp_llr
 
@@ -312,6 +313,23 @@ def per_frame_channel(cfg, point: int, frames) -> tuple:
         sent.append(c)
         llrs.append(llr_from_channel(y, ch))
     return np.array(sent), np.array(llrs)
+
+
+def binomial_ci(errors: int, trials: int, confidence: float = 0.95):
+    """Wilson score interval for a binomial proportion."""
+    if not (_is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (_is_int(errors) and 0 <= errors <= trials):
+        raise ValueError(f"errors must be an integer in [0, trials], got {errors!r}")
+    if not (_is_real(confidence) and 0 < confidence < 1):
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    phat = errors / trials
+    denom = 1.0 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    half = (z / denom) * (phat * (1 - phat) / trials
+                          + z * z / (4 * trials * trials)) ** 0.5
+    return center - half, center + half
 
 
 def two_proportion_pvalue(err1: int, n1: int, err2: int, n2: int) -> float:

@@ -10,10 +10,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import (build_coset_map, enumerate_codewords, in_row_space_batch,
-                     project_hard, two_proportion_pvalue)
+from oracles import (binomial_ci, build_coset_map, enumerate_codewords,
+                     in_row_space_batch, project_hard, two_proportion_pvalue)
 from rmpa import (CodeParams, FodCounter, SimConfig, analytic_fod_count,
-                  binomial_ci, build_generator, csv_string, decode,
+                  build_generator, csv_string, decode,
                   explicit_schedule_config, fht_decode, form_bits, preset,
                   run_sweep)
 

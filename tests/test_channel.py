@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import per_frame_channel, two_proportion_pvalue
-from rmpa import (ChannelConfig, CodeParams, SimConfig, binomial_ci,
-                  csv_string, decode, llr_from_channel, points_to_json,
-                  preset, run_sweep, transmit)
+from oracles import binomial_ci, per_frame_channel, two_proportion_pvalue
+from rmpa import (ChannelConfig, CodeParams, SimConfig, csv_string, decode,
+                  llr_from_channel, points_to_json, preset, run_sweep,
+                  transmit)
 from rmpa.channel import (CSV_COLUMNS, MAX_WORKERS, _draw_frames,
                           _frame_states)
 import json

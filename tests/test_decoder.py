@@ -1,6 +1,7 @@
 import math
 import resource
 import tracemalloc
+import weakref
 from fractions import Fraction as F
 from functools import partial
 
@@ -16,6 +17,7 @@ from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   executed_fod_count, explicit_schedule_config, fht_decode,
                   preset, select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
+from rmpa import decoder
 from rmpa.decoder import _converged, _keep_freed_memory, _stacked_maps
 from rmpa.geometry import (CosetMap, _build_coset_table, _run_bits,
                            clamp_llr, coset_table, project_llr)
@@ -715,6 +717,39 @@ def test_decode_batch_memory_does_not_grow_with_the_batch():
             tracemalloc.stop()
     assert peaks[64] <= 5 * 2 ** 20
     assert peaks[64] < 2 * peaks[4]
+
+
+def test_the_decoded_bits_are_freed_before_the_sums(monkeypatch):
+    # a level-3 iteration hands aggregate the inner walk's bits and keeps no
+    # reference to them, and aggregate drops its own once it has built its
+    # signs, so no decoded bits stay alive while the sums run
+    refs, alive = [], []
+    aggregating = decoder.aggregate
+
+    def spying(l, cmap, *, chat=None, forms=None):
+        if chat is not None:
+            refs.append(weakref.ref(chat if chat.base is None else chat.base))
+        # passed on unnamed, so that only aggregate holds the bits
+        held = [chat]
+        del chat
+        return aggregating(l, cmap, chat=held.pop(), forms=forms)
+
+    summing = np.einsum
+
+    def sums(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return summing(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "aggregate", spying)
+    monkeypatch.setattr(np, "einsum", sums)
+    # one row, a few rows row-major, and rows taken coordinates first
+    for p, cfg, frames in [(CodeParams(8, 3), MFP_83, 1),
+                           (CodeParams(8, 3), MFP_83, 4),
+                           (CodeParams(6, 3), preset("rpa", n_max=1), 64)]:
+        llrs = np.random.default_rng(8).normal(size=(frames, p.n))
+        decode_batch(llrs, p, cfg)
+    assert refs and alive
+    assert not any(alive)
 
 
 @pytest.mark.skipif(not _keep_freed_memory(),

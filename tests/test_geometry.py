@@ -1,7 +1,10 @@
+import dataclasses
+import importlib
 import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +16,9 @@ from hypothesis.extra.numpy import arrays
 from oracles import (aggregate_per_map, boxplus, build_coset_map,
                      coset_signs_per_map, in_row_space_batch, is_codeword,
                      mask_coset_maps, project_hard, project_per_map)
+import rmpa
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
-                  coset_table, encode, project_llr)
+                  coset_table, encode, preset, project_llr)
 from rmpa import geometry
 from rmpa.decoder import _lift, select_projection_indices
 from rmpa.fod import _form_table
@@ -257,32 +261,51 @@ def kernel_inputs(draw):
     where = rng.random(l.shape) < 0.2
     l[where] = rng.choice(special, size=where.sum())
     chat = rng.integers(0, 2, (rows, len(indices), n // 2), dtype=np.uint8)
-    return m, indices, l.astype(dtype), chat
+    # first-order forms on F_2^(m-1), b and u0, lifted to F_2^m as the
+    # walk lifts them, and the bits of the projections they decode
+    decoded = rng.integers(0, n, (rows, len(indices)))
+    i, h = top_bits(indices)
+    forms = _lift(decoded, h, i)
+    return (m, indices, l.astype(dtype), chat, forms,
+            _form_table(m - 1, np.uint8)[decoded])
 
 
 @settings(max_examples=100, deadline=None)
 @given(kernel_inputs())
 def test_the_kernels_equal_the_per_map_loops_bit_for_bit(inputs):
-    # whatever their gathers, the projection, the coset signs and the
-    # aggregation give each map's own values: row-major through the maps'
-    # XOR structure, more rows coordinates first.  The signs are checked
+    # whatever their gathers, the projection, the signs and the aggregation
+    # give each map's own values: row-major through the maps' XOR
+    # structure, more rows coordinates first.  The signs are checked
     # apart, in the layout aggregate picks, as a flipped sign times a
-    # partner LLR of +-0 leaves the sum's bits alone
-    m, indices, l, chat = inputs
+    # partner LLR of +-0 leaves the sum's bits alone: from decoded bits by
+    # the coset gather, and from lifted forms as rows of the form table or,
+    # coordinates first, as z-first factors over the bits of z, whose
+    # product is the sign
+    m, indices, l, chat, forms, form_bits = inputs
     cmap = stack(m, indices)
     got = project_llr(l, cmap)
-    aggregated = aggregate(l, cmap, chat=chat)
-    assert got.dtype == aggregated.dtype == l.dtype
+    assert got.dtype == l.dtype
     assert np.array_equal(bit_pattern(got),
                           bit_pattern(project_per_map(l, m, indices)))
     columns = geometry._coordinates_first(len(l), 1 << m)
-    (signs,) = geometry._coset_signs(cmap, chat, l.dtype, columns)
-    want = coset_signs_per_map(m, indices, chat, l.dtype)
-    if columns:
-        want = want.transpose(2, 1, 0)
-    assert np.array_equal(bit_pattern(signs), bit_pattern(want))
-    assert np.array_equal(bit_pattern(aggregated), bit_pattern(
-        aggregate_per_map(l, m, indices, chat)))
+    for bits, decoded_input, signs in [
+            (chat, {"chat": chat},
+             geometry._coset_signs(cmap, chat, l.dtype, columns)),
+            (form_bits, {"forms": forms},
+             geometry._form_signs(forms, m, l.dtype, columns))]:
+        want = coset_signs_per_map(m, indices, bits, l.dtype)
+        if columns:
+            want = want.transpose(2, 1, 0)
+        if len(signs) == 2:
+            high, low = signs
+            signs = ((high[:, None] * low[None, :]).reshape(want.shape),)
+        (signs,) = signs
+        assert signs.dtype == l.dtype
+        assert np.array_equal(bit_pattern(signs), bit_pattern(want))
+        aggregated = aggregate(l, cmap, **decoded_input)
+        assert aggregated.dtype == l.dtype
+        assert np.array_equal(bit_pattern(aggregated), bit_pattern(
+            aggregate_per_map(l, m, indices, bits)))
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -317,6 +340,19 @@ def test_project_llr_takes_any_finite_llr_without_a_warning():
     want = boxplus(c[..., cmap.reps], c[..., cmap.partners])
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.all(np.abs(got) <= LLR_CLAMP)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clamp_llr_is_np_clip_bit_for_bit(dtype):
+    # +-0 and NaN pass through, +-inf and all beyond the clamp clamp, and
+    # the dtype is kept
+    l = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, LLR_CLAMP, -LLR_CLAMP,
+                  31.0, -1e30, 5.5, -np.nextafter(LLR_CLAMP, 0)]).astype(
+        dtype)
+    got = clamp_llr(l)
+    assert got.dtype == dtype
+    assert np.array_equal(bit_pattern(got),
+                          bit_pattern(np.clip(l, -LLR_CLAMP, LLR_CLAMP)))
 
 
 def test_a_zero_llr_projects_to_zero():
@@ -528,3 +564,50 @@ def test_building_the_coset_table_holds_little_besides_it():
     assert size == 26 * 1024 * 1023
     assert peak <= 1.1 * size
     assert not any(a.flags.writeable for a in vars(table).values())
+
+
+def arrays_in(value):
+    """The numpy arrays that value holds, through tuples and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from arrays_in(item)
+    elif dataclasses.is_dataclass(value):
+        for item in vars(value).values():
+            yield from arrays_in(item)
+
+
+# a call of each lru_cache'd helper of rmpa, and whether it hands out arrays
+CACHED_CALLS = {
+    "geometry._xor_index": ((5,), True),
+    "geometry.coset_table": ((5,), True),
+    "fod._form_table": ((4, np.float32), True),
+    "fod._band_keys": ((64,), True),
+    "decoder._stacked_maps": ((5, range(1, 32, 3)), True),
+    "decoder._top_bits": ((range(1, 16),), True),
+    "decoder._shared_quotients": ((6, range(1, 64, 2), range(1, 32, 3)),
+                                  True),
+    "decoder.decode_plan": ((CodeParams(6, 3), preset("rpa")), False),
+}
+
+
+def cached_helper(name: str):
+    module, attr = name.split(".")
+    return getattr(importlib.import_module(f"rmpa.{module}"), attr)
+
+
+def test_every_cached_array_is_read_only():
+    # a cache hands the same arrays to every caller, so a writable one
+    # would be a buffer that one decode could change under the next
+    modules = [importlib.import_module(f"rmpa.{path.stem}")
+               for path in Path(rmpa.__file__).parent.glob("*.py")]
+    cached = {id(value) for module in modules
+              for value in vars(module).values()
+              if hasattr(value, "cache_info")}
+    assert cached == {id(cached_helper(name)) for name in CACHED_CALLS}
+    for name, (args, hands_out_arrays) in CACHED_CALLS.items():
+        arrays = list(arrays_in(cached_helper(name)(*args)))
+        assert bool(arrays) == hands_out_arrays, name
+        assert not any(a.flags.writeable for a in arrays), name
+    assert not _form_table(4, np.uint8).flags.writeable
