@@ -31,10 +31,8 @@ and is decoded from its float64 LLRs as given.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -154,27 +152,6 @@ MAX_PLAN_STEPS = 1 << 15
 # block holds its projections and shared forms meanwhile.  Blocks change
 # no result.
 BLOCK_BYTES = 1 << 20
-# Keep freed block temporaries mapped, not faulted in again zeroed: 32 MiB
-# caps glibc's dynamic mmap threshold on 64-bit; glibc trims at twice that.
-MMAP_THRESHOLD_BYTES = 32 << 20
-TRIM_THRESHOLD_BYTES = 2 * MMAP_THRESHOLD_BYTES
-
-
-def _keep_freed_memory() -> bool:
-    try:
-        glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, ValueError, OSError):
-        return False
-    if glibc:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
-        mallopt(-3, MMAP_THRESHOLD_BYTES)  # M_MMAP_THRESHOLD
-        mallopt(-1, TRIM_THRESHOLD_BYTES)  # M_TRIM_THRESHOLD
-    return glibc
-
-
-_keep_freed_memory()
-
 
 # Each decoder: the keys it takes and the factor triple they give.  A
 # schedule keeps the factors at 1 and sets fixed counts per level instead.
@@ -386,6 +363,16 @@ def _spans(m: int, outer: range, inner: range) -> np.ndarray:
         np.maximum(i, v), w)
 
 
+def _span_classes(m: int, outer: range, inner: range) -> tuple:
+    """The pairs of a level-3 node's iteration grouped by span (_spans):
+    their flat indices t * k_j + s sorted stably by span, so that each
+    span's pairs come in order, and where each span begins in that order."""
+    span = _spans(m, outer, inner).ravel()
+    order = np.argsort(span, kind="stable")
+    span = span[order]
+    return order, np.concatenate(([True], span[1:] != span[:-1]))
+
+
 # A decode reads one share table per iteration of each level-3 node, and a
 # table is (k_i, k_j) int32, 2 MB at RM(10,3) full RPA: the cache holds the
 # tables of a few decodes, not those of every iteration of a long decaying
@@ -395,16 +382,17 @@ def _shared_quotients(m: int, outer: range, inner: range) -> tuple:
     """Which first-order decodings of a level-3 node's iteration repeat.
 
     Returns the pairs (t, s) that come first in order for their span
-    (_spans), as arrays of t and of s, and the (k_i, k_j) int32 index of
-    each pair's span among them."""
-    span = _spans(m, outer, inner)
-    _, first, alias = np.unique(span.ravel(), return_index=True,
-                                return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order))
-    canon_t, canon_s = np.divmod(first[order], len(inner))
-    return _read_only(canon_t, canon_s, rank[alias].reshape(span.shape))
+    (_span_classes), as arrays of t and of s, and the (k_i, k_j) int32
+    index of each pair's span among them."""
+    order, starts = _span_classes(m, outer, inner)
+    first = order[starts]
+    # the spans in order of their first pairs, and each span's place there
+    by_first = np.argsort(first)
+    alias = np.empty(len(order), dtype=np.int32)
+    alias[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
+    canon_t, canon_s = np.divmod(first[by_first], len(inner))
+    return _read_only(canon_t, canon_s,
+                      alias.reshape(len(outer), len(inner)))
 
 
 def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
@@ -590,9 +578,8 @@ def executed_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
         for indices, inner in node.steps:
             first = _shared_step(inner)
             if first is not None:
-                # counted sorted: numpy's hashed unique is slower here
-                span = np.sort(_spans(node.m, indices, first), axis=None)
-                spans = 1 + np.count_nonzero(span[1:] != span[:-1])
+                spans = np.count_nonzero(
+                    _span_classes(node.m, indices, first)[1])
                 total += spans + len(indices) * (inner.fods - len(first))
             else:
                 total += len(indices) * executed(inner)

@@ -1,5 +1,4 @@
 import math
-import resource
 import tracemalloc
 import weakref
 from fractions import Fraction as F
@@ -18,7 +17,7 @@ from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   preset, select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa import decoder
-from rmpa.decoder import _converged, _keep_freed_memory, _stacked_maps
+from rmpa.decoder import _converged, _stacked_maps
 from rmpa.geometry import (CosetMap, _build_coset_table, _run_bits,
                            clamp_llr, coset_table, project_llr)
 
@@ -452,14 +451,28 @@ def test_analytic_count_and_batch_match_the_decoder(case, seed):
     p, cfg = case
     expected = analytic_fod_count(p, cfg)
     assume(expected <= 4000)
+    executed = executed_fod_count(p, cfg)
     llrs = np.random.default_rng(seed).normal(size=(2, p.n)) * 2
-    batch_counter = FodCounter()
-    bits = decode_batch(llrs, p, cfg, batch_counter)
-    assert batch_counter.total == 2 * expected
-    for llr, row in zip(llrs, bits):
-        counter = FodCounter()
-        assert np.array_equal(decode(llr, p, cfg, counter).codeword, row)
-        assert counter.total == expected
+    # the rows that go through rmpa.decoder.fht_decode: the executed FODs
+    rows = []
+
+    def counting(llr, counter=None):
+        forms = fht_decode(llr, counter)
+        rows.append(np.atleast_2d(forms).shape[0])
+        return forms
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "fht_decode", counting)
+        batch_counter = FodCounter()
+        bits = decode_batch(llrs, p, cfg, batch_counter)
+        assert batch_counter.total == 2 * expected
+        assert sum(rows) == 2 * executed
+        for llr, row in zip(llrs, bits):
+            rows.clear()
+            counter = FodCounter()
+            assert np.array_equal(decode(llr, p, cfg, counter).codeword, row)
+            assert counter.total == expected
+            assert sum(rows) == executed
 
 
 def test_literal_closed_form_disagrees_as_documented():
@@ -750,19 +763,6 @@ def test_the_decoded_bits_are_freed_before_the_sums(monkeypatch):
         decode_batch(llrs, p, cfg)
     assert refs and alive
     assert not any(alive)
-
-
-@pytest.mark.skipif(not _keep_freed_memory(),
-                    reason="the heap policy is set on glibc only")
-def test_a_warm_decode_maps_no_fresh_pages():
-    # with glibc's default thresholds the second call takes about 32,000
-    # minor faults: each block's freed temporaries go back to the kernel
-    p = CodeParams(8, 3)
-    llrs = np.random.default_rng(8).normal(size=(4, p.n))
-    decode_batch(llrs, p, MFP_83)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    decode_batch(llrs, p, MFP_83)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def test_counting_fods_builds_no_coset_maps():

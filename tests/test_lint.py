@@ -1,10 +1,10 @@
 """Static checks of the package sources and the test oracles, with the
-standard library only: every imported name is used, every top-level name of
-the package is read or exported, every exported name exists, every
-exported name is read by the package or shown in the README's library
-example, every dotted rmpa.<module>.<name> in the README and in the
-package's docstrings and comments names something, and the change log
-stays a readable size."""
+standard library only: every imported name is used, no module makes a bare
+call at its top level, every top-level name of the package is read or
+exported, every exported name exists, every exported name is read by the
+package or shown in the README's library example, every dotted
+rmpa.<module>.<name> in the README and in the package's docstrings and
+comments names something, and the change log stays a readable size."""
 
 import ast
 import importlib
@@ -47,6 +47,29 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES + [ORACLES], ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_calls(source: str) -> list:
+    """The lines of a module's bare top-level calls: statements that only
+    call something, and so run for their effect when the module is
+    imported."""
+    return [node.lineno for node in ast.parse(source).body
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+
+
+def test_the_checker_finds_a_top_level_call():
+    source = ('"""A module."""\nimport os\nos.umask(0o22)\nN = len("ab")\n'
+              "def f():\n    print(N)\nif __name__ == '__main__':\n"
+              "    f()\n")
+    assert top_level_calls(source) == [3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_makes_a_bare_call_on_import(path):
+    # a bare call at import time sets something for the whole process,
+    # such as its allocator, that the importer did not ask for
+    assert top_level_calls(path.read_text()) == []
 
 
 def unread_names(sources, exported=()) -> list:
