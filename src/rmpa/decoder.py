@@ -20,7 +20,7 @@ decoded bits are therefore those of decoding every path on its own, bar a
 spectrum tie broken differently in another pair's coordinates.  Decoders
 whose inner decoder is first-order aggregate from the decoded forms, not
 from their bits: rmpa.geometry.aggregate builds the signs from the form
-tables of rmpa.fod.
+tables of rmpa.fod, and lift each form by one gather (_lift_table).
 
 The walk runs in float32 (WALK_DTYPE): decode and decode_batch clamp the
 LLRs and cast them once, and every projection, first-order decoding,
@@ -43,8 +43,9 @@ import numpy as np
 
 from .codes import CodeParams, _is_int
 from .fod import FodCounter, _read_only, fht_decode, form_bits
-from .geometry import (CosetMap, aggregate, clamp_llr, coset_table,
-                       drop_bit, insert_zero_bit, project_llr, top_bits)
+from .geometry import (BUILD_BYTES, CosetMap, aggregate, clamp_llr,
+                       coset_table, drop_bit, insert_zero_bit, project_llr,
+                       top_bits)
 
 FACTORS = ("gamma", "delta_itr", "delta_rec")
 
@@ -329,25 +330,40 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
 # A form f = b + 2^m * u0 names the codeword u0 ^ <b, z> (rmpa.fod).
 
 
-def _parities() -> np.ndarray:
-    """The parity of the bits of every 16-bit number, past the m of any
-    code that can be decoded."""
-    x = np.arange(1 << 16, dtype=np.uint16)
-    for shift in (8, 4, 2, 1):
-        x ^= x >> shift
-    return (x & 1).astype(np.uint8)
-
-
-_PARITY = _parities()
-
-
 def _lift(f: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
     """The forms f on F_2^m as forms on F_2^(m+1) that are zero on i, whose
     top bit is h: f with a 0 inserted at bit h, so that it is unchanged on
     the z with bit h clear (the coset representatives of {0, i}), then bit
-    h set where that makes it orthogonal to i."""
+    h set where that makes it orthogonal to i (b & i of odd parity)."""
     b = insert_zero_bit(f, h)
-    return b | (_PARITY.take(b & i) << h)
+    parity = b & i
+    # folded from 16 bits, past the m of any code that can be decoded
+    for shift in (8, 4, 2, 1):
+        parity ^= parity >> shift
+    return b | ((parity & 1) << h)
+
+
+@lru_cache(maxsize=None)
+def _lift_table(m: int) -> np.ndarray:
+    """_lift of every form f < 2^m on F_2^(m-1) by every map i of F_2^m,
+    flat, f of map i at (i - 1) * 2^m + f, in uint8 up to m = 7, else uint16
+    (33.5 MB at m = 12); read-only.  Filled a block of maps at a time, as
+    the coset table is, each temporary holds at most BUILD_BYTES."""
+    n = 1 << m
+    i, h = top_bits(range(1, n))
+    table = np.empty((n - 1, n), dtype=np.min_scalar_type(2 * n - 1))
+    f = np.arange(n)
+    step = max(1, BUILD_BYTES // (n * f.itemsize))
+    for start in range(0, n - 1, step):
+        block = slice(start, start + step)
+        table[block] = _lift(f, h[block, None], i[block, None])
+    return _read_only(table)[0].ravel()
+
+
+def _lifted(forms: np.ndarray, m: int, i: np.ndarray) -> np.ndarray:
+    """_lift of the forms (rows, k) on F_2^(m-1) by the maps i (k,) of
+    F_2^m, gathered from the lift table of m."""
+    return _lift_table(m).take(((i - 1) << m) + forms)
 
 
 def _spans(m: int, outer: range, inner: range) -> np.ndarray:
@@ -414,7 +430,7 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     rows, k, half = proj.shape
     quarter = half // 2
     i, h = _top_bits(outer)
-    j, hj = _top_bits(inner)
+    j = _top_bits(inner)[0]
     maps = _stacked_maps(m - 1, inner)
     lifted = np.empty((rows, len(canon_t)), dtype=np.int32)
     # a block's projections and their two index arrays fit in BLOCK_BYTES
@@ -432,9 +448,9 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
             half * k_b, rows).T
         reps = maps.reps.T[:, s] * k_b + (t - lo)
         partners = maps.partners.T[:, s] * k_b + (t - lo)
-        lifted[:, start:start + width] = _lift(_decode_lifted(
-            flat, SimpleNamespace(reps=reps.T, partners=partners.T),
-            j[s], hj[s]), h[t], i[t])
+        lifted[:, start:start + width] = _lifted(_decode_lifted(
+            flat, SimpleNamespace(reps=reps.T, partners=partners.T), j[s]),
+            m, i[t])
     if counter is not None:
         counter.record(m - 2, rows * k * len(inner))
     # the forms on F_2^(m-1) are below 2^m: held in the fewest bytes, as the
@@ -444,15 +460,15 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
         rows * k, len(inner))
 
 
-def _decode_lifted(llr: np.ndarray, maps, i: np.ndarray, h: np.ndarray,
+def _decode_lifted(llr: np.ndarray, maps, i: np.ndarray,
                    counter: FodCounter | None = None) -> np.ndarray:
     """A level-2 decoder's first step: the forms (rows, k) decoded from the
-    projections of llr's rows through k maps (index pairs), each lifted to
-    be zero on its map's i, of top bit h; decoded map by map, one a row."""
+    projections of llr's rows through the k maps i of F_2^m (index pairs),
+    each lifted to be zero on its i (_lifted); decoded map by map."""
     proj = project_llr(llr, maps)
-    forms = fht_decode(proj.swapaxes(0, 1).reshape(-1, proj.shape[-1]),
-                       counter)
-    return _lift(forms.reshape(len(i), len(llr)).T, h, i)
+    half = proj.shape[-1]
+    forms = fht_decode(proj.swapaxes(0, 1).reshape(-1, half), counter)
+    return _lifted(forms.reshape(len(i), len(llr)).T, half.bit_length(), i)
 
 
 def _shared_step(inner: DecodePlan) -> range | None:
@@ -489,7 +505,7 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
         # iteration; a deeper one's bits go to aggregate unnamed here, so
         # that it frees them once it has built its signs
         if forms is None and not inner.steps:
-            forms = _decode_lifted(llr, cmap, *_top_bits(indices), counter)
+            forms = _decode_lifted(llr, cmap, _top_bits(indices)[0], counter)
         llr_new = (aggregate(llr, cmap, forms=forms) if forms is not None
                    else aggregate(llr, cmap, chat=_inner_bits(
                        node.m, indices, inner, llr, cmap, counter)))
@@ -578,8 +594,8 @@ def executed_fod_count(params: CodeParams, cfg: PruningConfig) -> int:
         for indices, inner in node.steps:
             first = _shared_step(inner)
             if first is not None:
-                spans = np.count_nonzero(
-                    _span_classes(node.m, indices, first)[1])
+                spans = int(np.count_nonzero(
+                    _span_classes(node.m, indices, first)[1]))
                 total += spans + len(indices) * (inner.fods - len(first))
             else:
                 total += len(indices) * executed(inner)

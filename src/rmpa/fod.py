@@ -46,13 +46,13 @@ CHAIN_M = 4
 # relative band below max|W| within which a spectrum magnitude ties with
 # the max: BLAS kernels sum in their own order, so a tie may come out
 # unequal by rounding.  float64 spectra get TIE_RTOL, about 4,500 eps.
-# float32 spectra came out within 5 eps of the float64 spectra of the same
+# float32 spectra came out within 6 eps of the float64 spectra of the same
 # inputs, relative to max|W|: within 3 eps from the chain over columns (the
 # walk's several-row batches on RM(7,2), RM(8,3) and RM(9,2), and Gaussian
-# and +-v columns for m 6-12), and within 4.2 eps from the products over
-# rows (the one-row walk on RM(7,2), RM(8,3), RM(10,2) and RM(11,2)).  Two
-# tied magnitudes thus round at most 10 eps apart, and the float32 band is
-# 64 eps.
+# and +-v columns for m 6-12), and within 6 eps from the products over rows
+# (the one-row walk: 4.2 on RM(7,2), 3.6 on RM(11,2), 6.0 on RM(8,3)'s
+# shared-step blocks).  Two tied magnitudes thus round at most 12 eps
+# apart, and the float32 band is 64 eps.
 TIE_RTOL = 1e-12
 TIE_RTOL_FLOAT32 = 64 * float(np.finfo(np.float32).eps)
 
@@ -73,7 +73,8 @@ def _digits(m: int, most: int) -> list:
 
 def _spectra(batch: np.ndarray) -> np.ndarray:
     """The spectra of the rows of a (rows, 2^m) batch as the columns of a
-    (2^m, rows) C-ordered array in batch's dtype.  A product with the
+    (2^m, rows) array in batch's dtype, C-ordered bar those of rows of more
+    than RADIX_M bits.  A product with the
     2^c x 2^c +-1 Hadamard matrix transforms c bits of z, at 2^c
     multiply-adds per value, in one BLAS call.
 
@@ -88,13 +89,15 @@ def _spectra(batch: np.ndarray) -> np.ndarray:
     walk's column counts, one x86 core).  Up to CHAIN_M bits one product is
     faster than two digits.
 
-    A batch held as rows is transformed up to RADIX_M bits by one product
-    over its transpose.  Above it the digits of at most RADIX_M bits, the
-    widest lowest (4 + 3 bits for m = 7 measured faster than 6 + 1), are
-    each transformed row by row, as products over a transposed operand
-    would cost more, and the columns are then a transpose.  At the one-row
-    walk's shapes for m = 8-11 this measured 1.4 to 2.5 times faster than
-    a copy into columns and the chain."""
+    A C-ordered batch is transformed up to RADIX_M bits by batch @ H, H
+    symmetric, written through the transpose of the spectra: 9 us at the
+    one-row walk's 127 rows of 64 points, against 15 for H @ batch.T, which
+    any other batch takes.  Above it the digits of at most RADIX_M bits,
+    the widest lowest (4 + 3 bits for m = 7 measured faster than 6 + 1),
+    are each transformed row by row, and the spectra are the transpose of
+    the rows: for m = 8-11 at the one-row walk's shapes 1.4 to 2.5 times
+    faster than a copy into columns and the chain, and with the search 1.2
+    to 2.7 times faster than a spectrum-major copy."""
     rows, n = batch.shape
     m = n.bit_length() - 1
     if m > CHAIN_M and (batch.flags.f_contiguous
@@ -105,6 +108,9 @@ def _spectra(batch: np.ndarray) -> np.ndarray:
                             out.reshape(outer, 1 << c, -1))
             outer <<= c
         return out.reshape(n, rows)
+    if m <= RADIX_M and batch.flags.c_contiguous:
+        out = np.empty((rows, n), batch.dtype, order="F")
+        return np.matmul(batch, _form_table(m, batch.dtype)[:n], out=out).T
     if m <= RADIX_M:
         return _form_table(m, batch.dtype)[:n] @ batch.T
     digits = _digits(m, RADIX_M)

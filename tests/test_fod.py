@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import boxplus, fht, fht_butterfly, fod_bits, ml_decode_oracle
 from rmpa import CodeParams, FodCounter, fht_decode, form_bits
-from rmpa.fod import TIE_RTOL, TIE_RTOL_FLOAT32, _spectra
+from rmpa.fod import RADIX_M, TIE_RTOL, TIE_RTOL_FLOAT32, _spectra
 
 
 def naive_wht(values):
@@ -84,6 +84,20 @@ def test_column_held_spectra_come_back_spectrum_major(m):
     assert np.abs(w - butterfly(x).T).max() <= tol
 
 
+@pytest.mark.parametrize("m", range(1, 15))
+def test_row_held_spectra_come_back_spectrum_major(m):
+    # up to RADIX_M bits one product writes them spectrum-major; above it
+    # the chain over rows leaves each row's spectrum in place and hands on
+    # their transpose, as a spectrum-major copy took longer than the search
+    # saves
+    x = np.random.default_rng(m).normal(size=(3, 2 ** m))
+    w = _spectra(x)
+    assert w.shape == (2 ** m, 3)
+    assert (w if m <= RADIX_M else w.T).flags.c_contiguous
+    tol = 1e-13 * np.abs(x).max() * 2 ** m
+    assert np.abs(w - butterfly(x).T).max() <= tol
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("m", range(1, 13))
 def test_column_held_batches_decode_like_their_row_held_copy(m, dtype):
@@ -116,6 +130,25 @@ def test_float32_column_held_spectra_stay_near_float64(m, columns):
     peak = np.abs(want).max(axis=0)
     eps = np.finfo(np.float32).eps
     assert (np.abs(got - want).max(axis=0) <= 5 * eps * peak).all()
+
+
+# rows as the one-row walk hands them on: 127 projections of 64 points
+# (RM(7,2)) and a shared-step block of 819 (RM(8,3)), and one row each at
+# m' = 7-11
+@pytest.mark.parametrize("m, rows", [(6, 127), (6, 819), (7, 1), (8, 1),
+                                     (9, 1), (10, 1), (11, 1)])
+def test_float32_row_held_spectra_stay_near_float64(m, rows):
+    # the bound the float32 tie band rests on for the products over rows:
+    # within 6 eps of the float64 spectra, relative to each spectrum's max
+    rng = np.random.default_rng(m + rows)
+    eps = np.finfo(np.float32).eps
+    for x in (saturated_rows(m, rows, seed=m),
+              rng.normal(size=(rows, 2 ** m)) * 4):
+        x = x.astype(np.float32)
+        got = _spectra(x)
+        want = _spectra(x.astype(np.float64))
+        peak = np.abs(want).max(axis=0)
+        assert (np.abs(got - want).max(axis=0) <= 6 * eps * peak).all()
 
 
 @pytest.mark.parametrize("values", [[1e308, 1e308], [np.inf, np.inf]])

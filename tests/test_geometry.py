@@ -586,6 +586,7 @@ CACHED_CALLS = {
     "fod._band_keys": ((64,), True),
     "decoder._stacked_maps": ((5, range(1, 32, 3)), True),
     "decoder._top_bits": ((range(1, 16),), True),
+    "decoder._lift_table": ((5,), True),
     "decoder._shared_quotients": ((6, range(1, 64, 2), range(1, 32, 3)),
                                   True),
     "decoder.decode_plan": ((CodeParams(6, 3), preset("rpa")), False),

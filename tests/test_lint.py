@@ -1,10 +1,11 @@
 """Static checks of the package sources and the test oracles, with the
 standard library only: every imported name is used, no module makes a bare
-call at its top level, every top-level name of the package is read or
-exported, every exported name exists, every exported name is read by the
-package or shown in the README's library example, every dotted
-rmpa.<module>.<name> in the README and in the package's docstrings and
-comments names something, and the change log stays a readable size."""
+call at its top level or calls a function of its own on import, every
+top-level name of the package is read or exported, every exported name
+exists, every exported name is read by the package or shown in the README's
+library example, every dotted rmpa.<module>.<name> in the README and in the
+package's docstrings and comments names something, and the change log stays
+a readable size."""
 
 import ast
 import importlib
@@ -70,6 +71,58 @@ def test_no_module_makes_a_bare_call_on_import(path):
     # a bare call at import time sets something for the whole process,
     # such as its allocator, that the importer did not ask for
     assert top_level_calls(path.read_text()) == []
+
+
+def import_time_calls(source: str) -> list:
+    """The lines of the calls that a module makes, as it is imported, of
+    the functions it defines itself: calls in its top-level statements, in
+    class bodies, decorators and default values, but not in a def or
+    lambda body, which runs only when called, nor under
+    `if __name__ == "__main__":`."""
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    lines = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            for child in (getattr(node, "decorator_list", [])
+                          + node.args.defaults + node.args.kw_defaults):
+                if child is not None:
+                    visit(child)
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in defined):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for node in tree.body:
+        main_guard = (isinstance(node, ast.If)
+                      and ast.unparse(node.test) == "__name__ == '__main__'")
+        if not main_guard:
+            visit(node)
+    return sorted(lines)
+
+
+def test_the_checker_finds_an_import_time_call():
+    source = ('"""A module."""\nfrom functools import lru_cache\n'
+              "def table(n=None):\n    return list(range(n or 4))\n"
+              "TABLE = table()\nLOOKUP = {'t': lambda: table()}\n"
+              "def reader(t=len(table(2))):\n    return table(t)\n"
+              "class Holder:\n    cached = lru_cache(table)\n"
+              "    size = len(table(3))\n"
+              "if __name__ == '__main__':\n    table()\n")
+    assert import_time_calls(source) == [5, 7, 11]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_calls_its_own_functions_on_import(path):
+    # a table that a module builds on import is built for every importer,
+    # whether it decodes or not; tables are built when first read
+    assert import_time_calls(path.read_text()) == []
 
 
 def unread_names(sources, exported=()) -> list:

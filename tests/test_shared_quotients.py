@@ -67,6 +67,55 @@ def test_full_rpa_on_rm83_shares_a_fifth_of_its_fods(monkeypatch):
     assert executed_fod_count(params, preset("rpa")) == 291465 - 64770
 
 
+@pytest.mark.parametrize("params, cfg", [
+    (CodeParams(8, 3), preset("rpa")), (CodeParams(8, 3), MFP_83),
+    (CodeParams(6, 3), preset("rpa"))], ids=["rm83-rpa", "rm83-mfp",
+                                             "rm63-rpa"])
+def test_fod_counts_are_python_ints(params, cfg):
+    # the spans are counted by numpy, whose count is an int64
+    assert type(executed_fod_count(params, cfg)) is int
+    assert type(analytic_fod_count(params, cfg)) is int
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_the_lift_table_holds_every_lift(m):
+    n = 1 << m
+    table = decoder._lift_table(m)
+    assert table.dtype == (np.uint8 if m <= 7 else np.uint16)
+    assert not table.flags.writeable
+    i, h = decoder._top_bits(range(1, n))
+    assert np.array_equal(table, decoder._lift(np.arange(n), h[:, None],
+                                               i[:, None]).ravel())
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_a_lifted_form_is_zero_on_its_map_and_keeps_its_codeword(m):
+    # the codeword of lift_h(f) is constant on each coset {z, z ^ i} and
+    # equals f's codeword at the coset's representative
+    n = 1 << m
+    f = np.arange(n)
+    z = np.arange(n)
+    for i in range(1, n):
+        h = i.bit_length() - 1
+        bits = form_bits(decoder._lifted(f, m, np.array([i]))[:, None], m)
+        assert np.array_equal(bits, bits[:, z ^ i])
+        reps = geometry.insert_zero_bit(z[:n // 2], h)
+        assert np.array_equal(bits[:, reps], form_bits(f[:, None], m - 1))
+
+
+def test_building_the_lift_table_holds_little_besides_it():
+    # filled a block of maps at a time: built in one piece, the m = 10
+    # table held 17 MB of temporaries beside its 2 MB
+    tracemalloc.start()
+    try:
+        table = decoder._lift_table.__wrapped__(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 2 * 1023 * 1024
+    assert peak <= table.nbytes + 5 * geometry.BUILD_BYTES
+
+
 def test_counting_executed_fods_holds_no_share_table():
     # 16 iterations of RM(10,3), each with its own share table of up to
     # 2 MB: counting them held 72.6 MB of tables, and 278.6 MB at n_max 128
@@ -214,7 +263,7 @@ def test_the_shared_step_gives_each_spans_first_pair_its_own_forms():
         maps = decoder._stacked_maps(m - 1, first)
         for t in np.unique(canon_t):
             own = decoder._decode_lifted(proj[:, t], maps,
-                                         *decoder._top_bits(first))
+                                         decoder._top_bits(first)[0])
             s = canon_s[canon_t == t]
             assert np.array_equal(shared[:, t, s], own[:, s])
 
