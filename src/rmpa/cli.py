@@ -26,7 +26,7 @@ from .fod import FodCounter
 SPEC_SCHEMA_VERSION = 1
 # the largest m the CLI takes: any decode at m = 12 holds the 0.44 GB coset
 # table and, at r >= 2, the 33.5 MB lift table; one iteration of full RPA on
-# RM(12,2) peaks at 0.64 GB RSS, and memory grows at least with n^2.  The
+# RM(12,2) peaks at 0.50 GB RSS, and memory grows at least with n^2.  The
 # plans the CLI compiles are bounded by rmpa.decoder.MAX_PLAN_STEPS.
 MAX_M = 12
 

@@ -41,9 +41,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import fod
 from .codes import CodeParams, _is_int
-from .fod import FodCounter, _read_only, fht_decode, form_bits
-from .geometry import (BUILD_BYTES, CosetMap, aggregate, clamp_llr,
+from .fod import (FodCounter, _parity, _read_only, _step, fht_decode,
+                  form_bits)
+from .geometry import (CosetMap, aggregate, clamp_llr,
                        coset_table, drop_bit, insert_zero_bit, project_llr,
                        top_bits)
 
@@ -144,14 +146,13 @@ WALK_DTYPE = np.dtype(np.float32)
 # at d = 101/100 and 3,640 at d = 2, and full RPA on RM(12,2) 32,768.
 MAX_PLAN_STEPS = 1 << 15
 # Bytes of projections one block of rows may hold at a node (row_bytes per
-# row); the node's inner walk takes those rows in blocks of its own.  A
-# level-2 block's traced peak is about 3 times this where its aggregation
-# takes the rows coordinates first: the projection's result and its two
-# gathered operands, and then the gathered partner LLRs, twice this.  With
-# few rows the row-major aggregation holds its (rows, k, n) signs beside
-# them, about 4.5 times this, and so does a level-3 decode, as the level-3
-# block holds its projections and shared forms meanwhile.  Blocks change
-# no result.
+# row); the node's inner walk takes those rows in blocks of its own.  Each
+# temporary of a decode kernel in the block holds at most
+# rmpa.fod.BUILD_BYTES, a quarter of this, so a level-2 block's traced peak
+# is about this (1.05 MiB for RM(7,2) RPA on 128 frames and RM(6,2) on 256,
+# 1.12 MiB for RM(8,2) RPA on 64), and a level-3 block's about 2.6 times
+# this (RM(8,3) MFP on 64 frames), as it holds its projections while the
+# shared step and the inner walk run.  Blocks change no result.
 BLOCK_BYTES = 1 << 20
 
 # Each decoder: the keys it takes and the factor triple they give.  A
@@ -336,11 +337,8 @@ def _lift(f: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
     the z with bit h clear (the coset representatives of {0, i}), then bit
     h set where that makes it orthogonal to i (b & i of odd parity)."""
     b = insert_zero_bit(f, h)
-    parity = b & i
-    # folded from 16 bits, past the m of any code that can be decoded
-    for shift in (8, 4, 2, 1):
-        parity ^= parity >> shift
-    return b | ((parity & 1) << h)
+    # 16 bits are past the m of any code that can be decoded
+    return b | (_parity(b & i) << h)
 
 
 @lru_cache(maxsize=None)
@@ -348,12 +346,12 @@ def _lift_table(m: int) -> np.ndarray:
     """_lift of every form f < 2^m on F_2^(m-1) by every map i of F_2^m,
     flat, f of map i at (i - 1) * 2^m + f, in uint8 up to m = 7, else uint16
     (33.5 MB at m = 12); read-only.  Filled a block of maps at a time, as
-    the coset table is, each temporary holds at most BUILD_BYTES."""
+    the coset table is, each temporary holds at most rmpa.fod.BUILD_BYTES."""
     n = 1 << m
     i, h = top_bits(range(1, n))
     table = np.empty((n - 1, n), dtype=np.min_scalar_type(2 * n - 1))
     f = np.arange(n)
-    step = max(1, BUILD_BYTES // (n * f.itemsize))
+    step = _step(n * f.itemsize)
     for start in range(0, n - 1, step):
         block = slice(start, start + step)
         table[block] = _lift(f, h[block, None], i[block, None])
@@ -414,14 +412,16 @@ def _shared_quotients(m: int, outer: range, inner: range) -> tuple:
 def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
                   counter: FodCounter | None) -> np.ndarray:
     """The forms that the first iteration of the level-2 decoders below a
-    level-3 node decodes, shape (rows * k_i, k_j): those of the projections
-    proj, (rows, k_i, 2^(m-1)), onto outer, each projected onto inner.
+    level-3 node decodes, shape (k_i * rows, k_j), map by map: those of the
+    projections proj, (rows, k_i, 2^(m-1)), onto outer, each projected onto
+    inner.
 
     Soft projections commute, so the pairs that span one subspace decode one
     quotient.  Its first pair is projected and decoded by the step of its
-    own level-2 decoder, _decode_lifted; the decoded form lifts to a form
-    on F_2^m that is zero on the span, and every pair reads it as a form on
-    its own F_2^(m-1).  The counter gets the FODs of every pair.  Where no
+    own level-2 decoder (_lifted_forms), a block of first pairs at a time
+    within BUILD_BYTES; the decoded form lifts to a form on F_2^m that is
+    zero on the span, and every pair reads it as a form on its own
+    F_2^(m-1).  The counter gets the FODs of every pair.  Where no
     two pairs share a span this returns None: the level-2 decoders then
     decode their own quotients."""
     canon_t, canon_s, alias = _shared_quotients(m, outer, inner)
@@ -432,39 +432,80 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     i, h = _top_bits(outer)
     j = _top_bits(inner)[0]
     maps = _stacked_maps(m - 1, inner)
-    lifted = np.empty((rows, len(canon_t)), dtype=np.int32)
-    # a block's projections and their two index arrays fit in BLOCK_BYTES
-    width = max(1, BLOCK_BYTES // (quarter * (rows * proj.itemsize
-                                              + 2 * maps.reps.itemsize)))
-    for start in range(0, len(canon_t), width):
-        t = canon_t[start:start + width]
-        s = canon_s[start:start + width]
+    lifted = np.empty((rows, len(canon_t)), dtype=_lift_table(m).dtype)
+    # Each temporary of a block fits BUILD_BYTES (rmpa.fod._step): its
+    # pairs' two index arrays, their projections, gathered operands and
+    # spectra, and the copy of the maps of proj that it reads.
+    step = _step(quarter * max(maps.reps.itemsize, rows * proj.itemsize))
+    most = _step(half * rows * proj.itemsize)
+    start = 0
+    while start < len(canon_t):
         # The first pairs come in order of t, so this block reads only maps
-        # lo ... t[-1] of proj.  Their inputs are copied once into columns,
-        # coordinate c of map t at row c * k_b + t - lo, as the gathers of
-        # several rows read them, and so are the indices, (n/4, pairs).
+        # lo ... t[-1] of proj, at most `most` of them.  Their inputs are
+        # copied once into columns, coordinate c of map t at row
+        # c * k_b + t - lo, as the gathers of several rows read them, and
+        # so are the indices, (n/4, pairs).
+        block = slice(start, min(start + step, int(np.searchsorted(
+            canon_t, canon_t[start] + most))))
+        start = block.stop
+        t, s = canon_t[block], canon_s[block]
         lo, k_b = t[0], t[-1] + 1 - t[0]
         flat = np.ascontiguousarray(proj.T[:, lo:lo + k_b]).reshape(
             half * k_b, rows).T
         reps = maps.reps.T[:, s] * k_b + (t - lo)
         partners = maps.partners.T[:, s] * k_b + (t - lo)
-        lifted[:, start:start + width] = _lifted(_decode_lifted(
+        lifted[:, block] = _lifted(_lifted_forms(
             flat, SimpleNamespace(reps=reps.T, partners=partners.T), j[s]),
             m, i[t])
     if counter is not None:
         counter.record(m - 2, rows * k * len(inner))
     # the forms on F_2^(m-1) are below 2^m: held in the fewest bytes, as the
-    # level-2 walk holds them all while it runs
-    forms = drop_bit(lifted[:, alias], h[:, None].astype(np.int32))
-    return forms.astype(np.min_scalar_type((1 << m) - 1)).reshape(
-        rows * k, len(inner))
+    # level-2 walk holds them all while it runs.  Each pair reads its
+    # span's lifted form, a block of rows at a time
+    forms = np.empty((k, rows, len(inner)),
+                     dtype=np.min_scalar_type((1 << m) - 1))
+    h = h[:, None].astype(lifted.dtype)
+    step = _step(alias.size * lifted.itemsize)
+    for start in range(0, rows, step):
+        forms[:, start:start + step] = drop_bit(
+            lifted[start:start + step, alias], h).swapaxes(0, 1)
+    return forms.reshape(k * rows, len(inner))
 
 
-def _decode_lifted(llr: np.ndarray, maps, i: np.ndarray,
+def _decode_lifted(llr: np.ndarray, m: int, indices: range,
                    counter: FodCounter | None = None) -> np.ndarray:
     """A level-2 decoder's first step: the forms (rows, k) decoded from the
-    projections of llr's rows through the k maps i of F_2^m (index pairs),
-    each lifted to be zero on its i (_lifted); decoded map by map."""
+    projections of llr's rows onto the k maps of indices, of F_2^m, each
+    lifted to be zero on its map (_lifted); decoded map by map, a chunk of
+    maps at a time whose projections fit BUILD_BYTES (rmpa.fod._step)."""
+    lifted = np.empty((len(llr), len(indices)), dtype=_lift_table(m).dtype)
+    for chunk, maps, i in _map_chunks(m, indices, len(llr) * llr.itemsize,
+                                      fod.BUILD_BYTES):
+        lifted[:, chunk] = _lifted_forms(llr, maps, i, counter)
+    return lifted
+
+
+# The walk decodes the same ranges of maps over and over: working their
+# chunks out on every call cost the one-row RM(7,2) walk about 2% a frame.
+@lru_cache(maxsize=128)
+def _map_chunks(m: int, indices: range, row_bytes: int,
+                budget: int) -> tuple:
+    """The chunks of the maps of indices, of F_2^m, whose projections fit
+    BUILD_BYTES (_step), at row_bytes a projected coordinate, in order: a
+    slice of indices, its stacked maps and their i.  budget is
+    rmpa.fod.BUILD_BYTES, which _step reads, and keys the cache."""
+    step = _step(row_bytes << (m - 1))
+    return tuple((slice(start, start + step),
+                  _stacked_maps(m, indices[start:start + step]),
+                  _top_bits(indices[start:start + step])[0])
+                 for start in range(0, len(indices), step))
+
+
+def _lifted_forms(llr: np.ndarray, maps, i: np.ndarray,
+                  counter: FodCounter | None = None) -> np.ndarray:
+    """The forms (rows, k) decoded from the projections of llr's rows
+    through the k maps i of F_2^m (index pairs), each lifted to be zero on
+    its i (_lifted), in one pass."""
     proj = project_llr(llr, maps)
     half = proj.shape[-1]
     forms = fht_decode(proj.swapaxes(0, 1).reshape(-1, half), counter)
@@ -503,9 +544,9 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
         cmap = _stacked_maps(node.m, indices)
         # a level-2 inner decoder starts from the forms of its first
         # iteration; a deeper one's bits go to aggregate unnamed here, so
-        # that it frees them once it has built its signs
+        # that they are freed with its last tile
         if forms is None and not inner.steps:
-            forms = _decode_lifted(llr, cmap, _top_bits(indices)[0], counter)
+            forms = _decode_lifted(llr, node.m, indices, counter)
         llr_new = (aggregate(llr, cmap, forms=forms) if forms is not None
                    else aggregate(llr, cmap, chat=_inner_bits(
                        node.m, indices, inner, llr, cmap, counter)))
@@ -522,18 +563,18 @@ def _inner_bits(m: int, indices: range, inner: DecodePlan, llr: np.ndarray,
                 cmap: CosetMap, counter: FodCounter | None) -> np.ndarray:
     """The bits that inner decodes from the projections of llr's rows onto
     the k maps cmap of indices, shape (rows, k, 2^(m-1)).  The projections
-    are freed before this returns, and so before aggregate builds its
-    signs."""
+    are freed before this returns, and so before aggregate runs."""
     proj = project_llr(llr, cmap)
     first = _shared_step(inner)
     shared = (None if first is None else
               _shared_forms(m, indices, first, proj, counter))
-    # the inner decoders' rows frame by frame: a copy, and the projections
-    # as columns are freed before the inner walk
+    # the inner decoders' rows map by map, as the projections lie in
+    # memory: a view, whose bits come back frame by frame
     half = proj.shape[-1]
-    proj = proj.reshape(-1, half)
-    return _walk(inner, proj, counter, forms=shared)[0].reshape(
-        len(llr), len(indices), half)
+    bits = _walk(inner, proj.swapaxes(0, 1).reshape(-1, half), counter,
+                 forms=shared)[0]
+    return np.ascontiguousarray(bits.reshape(
+        len(indices), len(llr), half).swapaxes(0, 1))
 
 
 def _start(llr: np.ndarray, params: CodeParams, cfg: PruningConfig):

@@ -64,6 +64,18 @@ def float_array(values) -> np.ndarray:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
+# Each temporary of a table build or of a decode kernel holds at most this
+# many bytes, whatever the code and the batch: the work goes a chunk at a
+# time along an axis whose outputs are independent (_step).
+BUILD_BYTES = 1 << 18
+
+
+def _step(item_bytes: int, unit: int = 1) -> int:
+    """How many items of item_bytes each one chunk takes: as many as fit
+    BUILD_BYTES, in whole units and at least one unit."""
+    return max(unit, BUILD_BYTES // (item_bytes * unit or 1) * unit)
+
+
 def _digits(m: int, most: int) -> list:
     """The fewest digits of at most `most` bits that sum to m, as equal as
     can be, the widest first."""
@@ -174,6 +186,14 @@ def _form_rows(forms: np.ndarray, m: int, dtype) -> np.ndarray:
         forms.shape + (1 << m,))
 
 
+def _parity(x: np.ndarray) -> np.ndarray:
+    """The parity of the bits of each x below 2^16, 0 or 1; x is
+    overwritten."""
+    for shift in (8, 4, 2, 1):
+        x ^= x >> shift
+    return x & 1
+
+
 def form_bits(forms: np.ndarray, m: int) -> np.ndarray:
     """The codewords u0 ^ <b, z> of forms f = b + 2^m * u0 on F_2^m, as
     fht_decode returns them, on a last axis of length 1: their bits, for
@@ -199,30 +219,39 @@ def fht_decode(l: np.ndarray, counter: FodCounter | None = None) -> np.ndarray:
     ties, exact or broken by rounding, go to the smallest a, and u0 = 1 iff
     W[a*] < 0.  The band is TIE_RTOL_FLOAT32 for float32 l and TIE_RTOL for
     any other, which is decoded in float64.  The search runs across the
-    spectra, as columns of one array.  Counts one FOD per vector.
+    spectra, as columns of one array, a chunk of the vectors at a time
+    (_step).  Counts one FOD per vector.
     """
     l = float_array(l)
     rtol = TIE_RTOL_FLOAT32 if l.dtype == np.float32 else TIE_RTOL
     n = l.shape[-1]
     if n < 2 or n & (n - 1):
         raise ValueError(f"length must be a power of two >= 2, got {n}")
-    w = _spectra(l.reshape(-1, n))
-    # the signs of the spectra, then their magnitudes in their place
-    neg = w < 0
-    mag = np.abs(w, out=w)
-    # |W| orders as its bits do, and an integer max is the faster one
-    peak = np.maximum.reduce(mag.view(f"i{mag.itemsize}"), axis=0).view(
-        mag.dtype)
-    peak *= 1.0 - rtol
-    # a* has the largest key, 2 * (n - a) + (W[a] < 0) in the band and at
-    # most 1 outside it.  The band's bools are bytes 0 and 1, scaled where
-    # they lie when the keys fit a byte (n < 128), else into wider keys
     countdown, form_of_key = _band_keys(n)
-    key = np.greater_equal(mag, peak).view(np.uint8)
-    key = np.multiply(key, countdown,
-                      out=key if key.dtype == countdown.dtype else None)
-    key += neg.view(np.uint8)
-    forms = form_of_key.take(np.maximum.reduce(key, axis=0))
+    # |W| orders as its bits do, and an integer max is the faster one
+    signed = np.int32 if l.itemsize == 4 else np.int64
+    batch = l.reshape(-1, n)
+    forms = np.empty(len(batch), dtype=form_of_key.dtype)
+    # a chunk of the vectors at a time, whose spectra fit BUILD_BYTES
+    step = _step(n * l.itemsize)
+    for start in range(0, len(batch), step):
+        w = _spectra(batch[start:start + step])
+        # the signs of the spectra, then their magnitudes in their place
+        neg = w < 0
+        mag = np.abs(w, out=w)
+        peak = np.maximum.reduce(mag.view(signed), axis=0).view(mag.dtype)
+        peak *= 1.0 - rtol
+        # a* has the largest key, 2 * (n - a) + (W[a] < 0) in the band and
+        # at most 1 outside it.  The band's bools are bytes 0 and 1, scaled
+        # where they lie when the keys fit a byte (n < 128), else into
+        # wider keys
+        key = np.greater_equal(mag, peak).view(np.uint8)
+        key = np.multiply(key, countdown,
+                          out=key if key.dtype == countdown.dtype else None)
+        key += neg.view(np.uint8)
+        # every key names a form, so the gather runs unchecked
+        form_of_key.take(np.maximum.reduce(key, axis=0), mode="wrap",
+                         out=forms[start:start + step])
     if counter is not None:
-        counter.record(n.bit_length() - 1, count=mag.shape[1])
+        counter.record(n.bit_length() - 1, count=len(batch))
     return forms.reshape(l.shape[:-1] + (1,))

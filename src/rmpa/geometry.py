@@ -17,8 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fod import (_form_parts, _form_rows, _form_table, _read_only,
-                  float_array)
+from . import fod
+from .fod import (_form_parts, _form_rows, _form_table, _parity, _read_only,
+                  _step, float_array)
 
 # Natural-log LLR saturation.  Beyond exp(-30) the error probabilities are
 # numerically irrelevant at the simulated SNRs, and the projection's
@@ -123,11 +124,6 @@ def _runs(m: int, i: np.ndarray, h: np.ndarray, reps: np.ndarray,
             partner_of[:, ::run])
 
 
-# The table is filled a block of maps at a time, so that each temporary of
-# the build holds at most this many bytes, whatever m is.
-BUILD_BYTES = 1 << 18
-
-
 def _build_coset_table(m: int) -> CosetMap:
     """All n - 1 maps of F_2^m, stacked along a first axis, map i as row
     i - 1; the arrays are read-only."""
@@ -138,7 +134,8 @@ def _build_coset_table(m: int) -> CosetMap:
                        for size in (n // 2, n // 2, n, n,
                                     runs // 2, runs // 2, runs)))
     z = np.arange(n)
-    step = max(1, BUILD_BYTES // (n * z.itemsize))
+    # a block of maps at a time, each temporary within rmpa.fod.BUILD_BYTES
+    step = _step(n * z.itemsize)
     for start in range(0, i.size, step):
         block = slice(start, start + step)
         reps, partners, coset_of, partner_of, *run_fields = vars(
@@ -180,13 +177,17 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     structure, unchecked, as the map's indices are in range as built: u and
     the signs go into one table of 2^b low-bit XOR shifts and low-bit maps
     (_xor_index), one value per index, and each map's operands are runs of
-    2^b values of it (the map's run fields).  Otherwise u and the signs are
-    taken coordinates first, as (n, rows) arrays of the rows of l, so that
-    each of the four gathers copies a run of rows per index.  The result
-    has shape l.shape[:-1] + (k, n/2) for k stacked maps (no k for one
-    map) and is a view: with one row its memory holds the projections in
-    the order of cmap's indices, and with more it holds each projected
-    vector as a column, (n/2, k, rows), through the transposed indices.
+    2^b values of it (the map's run fields), a chunk of the rows of those
+    fields at a time.  Otherwise u and the signs are taken coordinates
+    first, as (n, rows) arrays of a chunk of the rows of l, so that each
+    of the four gathers copies a run of rows per index, a chunk of the
+    maps at a time.  Each gathered operand fits BUILD_BYTES
+    (rmpa.fod._step).
+    The result has shape l.shape[:-1] + (k, n/2) for k stacked maps (no k
+    for one map) and is a view: with one row its memory holds the
+    projections in the order of cmap's indices, and with more it holds
+    each projected vector as a column, (n/2, k, rows), through the
+    transposed indices.
     """
     l = float_array(l)
     lead, n = l.shape[:-1], l.shape[-1]
@@ -198,33 +199,49 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
         np.sign(l.reshape(n), out=w[1])
         table = w.take(_xor_index(m), axis=1, mode="wrap").reshape(
             2, -1, 1 << _run_bits(m))
-        a = table.take(cmap.rep_runs, axis=1, mode="wrap")
-        b = table.take(cmap.partner_runs, axis=1, mode="wrap")
-        out = _soft_xor(a[0], b[0])
-        out *= a[1]
-        out *= b[1]
+        # a row of the run fields, a map's or one run of a map, projects
+        # a row of out, and gathers u and the sign of its operands
+        out = np.empty(cmap.rep_runs.shape + table.shape[-1:], dtype=l.dtype)
+        step = _step(2 * out.strides[0])
+        for start in range(0, len(out), step):
+            a = table.take(cmap.rep_runs[start:start + step], axis=1,
+                           mode="wrap")
+            b = table.take(cmap.partner_runs[start:start + step], axis=1,
+                           mode="wrap")
+            part = _soft_xor(a[0], b[0], out[start:start + step])
+            part *= a[1]
+            part *= b[1]
         return out.reshape(lead + cmap.reps.shape)
-    cols = np.ascontiguousarray(l.reshape(-1, n).T)
+    half = cmap.reps.shape[-1]
+    reps = cmap.reps.reshape(-1, half)
+    partners = cmap.partners.reshape(-1, half)
+    flat = l.reshape(-1, n)
     # with more than one row, the gathers write the projections as columns
-    columns = cols.shape[1] > 1
-    reps, partners = cmap.reps, cmap.partners
-    if columns:
-        reps, partners = reps.T, partners.T
-    u = np.exp(-np.minimum(np.abs(cols), LLR_CLAMP))
-    ua = u.take(reps, axis=0)
-    ub = u.take(partners, axis=0)
-    del u
-    out = _soft_xor(ua, ub)
-    del ua, ub
-    sign = np.sign(cols)
-    out *= sign.take(reps, axis=0)
-    out *= sign.take(partners, axis=0)
+    columns = len(flat) > 1
+    out = np.empty((half, len(reps), len(flat)) if columns
+                   else (len(reps), half, len(flat)), dtype=l.dtype)
+    rows = _step(n * l.itemsize)
+    for first in range(0, len(flat), rows):
+        block = slice(first, first + rows)
+        cols = np.ascontiguousarray(flat[block].T)
+        u = np.exp(-np.minimum(np.abs(cols), LLR_CLAMP))
+        sign = np.sign(cols)
+        step = _step(half * cols.shape[1] * l.itemsize)
+        for start in range(0, len(reps), step):
+            maps = slice(start, start + step)
+            a, b = ((reps[maps].T.copy(), partners[maps].T.copy()) if columns
+                    else (reps[maps], partners[maps]))
+            part = _soft_xor(u.take(a, axis=0), u.take(b, axis=0),
+                             out[:, maps, block] if columns else out[maps])
+            part *= sign.take(a, axis=0)
+            part *= sign.take(b, axis=0)
     return (out.T if columns else out).reshape(lead + cmap.reps.shape)
 
 
-def _soft_xor(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """|a [+] b| = log1p(u_a*u_b) - log(u_a + u_b); ua is overwritten."""
-    out = np.multiply(ua, ub)
+def _soft_xor(ua: np.ndarray, ub: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|a [+] b| = log1p(u_a*u_b) - log(u_a + u_b), written to out; ua is
+    overwritten."""
+    np.multiply(ua, ub, out=out)
     np.log1p(out, out=out)
     ua += ub
     out -= np.log(ua, out=ua)
@@ -260,56 +277,93 @@ def _coordinates_first(rows: int, n: int) -> bool:
     return rows > ROW_MAJOR_ROWS[m - 5]
 
 
-def _coset_signs(cmap: CosetMap, chat: np.ndarray, dtype,
-                 columns: bool) -> tuple:
-    """The signs (-1)^chat[r, t, coset_t(z)] of every coordinate z, from
-    the decoded projection bits chat, (rows, k, n/2) for the k stacked maps
-    of cmap, in dtype: one array (rows, k, n) row-major, else one factor
-    (n, k, rows) if columns, coordinates first."""
+def _coset_signs(cmap: CosetMap, chat: np.ndarray, dtype, columns: bool,
+                 z: slice = slice(None)) -> tuple:
+    """The signs (-1)^chat[r, t, coset_t(z)] of the coordinates z of the
+    slice, from the decoded projection bits chat, (rows, k, n/2) for the k
+    stacked maps of cmap, in dtype: one array (rows, k, z) row-major, else
+    one factor (z, k, rows) if columns, coordinates first.  The bits are
+    gathered, a byte each, and then made 1 - 2 * bit, exact in dtype."""
     k, half = cmap.reps.shape
     flat = chat.reshape(-1, k * half)
-    # the signs of the cosets, 1 - 2 * bit, exact in dtype; coordinates
-    # first their rows are the cosets, map t's from t * n/2
-    sign = np.multiply(flat.T if columns else flat, -2, dtype=dtype,
-                       order="C")
-    sign += 1
-    cosets = cmap.coset_of + np.arange(0, k * half, half)[:, None]
+    # the slice's cosets among the k * n/2 bits, map t's from t * n/2: none
+    # wraps, and a gather of one value per index runs faster unchecked.
+    # The maps' XOR structure does not pay here: a sign's coset is z's own
+    # for half the coordinates and its partner's for the rest, which needs
+    # each map's decoded bits shifted by its own i, one value per index.
+    cosets = cmap.coset_of[:, z] + np.arange(0, k * half, half)[:, None]
     if columns:
-        return (sign.take(cosets.T, axis=0),)
-    # the cosets index the k * n/2 signs, so none wraps: a gather of one
-    # value per index runs faster unchecked.  The maps' XOR structure does
-    # not pay here: a sign's coset is z's own for half the coordinates and
-    # its partner's for the rest, which needs each map's decoded bits
-    # shifted by its own i, one value per index.
-    return (np.take(sign, cosets, axis=-1, mode="wrap"),)
+        bits = np.take(np.ascontiguousarray(flat.T), cosets.T, axis=0,
+                       mode="wrap")
+    else:
+        bits = np.take(flat, cosets, axis=-1, mode="wrap")
+    sign = np.multiply(bits, -2, dtype=dtype)
+    sign += 1
+    return (sign,)
 
 
-def _form_signs(forms: np.ndarray, m: int, dtype, columns: bool) -> tuple:
+def _form_signs(forms: np.ndarray, m: int, dtype, columns: bool,
+                z: slice = slice(None)) -> tuple:
     """The signs of the forms f = b + 2^m * u0 on F_2^m, (rows, k), that
     the first-order decodings of k maps gave, in dtype: one array
-    (rows, k, 2^m) row-major, else, if columns, the factors over the high
-    m // 2 and the low m - m // 2 bits of z (rmpa.fod._form_parts),
+    (rows, k, z) row-major for the coordinates of z, an aligned run of a
+    power of two, else, if columns, the factors over the high m // 2 and
+    the low m - m // 2 bits of every z (rmpa.fod._form_parts),
     (2^b, k, rows) each, whose product is the sign.  Each factor is built
-    z first, one gather from the transposed form table of its bits."""
-    if not columns:
+    z first, one gather from the transposed form table of its bits.  A
+    run of 2^c coordinates from z0 takes the rows of the forms' low c bits
+    (u0 = 0), each times the sign (-1)^(u0 + <b, z0>) of its form there."""
+    if columns:
+        return tuple(np.take(_form_table(bits, dtype).T, part, axis=1,
+                             mode="wrap")
+                     for bits, part in _form_parts(forms.T, m, m - m // 2))
+    c = m if z.stop is None else (z.stop - z.start).bit_length() - 1
+    if c == m:
         return (_form_rows(forms, m, dtype),)
-    return tuple(np.take(_form_table(bits, dtype).T, part, axis=1,
-                         mode="wrap")
-                 for bits, part in _form_parts(forms.T, m, m - m // 2))
+    high = np.multiply(_parity(forms & (z.start | 1 << m)), -2, dtype=dtype)
+    high += 1
+    low = _form_rows(forms & ((1 << c) - 1), c, dtype)
+    low *= high[..., None]
+    return (low,)
 
 
-def _partners(rows: np.ndarray, cmap: CosetMap) -> np.ndarray:
-    """The partner LLRs rows[:, z ^ i] of each map of cmap through the XOR
-    structure, (rows, k, n/L, L), L = 2^_run_bits(m): each row's low-bit XOR
-    shifts, one value per index, and then runs of L of them.  The indices
-    are in range as built, so the gathers run unchecked, which is
-    faster."""
+def _partners(rows: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """The partner LLRs rows[:, z ^ i] of k maps i through their XOR
+    structure, (rows, k, r, L), for the runs (k, r) of the maps'
+    partner_of_runs, L = 2^_run_bits(m): each row's low-bit XOR shifts,
+    one value per index, and then runs of L of them.  The indices are in
+    range as built, so the gathers run unchecked, which is faster."""
     n = rows.shape[-1]
     m = n.bit_length() - 1
     run = 1 << _run_bits(m)
     shifts = rows.take(_xor_index(m)[:run * n], axis=1, mode="wrap")
-    return shifts.reshape(len(rows), n, run).take(
-        cmap.partner_of_runs, axis=1, mode="wrap")
+    return shifts.reshape(len(rows), n, run).take(runs, axis=1, mode="wrap")
+
+
+# The walk aggregates blocks of a few shapes over and over: working a
+# shape's tiles out on every call cost the one-row RM(7,2) walk about 3% a
+# frame.
+@lru_cache(maxsize=256)
+def _row_tiles(rows: int, n: int, k: int, itemsize: int, from_bits: bool,
+               budget: int) -> tuple:
+    """The tiles of a row-major aggregation of rows vectors of length n
+    through k maps, in order: the length of their runs of z, and slices of
+    z, of the runs of the maps' run fields over it, and of the rows.  Each
+    coordinate of a tile holds k signs, k partners and the 2^b XOR shifts
+    of its row, so a tile takes rows of aligned runs of z of a power of
+    two, all of z where a row fits; from bits, a run's coset index holds k
+    intp a coordinate for all the tile's rows.  budget is
+    rmpa.fod.BUILD_BYTES, which _step reads, and keys the cache."""
+    run = 1 << _run_bits(n.bit_length() - 1)
+    size = _step(max(k, run) * itemsize, run)
+    most = min(size, _step(8 * k, run)) if from_bits else size
+    width = min(n, 1 << (most.bit_length() - 1))
+    step = size // width
+    return width, tuple((slice(start, start + width),
+                         slice(start // run, (start + width) // run),
+                         slice(first, first + step))
+                        for start in range(0, n, width)
+                        for first in range(0, rows, step))
 
 
 def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
@@ -326,7 +380,7 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     at z, summed in the order of the stack, in l's float dtype.
 
     The layout is chosen once for l's rows (_coordinates_first), and the
-    signs are built in it, in l's dtype: row-major, one array (rows, k, n);
+    signs are built in it, in l's dtype: row-major, (rows, k, z) arrays;
     coordinates first, factors (2^b_j, k, rows) over the bits of z, the
     highest first, whose product is the sign, so that forms build no
     (rows, k, n) array.  The partner LLRs are gathered in the same layout:
@@ -336,6 +390,14 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     sums them, with the sum over t outside the loop over the rows or over
     z: the +-1 products are exact, and each output is summed t = 0, 1, ...
     as the per-map loop sums it.
+
+    Every map goes into each sum, and the outputs go a tile of rows and of
+    z at a time, each of its temporaries within BUILD_BYTES
+    (rmpa.fod._step): row-major, aligned runs of z of a power of two (all
+    of z when a row's signs and its coset index fit), then blocks of rows;
+    coordinates first, blocks of at least two rows (over one row the
+    einsum would sum the maps innermost, in another order), then runs of z
+    of whole values of its high bits.
     """
     if (chat is None) == (forms is None):
         raise ValueError("aggregation takes either decoded bits or forms")
@@ -354,24 +416,48 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
         raise ValueError(f"decoded input of shape {decoded.shape} does not "
                          f"match the {shape} of {k} projections of LLRs of "
                          f"shape {l.shape}")
+    m = n.bit_length() - 1
     columns = _coordinates_first(rows, n)
-    signs = (_coset_signs(cmap, chat, l.dtype, columns) if forms is None
-             else _form_signs(forms, n.bit_length() - 1, l.dtype, columns))
-    # the decoded input is not read again: freed before the sums, if the
-    # caller holds it no longer
-    del chat, forms, decoded
+    flat = l.reshape(rows, n)
+    if forms is None:
+        chat = chat.reshape(rows, k, n // 2)
     if not columns:
-        out = np.einsum("...tz,...tz->...z", *signs,
-                        _partners(l.reshape(-1, n), cmap).reshape(
-                            rows, k, n))
+        width, tiles = _row_tiles(rows, n, k, l.itemsize, forms is None,
+                                  fod.BUILD_BYTES)
+        out = np.empty((rows, n), dtype=l.dtype)
+        for z, runs, block in tiles:
+            signs = (_coset_signs(cmap, chat[block], l.dtype, False, z)
+                     if forms is None else
+                     _form_signs(forms[block], m, l.dtype, False, z))
+            np.einsum("rtz,rtz->rz", *signs, _partners(
+                flat[block], cmap.partner_of_runs[:, runs]).reshape(
+                    -1, k, width), out=out[block, z])
         out /= k
         return out.reshape(lead + (n,))
-    sizes = tuple(len(factor) for factor in signs)
-    cols = np.ascontiguousarray(l.reshape(rows, n).T)
-    partners = cols.take(cmap.partner_of.T, axis=0).reshape(sizes + (k, rows))
-    # one letter per factor for its bits of z: "abtr,atr,btr->abr"
-    z = "abcdefgh"[:len(signs)]
-    out = np.einsum(f"{z}tr,{','.join(c + 'tr' for c in z)}->{z}r",
-                    partners, *signs)
+    out = np.empty((n, rows), dtype=l.dtype)
+    # one value of the high bits of z, over which the low-bit factor runs
+    unit = 1 << (m - m // 2)
+    step = _step(k * l.itemsize * unit, 2)
+    for first in range(0, rows - 1, step):
+        # the last block takes a lone last row
+        block = slice(first, first + step if first + step < rows - 1
+                      else rows)
+        cols = np.ascontiguousarray(flat[block].T)
+        factors = (None if forms is None else
+                   _form_signs(forms[block], m, l.dtype, True))
+        width = min(n, 1 << (_step(k * l.itemsize * cols.shape[1], unit)
+                             .bit_length() - 1))
+        for start in range(0, n, width):
+            z = slice(start, start + width)
+            signs = (_coset_signs(cmap, chat[block], l.dtype, True, z)
+                     if forms is None else
+                     (factors[0][start // unit:z.stop // unit], factors[1]))
+            sizes = tuple(len(factor) for factor in signs)
+            # one letter per factor for its bits of z: "abtr,atr,btr->abr"
+            bits = "abcdefgh"[:len(signs)]
+            np.einsum(f"{bits}tr,{','.join(c + 'tr' for c in bits)}->{bits}r",
+                      cols.take(cmap.partner_of.T[z], axis=0).reshape(
+                          sizes + (k, cols.shape[1])), *signs,
+                      out=out[z, block].reshape(sizes + (cols.shape[1],)))
     out /= k
-    return out.reshape(n, rows).T.reshape(lead + (n,))
+    return out.T.reshape(lead + (n,))

@@ -587,6 +587,8 @@ CACHED_CALLS = {
     "decoder._stacked_maps": ((5, range(1, 32, 3)), True),
     "decoder._top_bits": ((range(1, 16),), True),
     "decoder._lift_table": ((5,), True),
+    "decoder._map_chunks": ((5, range(1, 32, 3), 4, 1 << 18), True),
+    "geometry._row_tiles": ((4, 64, 7, 4, True, 1 << 18), False),
     "decoder._shared_quotients": ((6, range(1, 64, 2), range(1, 32, 3)),
                                   True),
     "decoder.decode_plan": ((CodeParams(6, 3), preset("rpa")), False),
@@ -612,3 +614,51 @@ def test_every_cached_array_is_read_only():
         assert bool(arrays) == hands_out_arrays, name
         assert not any(a.flags.writeable for a in arrays), name
     assert not _form_table(4, np.uint8).flags.writeable
+
+
+@pytest.mark.parametrize("m, rows, count", [
+    (8, 14, 144),   # the headline's level 3: row-major, tiles of z and rows
+    (9, 1, 511),    # one row whose signs exceed the budget: runs of z
+    (7, 42, 96),    # the headline's level 2: coordinates first
+    (5, 101, 31),   # coordinates first, blocks of rows
+])
+def test_the_kernel_budget_changes_no_bit_of_a_kernel(m, rows, count,
+                                                      monkeypatch):
+    # every map goes into each sum in the order of the stack, whatever the
+    # tiles, so the projections and the aggregations of bits and of forms
+    # keep every bit with one item a chunk and with all in one
+    n = 1 << m
+    rng = np.random.default_rng(m)
+    l = (rng.normal(size=(rows, n)) * 3).astype(np.float32)
+    cmap = stack(m, select_projection_indices(n, count))
+    chat = rng.integers(0, 2, (rows, count, n // 2), dtype=np.uint8)
+    forms = rng.integers(0, 2 * n, (rows, count)).astype(np.uint16)
+
+    def kernels():
+        return [project_llr(l, cmap), project_llr(l[:1], cmap),
+                aggregate(l, cmap, chat=chat), aggregate(l, cmap, forms=forms)]
+
+    expected = kernels()
+    for build_bytes in (1, 1 << 40):
+        monkeypatch.setattr(rmpa.fod, "BUILD_BYTES", build_bytes)
+        for got, want in zip(kernels(), expected):
+            assert np.array_equal(bit_pattern(got), bit_pattern(want))
+
+
+def test_the_level_3_aggregation_holds_budget_sized_tiles():
+    # 14 rows of the headline's top node through 144 maps of n = 256: the
+    # signs and the partner LLRs were 2 MB each, and the coset index 295 KB
+    m, rows, count = 8, 14, 144
+    n = 1 << m
+    rng = np.random.default_rng(3)
+    l = rng.normal(size=(rows, n)).astype(np.float32)
+    cmap = stack(m, select_projection_indices(n, count))
+    chat = rng.integers(0, 2, (rows, count, n // 2), dtype=np.uint8)
+    aggregate(l, cmap, chat=chat)
+    tracemalloc.start()
+    try:
+        out = aggregate(l, cmap, chat=chat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * rmpa.fod.BUILD_BYTES

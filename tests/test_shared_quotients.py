@@ -113,7 +113,7 @@ def test_building_the_lift_table_holds_little_besides_it():
     finally:
         tracemalloc.stop()
     assert table.nbytes == 2 * 1023 * 1024
-    assert peak <= table.nbytes + 5 * geometry.BUILD_BYTES
+    assert peak <= table.nbytes + 5 * fod.BUILD_BYTES
 
 
 def test_counting_executed_fods_holds_no_share_table():
@@ -259,11 +259,9 @@ def test_the_shared_step_gives_each_spans_first_pair_its_own_forms():
         canon_t, canon_s, alias = decoder._shared_quotients(m, outer, first)
         assert len(canon_t) < alias.size
         shared = decoder._shared_forms(m, outer, first, proj, None).reshape(
-            rows, len(outer), len(first))
-        maps = decoder._stacked_maps(m - 1, first)
+            len(outer), rows, len(first)).swapaxes(0, 1)
         for t in np.unique(canon_t):
-            own = decoder._decode_lifted(proj[:, t], maps,
-                                         decoder._top_bits(first)[0])
+            own = decoder._decode_lifted(proj[:, t], m - 1, first)
             s = canon_s[canon_t == t]
             assert np.array_equal(shared[:, t, s], own[:, s])
 
