@@ -150,7 +150,7 @@ MAX_PLAN_STEPS = 1 << 15
 # temporary of a decode kernel in the block holds at most
 # rmpa.fod.BUILD_BYTES, a quarter of this, so a level-2 block's traced peak
 # is about this (1.05 MiB for RM(7,2) RPA on 128 frames and RM(6,2) on 256,
-# 1.12 MiB for RM(8,2) RPA on 64), and a level-3 block's about 2.6 times
+# 1.12 MiB for RM(8,2) RPA on 64), and a level-3 block's about 2.4 times
 # this (RM(8,3) MFP on 64 frames), as it holds its projections while the
 # shared step and the inner walk run.  Blocks change no result.
 BLOCK_BYTES = 1 << 20
@@ -243,7 +243,9 @@ def select_projection_indices(n: int, np_: int) -> range:
 def _converged(l_old: np.ndarray, l_new: np.ndarray, theta: float) -> bool:
     """The early-stopping test: every coordinate changed by less than theta
     * |old value|, in the dtype of the arrays, of one dtype and shape."""
-    return bool((np.abs(l_new - l_old) < theta * np.abs(l_old)).all())
+    change = np.subtract(l_new, l_old)
+    return bool(np.less(np.abs(change, out=change),
+                        theta * np.abs(l_old)).all())
 
 
 # The kept subspaces are strided, so their maps are views of the one coset
@@ -417,13 +419,14 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     inner.
 
     Soft projections commute, so the pairs that span one subspace decode one
-    quotient.  Its first pair is projected and decoded by the step of its
-    own level-2 decoder (_lifted_forms), a block of first pairs at a time
-    within BUILD_BYTES; the decoded form lifts to a form on F_2^m that is
-    zero on the span, and every pair reads it as a form on its own
-    F_2^(m-1).  The counter gets the FODs of every pair.  Where no
-    two pairs share a span this returns None: the level-2 decoders then
-    decode their own quotients."""
+    quotient.  Its first pair is projected and decoded as its own level-2
+    decoder's first step would (_decode_lifted), a block of first pairs at
+    a time within BUILD_BYTES; the decoded form lifts to a form on F_2^m
+    that is zero on the span, and every pair reads it as a form on its own
+    F_2^(m-1), its bit h dropped in the place of the gathered block.  The
+    counter gets the FODs of every pair.  Where no two pairs share a span
+    this returns None: the level-2 decoders then decode their own
+    quotients."""
     canon_t, canon_s, alias = _shared_quotients(m, outer, inner)
     if alias.size == len(canon_t):
         return None
@@ -454,9 +457,11 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
             half * k_b, rows).T
         reps = maps.reps.T[:, s] * k_b + (t - lo)
         partners = maps.partners.T[:, s] * k_b + (t - lo)
-        lifted[:, block] = _lifted(_lifted_forms(
-            flat, SimpleNamespace(reps=reps.T, partners=partners.T), j[s]),
-            m, i[t])
+        decoded = fht_decode(project_llr(flat, SimpleNamespace(
+            reps=reps.T, partners=partners.T)).swapaxes(0, 1).reshape(
+                -1, quarter))
+        lifted[:, block] = _lifted(_lifted(
+            decoded.reshape(len(s), rows).T, m - 1, j[s]), m, i[t])
     if counter is not None:
         counter.record(m - 2, rows * k * len(inner))
     # the forms on F_2^(m-1) are below 2^m: held in the fewest bytes, as the
@@ -476,13 +481,20 @@ def _decode_lifted(llr: np.ndarray, m: int, indices: range,
                    counter: FodCounter | None = None) -> np.ndarray:
     """A level-2 decoder's first step: the forms (rows, k) decoded from the
     projections of llr's rows onto the k maps of indices, of F_2^m, each
-    lifted to be zero on its map (_lifted); decoded map by map, a chunk of
-    maps at a time whose projections fit BUILD_BYTES (rmpa.fod._step)."""
-    lifted = np.empty((len(llr), len(indices)), dtype=_lift_table(m).dtype)
-    for chunk, maps, i in _map_chunks(m, indices, len(llr) * llr.itemsize,
-                                      fod.BUILD_BYTES):
-        lifted[:, chunk] = _lifted_forms(llr, maps, i, counter)
-    return lifted
+    lifted to be zero on its map (_lift); decoded map by map, a chunk of
+    maps at a time whose projections fit BUILD_BYTES (_map_chunks).  Each
+    chunk is projected (project_llr), decoded (fht_decode) and lifted by
+    one gather from the lift table at its maps' offsets; one chunk's forms
+    are the result."""
+    half = 1 << (m - 1)
+    lifted = []
+    for maps, offsets in _map_chunks(m, indices, len(llr) * llr.itemsize,
+                                     fod.BUILD_BYTES):
+        proj = project_llr(llr, maps)
+        forms = fht_decode(proj.swapaxes(0, 1).reshape(-1, half), counter)
+        lifted.append(_lift_table(m).take(
+            offsets + forms.reshape(len(offsets), len(llr)).T))
+    return lifted[0] if len(lifted) == 1 else np.concatenate(lifted, axis=1)
 
 
 # The walk decodes the same ranges of maps over and over: working their
@@ -491,25 +503,15 @@ def _decode_lifted(llr: np.ndarray, m: int, indices: range,
 def _map_chunks(m: int, indices: range, row_bytes: int,
                 budget: int) -> tuple:
     """The chunks of the maps of indices, of F_2^m, whose projections fit
-    BUILD_BYTES (_step), at row_bytes a projected coordinate, in order: a
-    slice of indices, its stacked maps and their i.  budget is
-    rmpa.fod.BUILD_BYTES, which _step reads, and keys the cache."""
+    BUILD_BYTES (_step), at row_bytes a projected coordinate, in order: the
+    chunk's stacked maps, and the offset (i - 1) * 2^m of each map i in the
+    lift table of m.  budget is rmpa.fod.BUILD_BYTES, which _step reads,
+    and keys the cache."""
     step = _step(row_bytes << (m - 1))
-    return tuple((slice(start, start + step),
-                  _stacked_maps(m, indices[start:start + step]),
-                  _top_bits(indices[start:start + step])[0])
+    return tuple((_stacked_maps(m, indices[start:start + step]),
+                  _read_only((_top_bits(indices[start:start + step])[0] - 1)
+                             << m)[0])
                  for start in range(0, len(indices), step))
-
-
-def _lifted_forms(llr: np.ndarray, maps, i: np.ndarray,
-                  counter: FodCounter | None = None) -> np.ndarray:
-    """The forms (rows, k) decoded from the projections of llr's rows
-    through the k maps i of F_2^m (index pairs), each lifted to be zero on
-    its i (_lifted), in one pass."""
-    proj = project_llr(llr, maps)
-    half = proj.shape[-1]
-    forms = fht_decode(proj.swapaxes(0, 1).reshape(-1, half), counter)
-    return _lifted(forms.reshape(len(i), len(llr)).T, half.bit_length(), i)
 
 
 def _shared_step(inner: DecodePlan) -> range | None:

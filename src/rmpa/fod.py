@@ -76,6 +76,16 @@ def _step(item_bytes: int, unit: int = 1) -> int:
     return max(unit, BUILD_BYTES // (item_bytes * unit or 1) * unit)
 
 
+@lru_cache(maxsize=256)
+def _chunks(items: int, item_bytes: int, budget: int) -> tuple:
+    """The chunks of items at item_bytes each that fit BUILD_BYTES (_step),
+    as slices in order, one (empty) where there are no items.  budget is
+    BUILD_BYTES, which keys the cache."""
+    step = _step(item_bytes)
+    return tuple(slice(start, start + step)
+                 for start in range(0, max(items, 1), step))
+
+
 def _digits(m: int, most: int) -> list:
     """The fewest digits of at most `most` bits that sum to m, as equal as
     can be, the widest first."""
@@ -178,8 +188,8 @@ def _form_rows(forms: np.ndarray, m: int, dtype) -> np.ndarray:
     Above FORM_TABLE_M bits a row is the combination of its rows over the
     high bits of z and the low FORM_TABLE_M bits (_form_parts)."""
     if m <= FORM_TABLE_M:
-        return np.take(_form_table(m, dtype), forms, axis=0)
-    high, low = (np.take(_form_table(bits, dtype), part, axis=0)
+        return _form_table(m, dtype).take(forms, axis=0)
+    high, low = (_form_table(bits, dtype).take(part, axis=0)
                  for bits, part in _form_parts(forms, m, FORM_TABLE_M))
     combine = np.bitwise_xor if dtype == np.uint8 else np.multiply
     return combine(high[..., :, None], low[..., None, :]).reshape(
@@ -220,38 +230,38 @@ def fht_decode(l: np.ndarray, counter: FodCounter | None = None) -> np.ndarray:
     W[a*] < 0.  The band is TIE_RTOL_FLOAT32 for float32 l and TIE_RTOL for
     any other, which is decoded in float64.  The search runs across the
     spectra, as columns of one array, a chunk of the vectors at a time
-    (_step).  Counts one FOD per vector.
+    (_chunks, worked out once per shape), and each chunk's forms are
+    gathered fresh: one chunk is the result.  Counts one FOD per vector.
     """
     l = float_array(l)
-    rtol = TIE_RTOL_FLOAT32 if l.dtype == np.float32 else TIE_RTOL
     n = l.shape[-1]
     if n < 2 or n & (n - 1):
         raise ValueError(f"length must be a power of two >= 2, got {n}")
     countdown, form_of_key = _band_keys(n)
     # |W| orders as its bits do, and an integer max is the faster one
-    signed = np.int32 if l.itemsize == 4 else np.int64
+    signed, scale = ((np.int32, 1.0 - TIE_RTOL_FLOAT32) if l.itemsize == 4
+                     else (np.int64, 1.0 - TIE_RTOL))
     batch = l.reshape(-1, n)
-    forms = np.empty(len(batch), dtype=form_of_key.dtype)
+    forms = []
     # a chunk of the vectors at a time, whose spectra fit BUILD_BYTES
-    step = _step(n * l.itemsize)
-    for start in range(0, len(batch), step):
-        w = _spectra(batch[start:start + step])
+    for rows in _chunks(len(batch), n * l.itemsize, BUILD_BYTES):
+        w = _spectra(batch[rows])
         # the signs of the spectra, then their magnitudes in their place
         neg = w < 0
         mag = np.abs(w, out=w)
         peak = np.maximum.reduce(mag.view(signed), axis=0).view(mag.dtype)
-        peak *= 1.0 - rtol
+        peak *= scale
         # a* has the largest key, 2 * (n - a) + (W[a] < 0) in the band and
         # at most 1 outside it.  The band's bools are bytes 0 and 1, scaled
         # where they lie when the keys fit a byte (n < 128), else into
         # wider keys
         key = np.greater_equal(mag, peak).view(np.uint8)
-        key = np.multiply(key, countdown,
-                          out=key if key.dtype == countdown.dtype else None)
-        key += neg.view(np.uint8)
+        key = np.multiply(key, countdown, out=key if n < 128 else None)
+        np.add(key, neg, out=key)
         # every key names a form, so the gather runs unchecked
-        form_of_key.take(np.maximum.reduce(key, axis=0), mode="wrap",
-                         out=forms[start:start + step])
+        forms.append(form_of_key.take(np.maximum.reduce(key, axis=0),
+                                      mode="wrap"))
     if counter is not None:
         counter.record(n.bit_length() - 1, count=len(batch))
+    forms = forms[0] if len(forms) == 1 else np.concatenate(forms)
     return forms.reshape(l.shape[:-1] + (1,))

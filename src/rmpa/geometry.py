@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import fod
-from .fod import (_form_parts, _form_rows, _form_table, _parity, _read_only,
-                  _step, float_array)
+from .fod import (_chunks, _form_parts, _form_rows, _form_table, _parity,
+                  _read_only, _step, float_array)
 
 # Natural-log LLR saturation.  Beyond exp(-30) the error probabilities are
 # numerically irrelevant at the simulated SNRs, and the projection's
@@ -76,7 +76,13 @@ def insert_zero_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def drop_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return (z >> (h + 1) << h) | (z & ((1 << h) - 1))
+    """z with bit h taken out, in z's place: z is overwritten, and only its
+    low bits are copied."""
+    low = z & ((1 << h) - 1)
+    z >>= h + 1
+    z <<= h
+    z |= low
+    return z
 
 
 # The most low bits of z that a run of the row-major gathers keeps
@@ -92,9 +98,10 @@ def _run_bits(m: int) -> int:
 @lru_cache(maxsize=None)
 def _xor_index(m: int) -> np.ndarray:
     """The coordinates of the table that the row-major gathers take runs of
-    (CosetMap), for b = _run_bits(m): z ^ a for each z and then each shift
-    a < 2^b, the representatives of the maps 2^h for h < b, and the
-    partners of the maps 1 ... 2^b - 1, one after the other; read-only."""
+    (CosetMap), for b = _run_bits(m), one run of 2^b a row: z ^ a for each
+    z and then each shift a < 2^b, the representatives of the maps 2^h for
+    h < b, and the partners of the maps 1 ... 2^b - 1, one after the
+    other; read-only."""
     b = _run_bits(m)
     z = np.arange(1 << m)
     c = z[:len(z) // 2]
@@ -102,7 +109,8 @@ def _xor_index(m: int) -> np.ndarray:
     return _read_only(np.concatenate([
         (z[:, None] ^ np.arange(1 << b)).ravel(),
         insert_zero_bit(c, np.arange(b)[:, None]).ravel(),
-        (insert_zero_bit(c, h[:, None]) ^ i[:, None]).ravel()]))[0]
+        (insert_zero_bit(c, h[:, None]) ^ i[:, None]).ravel()]).reshape(
+            -1, 1 << b))[0]
 
 
 def _runs(m: int, i: np.ndarray, h: np.ndarray, reps: np.ndarray,
@@ -178,11 +186,11 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     the signs go into one table of 2^b low-bit XOR shifts and low-bit maps
     (_xor_index), one value per index, and each map's operands are runs of
     2^b values of it (the map's run fields), a chunk of the rows of those
-    fields at a time.  Otherwise u and the signs are taken coordinates
-    first, as (n, rows) arrays of a chunk of the rows of l, so that each
-    of the four gathers copies a run of rows per index, a chunk of the
-    maps at a time.  Each gathered operand fits BUILD_BYTES
-    (rmpa.fod._step).
+    fields at a time (rmpa.fod._chunks, worked out once per shape).
+    Otherwise u and the signs are taken coordinates first, as (n, rows)
+    arrays of a chunk of the rows of l, so that each of the four gathers
+    copies a run of rows per index, a chunk of the maps at a time.  Each
+    gathered operand fits BUILD_BYTES (rmpa.fod._step).
     The result has shape l.shape[:-1] + (k, n/2) for k stacked maps (no k
     for one map) and is a view: with one row its memory holds the
     projections in the order of cmap's indices, and with more it holds
@@ -193,22 +201,20 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     lead, n = l.shape[:-1], l.shape[-1]
     if (l.size == n and isinstance(cmap, CosetMap)
             and cmap.partner_of.shape[-1] == n):
-        m = n.bit_length() - 1
+        row = l.reshape(n)
         w = np.empty((2, n), dtype=l.dtype)
-        np.exp(-np.minimum(np.abs(l.reshape(n)), LLR_CLAMP), out=w[0])
-        np.sign(l.reshape(n), out=w[1])
-        table = w.take(_xor_index(m), axis=1, mode="wrap").reshape(
-            2, -1, 1 << _run_bits(m))
+        u = np.minimum(np.abs(row, out=w[0]), LLR_CLAMP, out=w[0])
+        np.exp(np.negative(u, out=u), out=u)
+        np.sign(row, out=w[1])
+        table = w.take(_xor_index(n.bit_length() - 1), axis=1, mode="wrap")
         # a row of the run fields, a map's or one run of a map, projects
         # a row of out, and gathers u and the sign of its operands
-        out = np.empty(cmap.rep_runs.shape + table.shape[-1:], dtype=l.dtype)
-        step = _step(2 * out.strides[0])
-        for start in range(0, len(out), step):
-            a = table.take(cmap.rep_runs[start:start + step], axis=1,
-                           mode="wrap")
-            b = table.take(cmap.partner_runs[start:start + step], axis=1,
-                           mode="wrap")
-            part = _soft_xor(a[0], b[0], out[start:start + step])
+        runs, partner_runs = cmap.rep_runs, cmap.partner_runs
+        out = np.empty(runs.shape + table.shape[-1:], dtype=l.dtype)
+        for rows in _chunks(len(out), 2 * out.strides[0], fod.BUILD_BYTES):
+            a = table.take(runs[rows], axis=1, mode="wrap")
+            b = table.take(partner_runs[rows], axis=1, mode="wrap")
+            part = _soft_xor(a[0], b[0], out[rows])
             part *= a[1]
             part *= b[1]
         return out.reshape(lead + cmap.reps.shape)
@@ -277,21 +283,26 @@ def _coordinates_first(rows: int, n: int) -> bool:
     return rows > ROW_MAJOR_ROWS[m - 5]
 
 
-def _coset_signs(cmap: CosetMap, chat: np.ndarray, dtype, columns: bool,
-                 z: slice = slice(None)) -> tuple:
-    """The signs (-1)^chat[r, t, coset_t(z)] of the coordinates z of the
-    slice, from the decoded projection bits chat, (rows, k, n/2) for the k
-    stacked maps of cmap, in dtype: one array (rows, k, z) row-major, else
-    one factor (z, k, rows) if columns, coordinates first.  The bits are
-    gathered, a byte each, and then made 1 - 2 * bit, exact in dtype."""
+def _coset_index(cmap: CosetMap, z: slice = slice(None)) -> np.ndarray:
+    """The cosets of the coordinates z of the slice among the k * n/2
+    decoded bits of the k stacked maps of cmap, map t's from t * n/2, shape
+    (k, z).  None wraps, and a gather of one value per index runs faster
+    unchecked.  The maps' XOR structure does not pay here: a sign's coset
+    is z's own for half the coordinates and its partner's for the rest,
+    which needs each map's decoded bits shifted by its own i, one value per
+    index."""
     k, half = cmap.reps.shape
-    flat = chat.reshape(-1, k * half)
-    # the slice's cosets among the k * n/2 bits, map t's from t * n/2: none
-    # wraps, and a gather of one value per index runs faster unchecked.
-    # The maps' XOR structure does not pay here: a sign's coset is z's own
-    # for half the coordinates and its partner's for the rest, which needs
-    # each map's decoded bits shifted by its own i, one value per index.
-    cosets = cmap.coset_of[:, z] + np.arange(0, k * half, half)[:, None]
+    return cmap.coset_of[:, z] + np.arange(0, k * half, half)[:, None]
+
+
+def _coset_signs(chat: np.ndarray, cosets: np.ndarray, dtype,
+                 columns: bool) -> tuple:
+    """The signs (-1)^chat[r, t, coset] of the cosets (k, z) of
+    _coset_index, from the decoded projection bits chat, (rows, k, n/2), in
+    dtype: one array (rows, k, z) row-major, else one factor (z, k, rows)
+    if columns, coordinates first.  The bits are gathered, a byte each, and
+    then made 1 - 2 * bit, exact in dtype."""
+    flat = chat.reshape(-1, chat.shape[-2] * chat.shape[-1])
     if columns:
         bits = np.take(np.ascontiguousarray(flat.T), cosets.T, axis=0,
                        mode="wrap")
@@ -327,19 +338,6 @@ def _form_signs(forms: np.ndarray, m: int, dtype, columns: bool,
     return (low,)
 
 
-def _partners(rows: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """The partner LLRs rows[:, z ^ i] of k maps i through their XOR
-    structure, (rows, k, r, L), for the runs (k, r) of the maps'
-    partner_of_runs, L = 2^_run_bits(m): each row's low-bit XOR shifts,
-    one value per index, and then runs of L of them.  The indices are in
-    range as built, so the gathers run unchecked, which is faster."""
-    n = rows.shape[-1]
-    m = n.bit_length() - 1
-    run = 1 << _run_bits(m)
-    shifts = rows.take(_xor_index(m)[:run * n], axis=1, mode="wrap")
-    return shifts.reshape(len(rows), n, run).take(runs, axis=1, mode="wrap")
-
-
 # The walk aggregates blocks of a few shapes over and over: working a
 # shape's tiles out on every call cost the one-row RM(7,2) walk about 3% a
 # frame.
@@ -347,13 +345,14 @@ def _partners(rows: np.ndarray, runs: np.ndarray) -> np.ndarray:
 def _row_tiles(rows: int, n: int, k: int, itemsize: int, from_bits: bool,
                budget: int) -> tuple:
     """The tiles of a row-major aggregation of rows vectors of length n
-    through k maps, in order: the length of their runs of z, and slices of
-    z, of the runs of the maps' run fields over it, and of the rows.  Each
-    coordinate of a tile holds k signs, k partners and the 2^b XOR shifts
-    of its row, so a tile takes rows of aligned runs of z of a power of
-    two, all of z where a row fits; from bits, a run's coset index holds k
-    intp a coordinate for all the tile's rows.  budget is
-    rmpa.fod.BUILD_BYTES, which _step reads, and keys the cache."""
+    through k maps, in order: the length of their runs of z, and for each
+    run, slices of z and of the runs of the maps' run fields over it, and
+    the blocks of rows that it takes.  Each coordinate of a tile holds k
+    signs, k partners and the 2^b XOR shifts of its row, so a tile takes
+    rows of aligned runs of z of a power of two, all of z where a row fits;
+    from bits, a run's coset index holds k intp a coordinate for all of its
+    blocks.  budget is rmpa.fod.BUILD_BYTES, which _step reads, and keys
+    the cache."""
     run = 1 << _run_bits(n.bit_length() - 1)
     size = _step(max(k, run) * itemsize, run)
     most = min(size, _step(8 * k, run)) if from_bits else size
@@ -361,9 +360,9 @@ def _row_tiles(rows: int, n: int, k: int, itemsize: int, from_bits: bool,
     step = size // width
     return width, tuple((slice(start, start + width),
                          slice(start // run, (start + width) // run),
-                         slice(first, first + step))
-                        for start in range(0, n, width)
-                        for first in range(0, rows, step))
+                         tuple(slice(first, first + step)
+                               for first in range(0, rows, step)))
+                        for start in range(0, n, width))
 
 
 def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
@@ -385,16 +384,17 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     highest first, whose product is the sign, so that forms build no
     (rows, k, n) array.  The partner LLRs are gathered in the same layout:
     coordinates first as runs of rows, row-major through the maps' XOR
-    structure, each row's low-bit XOR shifts and then runs of them
-    (_partners).  One einsum, without its optimize path, multiplies and
-    sums them, with the sum over t outside the loop over the rows or over
-    z: the +-1 products are exact, and each output is summed t = 0, 1, ...
-    as the per-map loop sums it.
+    structure, each row's low-bit XOR shifts and then runs of them.  One
+    einsum, without its optimize path, multiplies and sums them, with the
+    sum over t outside the loop over the rows or over z: the +-1 products
+    are exact, and each output is summed t = 0, 1, ... as the per-map loop
+    sums it.
 
     Every map goes into each sum, and the outputs go a tile of rows and of
     z at a time, each of its temporaries within BUILD_BYTES
     (rmpa.fod._step): row-major, aligned runs of z of a power of two (all
-    of z when a row's signs and its coset index fit), then blocks of rows;
+    of z when a row's signs and its coset index fit), whose coset index
+    and partner runs serve each of its blocks of rows (_row_tiles);
     coordinates first, blocks of at least two rows (over one row the
     einsum would sum the maps innermost, in another order), then runs of z
     of whole values of its high bits.
@@ -424,14 +424,22 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     if not columns:
         width, tiles = _row_tiles(rows, n, k, l.itemsize, forms is None,
                                   fod.BUILD_BYTES)
+        # the partners of a row: its low-bit XOR shifts, one value per
+        # index, and then the runs of them that the maps' run fields name,
+        # gathered unchecked, as the indices are in range as built
+        shifts = _xor_index(m)[:n]
         out = np.empty((rows, n), dtype=l.dtype)
-        for z, runs, block in tiles:
-            signs = (_coset_signs(cmap, chat[block], l.dtype, False, z)
-                     if forms is None else
-                     _form_signs(forms[block], m, l.dtype, False, z))
-            np.einsum("rtz,rtz->rz", *signs, _partners(
-                flat[block], cmap.partner_of_runs[:, runs]).reshape(
-                    -1, k, width), out=out[block, z])
+        for z, runs, blocks in tiles:
+            partner_runs = cmap.partner_of_runs[:, runs]
+            cosets = None if forms is not None else _coset_index(cmap, z)
+            for block in blocks:
+                signs = (_coset_signs(chat[block], cosets, l.dtype, False)
+                         if forms is None else
+                         _form_signs(forms[block], m, l.dtype, False, z))
+                partners = flat[block].take(shifts, axis=1, mode="wrap").take(
+                    partner_runs, axis=1, mode="wrap")
+                np.einsum("rtz,rtz->rz", *signs,
+                          partners.reshape(-1, k, width), out=out[block, z])
         out /= k
         return out.reshape(lead + (n,))
     out = np.empty((n, rows), dtype=l.dtype)
@@ -449,7 +457,8 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
                              .bit_length() - 1))
         for start in range(0, n, width):
             z = slice(start, start + width)
-            signs = (_coset_signs(cmap, chat[block], l.dtype, True, z)
+            signs = (_coset_signs(chat[block], _coset_index(cmap, z),
+                                  l.dtype, True)
                      if forms is None else
                      (factors[0][start // unit:z.stop // unit], factors[1]))
             sizes = tuple(len(factor) for factor in signs)

@@ -290,7 +290,8 @@ def test_the_kernels_equal_the_per_map_loops_bit_for_bit(inputs):
     columns = geometry._coordinates_first(len(l), 1 << m)
     for bits, decoded_input, signs in [
             (chat, {"chat": chat},
-             geometry._coset_signs(cmap, chat, l.dtype, columns)),
+             geometry._coset_signs(chat, geometry._coset_index(cmap),
+                                   l.dtype, columns)),
             (form_bits, {"forms": forms},
              geometry._form_signs(forms, m, l.dtype, columns))]:
         want = coset_signs_per_map(m, indices, bits, l.dtype)
@@ -584,6 +585,7 @@ CACHED_CALLS = {
     "geometry.coset_table": ((5,), True),
     "fod._form_table": ((4, np.float32), True),
     "fod._band_keys": ((64,), True),
+    "fod._chunks": ((10, 256, 1 << 18), False),
     "decoder._stacked_maps": ((5, range(1, 32, 3)), True),
     "decoder._top_bits": ((range(1, 16),), True),
     "decoder._lift_table": ((5,), True),

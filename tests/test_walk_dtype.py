@@ -38,7 +38,8 @@ def test_each_kernel_computes_in_its_input_dtype(dtype, monkeypatch):
     forms = rng.integers(0, 2 * n, size=(3, 3))
     # the signs aggregate builds, in each layout, and its sums
     for columns in (False, True):
-        for signs in (geometry._coset_signs(cmap, chat, l.dtype, columns)
+        cosets = geometry._coset_index(cmap)
+        for signs in (geometry._coset_signs(chat, cosets, l.dtype, columns)
                       + geometry._form_signs(forms, m, l.dtype, columns)):
             assert signs.dtype == dtype
     assert aggregate(l, cmap, chat=chat).dtype == dtype
