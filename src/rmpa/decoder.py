@@ -43,7 +43,7 @@ import numpy as np
 
 from . import fod
 from .codes import CodeParams, _is_int
-from .fod import (FodCounter, _parity, _read_only, _step, fht_decode,
+from .fod import (FodCounter, _chunks, _parity, _read_only, fht_decode,
                   form_bits)
 from .geometry import (CosetMap, aggregate, clamp_llr,
                        coset_table, drop_bit, insert_zero_bit, project_llr,
@@ -119,8 +119,8 @@ class DecodePlan:
     the first-order-decoding cost of one decode with early stopping off;
     row_bytes is the size, in WALK_DTYPE, of the projections one row holds
     at this node: those of its largest iteration, each 2^(m-1) long (at
-    r == 1, the row itself).  It does not count the inner nodes, which
-    block their own rows."""
+    r == 1, the row itself), by which _walk blocks the node's rows within
+    4 * rmpa.fod.BUILD_BYTES; inner nodes block their own rows."""
 
     m: int
     steps: tuple
@@ -145,15 +145,6 @@ WALK_DTYPE = np.dtype(np.float32)
 # second at most on a 2-core x86 host.  RM(8,3) rpa_sch may run n_max 180
 # at d = 101/100 and 3,640 at d = 2, and full RPA on RM(12,2) 32,768.
 MAX_PLAN_STEPS = 1 << 15
-# Bytes of projections one block of rows may hold at a node (row_bytes per
-# row); the node's inner walk takes those rows in blocks of its own.  Each
-# temporary of a decode kernel in the block holds at most
-# rmpa.fod.BUILD_BYTES, a quarter of this, so a level-2 block's traced peak
-# is about this (1.05 MiB for RM(7,2) RPA on 128 frames and RM(6,2) on 256,
-# 1.12 MiB for RM(8,2) RPA on 64), and a level-3 block's about 2.4 times
-# this (RM(8,3) MFP on 64 frames), as it holds its projections while the
-# shared step and the inner walk run.  Blocks change no result.
-BLOCK_BYTES = 1 << 20
 
 # Each decoder: the keys it takes and the factor triple they give.  A
 # schedule keeps the factors at 1 and sets fixed counts per level instead.
@@ -353,9 +344,7 @@ def _lift_table(m: int) -> np.ndarray:
     i, h = top_bits(range(1, n))
     table = np.empty((n - 1, n), dtype=np.min_scalar_type(2 * n - 1))
     f = np.arange(n)
-    step = _step(n * f.itemsize)
-    for start in range(0, n - 1, step):
-        block = slice(start, start + step)
+    for block in _chunks(n - 1, n * f.itemsize, 1, fod.BUILD_BYTES):
         table[block] = _lift(f, h[block, None], i[block, None])
     return _read_only(table)[0].ravel()
 
@@ -436,11 +425,14 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     j = _top_bits(inner)[0]
     maps = _stacked_maps(m - 1, inner)
     lifted = np.empty((rows, len(canon_t)), dtype=_lift_table(m).dtype)
-    # Each temporary of a block fits BUILD_BYTES (rmpa.fod._step): its
-    # pairs' two index arrays, their projections, gathered operands and
-    # spectra, and the copy of the maps of proj that it reads.
-    step = _step(quarter * max(maps.reps.itemsize, rows * proj.itemsize))
-    most = _step(half * rows * proj.itemsize)
+    # Each temporary of a block fits BUILD_BYTES: its pairs' two index
+    # arrays, their projections, gathered operands and spectra, and the copy
+    # of the maps of proj that it reads.  Bounded twice, the blocks are not
+    # the planner's: each is at most one chunk of pairs and of maps of proj
+    step = _chunks(len(canon_t), quarter * max(
+        maps.reps.itemsize, rows * proj.itemsize), 1, fod.BUILD_BYTES)[0].stop
+    most = _chunks(k, half * rows * proj.itemsize, 1,
+                   fod.BUILD_BYTES)[0].stop
     start = 0
     while start < len(canon_t):
         # The first pairs come in order of t, so this block reads only maps
@@ -470,10 +462,9 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     forms = np.empty((k, rows, len(inner)),
                      dtype=np.min_scalar_type((1 << m) - 1))
     h = h[:, None].astype(lifted.dtype)
-    step = _step(alias.size * lifted.itemsize)
-    for start in range(0, rows, step):
-        forms[:, start:start + step] = drop_bit(
-            lifted[start:start + step, alias], h).swapaxes(0, 1)
+    for block in _chunks(rows, alias.size * lifted.itemsize, 1,
+                         fod.BUILD_BYTES):
+        forms[:, block] = drop_bit(lifted[block, alias], h).swapaxes(0, 1)
     return forms.reshape(k * rows, len(inner))
 
 
@@ -503,15 +494,13 @@ def _decode_lifted(llr: np.ndarray, m: int, indices: range,
 def _map_chunks(m: int, indices: range, row_bytes: int,
                 budget: int) -> tuple:
     """The chunks of the maps of indices, of F_2^m, whose projections fit
-    BUILD_BYTES (_step), at row_bytes a projected coordinate, in order: the
-    chunk's stacked maps, and the offset (i - 1) * 2^m of each map i in the
-    lift table of m.  budget is rmpa.fod.BUILD_BYTES, which _step reads,
-    and keys the cache."""
-    step = _step(row_bytes << (m - 1))
-    return tuple((_stacked_maps(m, indices[start:start + step]),
-                  _read_only((_top_bits(indices[start:start + step])[0] - 1)
-                             << m)[0])
-                 for start in range(0, len(indices), step))
+    budget bytes (rmpa.fod._chunks), at row_bytes a projected coordinate,
+    in order: the chunk's stacked maps, and the offset (i - 1) * 2^m of
+    each map i in the lift table of m.  budget is rmpa.fod.BUILD_BYTES."""
+    return tuple((_stacked_maps(m, indices[maps]),
+                  _read_only((_top_bits(indices[maps])[0] - 1) << m)[0])
+                 for maps in _chunks(len(indices), row_bytes << (m - 1), 1,
+                                     budget))
 
 
 def _shared_step(inner: DecodePlan) -> range | None:
@@ -529,18 +518,22 @@ def _walk(node: DecodePlan, llr: np.ndarray, counter: FodCounter | None,
     level-3 node whose pairs repeat a span passes its level-2 decoders the
     forms of their first iteration (_shared_forms), (batch, k) of them.
 
-    The rows go through in blocks: as many rows as keep the block's
-    projections at this node within BLOCK_BYTES, and at least one.  Each
-    block runs every iteration before the next block starts."""
+    The rows go through in blocks, the chunks of them whose projections at
+    this node fit 4 * BUILD_BYTES (rmpa.fod._chunks), each kernel temporary
+    a quarter of that: a level-2 block's traced peak is about its budget
+    (1.05 MiB for RM(7,2) RPA on 128 frames and RM(6,2) on 256, 1.12 MiB
+    for RM(8,2) RPA on 64), and a level-3 block's 2.4 times it (RM(8,3) MFP
+    on 64 frames), as it holds its projections while the shared step and
+    the inner walk run.  A block runs every iteration before the next one
+    starts, and blocks change no result."""
     if not node.steps:
         return form_bits(fht_decode(llr, counter), node.m), 0, False
-    rows = max(1, BLOCK_BYTES // node.row_bytes)
-    if len(llr) > rows:
+    blocks = _chunks(len(llr), node.row_bytes, 1, 4 * fod.BUILD_BYTES)
+    if len(blocks) > 1:
         return np.concatenate([
-            _walk(node, llr[start:start + rows], counter,
-                  forms=None if forms is None else forms[start:start + rows]
-                  )[0]
-            for start in range(0, len(llr), rows)]), len(node.steps), False
+            _walk(node, llr[rows], counter,
+                  forms=None if forms is None else forms[rows])[0]
+            for rows in blocks]), len(node.steps), False
     iterations, converged = 0, False
     for iterations, (indices, inner) in enumerate(node.steps, 1):
         cmap = _stacked_maps(node.m, indices)

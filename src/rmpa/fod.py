@@ -65,24 +65,20 @@ def float_array(values) -> np.ndarray:
 
 
 # Each temporary of a table build or of a decode kernel holds at most this
-# many bytes, whatever the code and the batch: the work goes a chunk at a
-# time along an axis whose outputs are independent (_step).
+# many bytes, whatever the code and the batch, and a block of the decode
+# walk's rows 4 times this: the work goes a chunk at a time along an axis
+# whose outputs are independent (_chunks).
 BUILD_BYTES = 1 << 18
 
 
-def _step(item_bytes: int, unit: int = 1) -> int:
-    """How many items of item_bytes each one chunk takes: as many as fit
-    BUILD_BYTES, in whole units and at least one unit."""
-    return max(unit, BUILD_BYTES // (item_bytes * unit or 1) * unit)
-
-
 @lru_cache(maxsize=256)
-def _chunks(items: int, item_bytes: int, budget: int) -> tuple:
-    """The chunks of items at item_bytes each that fit BUILD_BYTES (_step),
-    as slices in order, one (empty) where there are no items.  budget is
-    BUILD_BYTES, which keys the cache."""
-    step = _step(item_bytes)
-    return tuple(slice(start, start + step)
+def _chunks(items: int, item_bytes: int, unit: int, budget: int) -> tuple:
+    """The chunks of items at item_bytes each, as slices in order: each
+    takes as many items as fit budget bytes, in whole units and at least
+    one unit, and one (empty) chunk stands where there are no items.  Every
+    budgeted loop of rmpa iterates these, so each shape is worked out once."""
+    step = max(unit, budget // (item_bytes * unit or 1) * unit)
+    return tuple(slice(start, min(start + step, items))
                  for start in range(0, max(items, 1), step))
 
 
@@ -244,7 +240,7 @@ def fht_decode(l: np.ndarray, counter: FodCounter | None = None) -> np.ndarray:
     batch = l.reshape(-1, n)
     forms = []
     # a chunk of the vectors at a time, whose spectra fit BUILD_BYTES
-    for rows in _chunks(len(batch), n * l.itemsize, BUILD_BYTES):
+    for rows in _chunks(len(batch), n * l.itemsize, 1, BUILD_BYTES):
         w = _spectra(batch[rows])
         # the signs of the spectra, then their magnitudes in their place
         neg = w < 0

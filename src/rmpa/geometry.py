@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fod
 from .fod import (_chunks, _form_parts, _form_rows, _form_table, _parity,
-                  _read_only, _step, float_array)
+                  _read_only, float_array)
 
 # Natural-log LLR saturation.  Beyond exp(-30) the error probabilities are
 # numerically irrelevant at the simulated SNRs, and the projection's
@@ -143,9 +143,7 @@ def _build_coset_table(m: int) -> CosetMap:
                                     runs // 2, runs // 2, runs)))
     z = np.arange(n)
     # a block of maps at a time, each temporary within rmpa.fod.BUILD_BYTES
-    step = _step(n * z.itemsize)
-    for start in range(0, i.size, step):
-        block = slice(start, start + step)
+    for block in _chunks(i.size, n * z.itemsize, 1, fod.BUILD_BYTES):
         reps, partners, coset_of, partner_of, *run_fields = vars(
             stack[block]).values()
         ib, hb = i[block, None], h[block, None]
@@ -186,11 +184,10 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     the signs go into one table of 2^b low-bit XOR shifts and low-bit maps
     (_xor_index), one value per index, and each map's operands are runs of
     2^b values of it (the map's run fields), a chunk of the rows of those
-    fields at a time (rmpa.fod._chunks, worked out once per shape).
-    Otherwise u and the signs are taken coordinates first, as (n, rows)
-    arrays of a chunk of the rows of l, so that each of the four gathers
-    copies a run of rows per index, a chunk of the maps at a time.  Each
-    gathered operand fits BUILD_BYTES (rmpa.fod._step).
+    fields at a time.  Otherwise u and the signs are taken coordinates
+    first, as (n, rows) arrays of a chunk of the rows of l, so that each of
+    the four gathers copies a run of rows per index, a chunk of the maps at
+    a time.  Each gathered operand fits BUILD_BYTES (rmpa.fod._chunks).
     The result has shape l.shape[:-1] + (k, n/2) for k stacked maps (no k
     for one map) and is a view: with one row its memory holds the
     projections in the order of cmap's indices, and with more it holds
@@ -211,7 +208,8 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
         # a row of out, and gathers u and the sign of its operands
         runs, partner_runs = cmap.rep_runs, cmap.partner_runs
         out = np.empty(runs.shape + table.shape[-1:], dtype=l.dtype)
-        for rows in _chunks(len(out), 2 * out.strides[0], fod.BUILD_BYTES):
+        for rows in _chunks(len(out), 2 * out.strides[0], 1,
+                            fod.BUILD_BYTES):
             a = table.take(runs[rows], axis=1, mode="wrap")
             b = table.take(partner_runs[rows], axis=1, mode="wrap")
             part = _soft_xor(a[0], b[0], out[rows])
@@ -226,15 +224,12 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     columns = len(flat) > 1
     out = np.empty((half, len(reps), len(flat)) if columns
                    else (len(reps), half, len(flat)), dtype=l.dtype)
-    rows = _step(n * l.itemsize)
-    for first in range(0, len(flat), rows):
-        block = slice(first, first + rows)
+    for block in _chunks(len(flat), n * l.itemsize, 1, fod.BUILD_BYTES):
         cols = np.ascontiguousarray(flat[block].T)
         u = np.exp(-np.minimum(np.abs(cols), LLR_CLAMP))
         sign = np.sign(cols)
-        step = _step(half * cols.shape[1] * l.itemsize)
-        for start in range(0, len(reps), step):
-            maps = slice(start, start + step)
+        for maps in _chunks(len(reps), half * cols.shape[1] * l.itemsize, 1,
+                            fod.BUILD_BYTES):
             a, b = ((reps[maps].T.copy(), partners[maps].T.copy()) if columns
                     else (reps[maps], partners[maps]))
             part = _soft_xor(u.take(a, axis=0), u.take(b, axis=0),
@@ -347,22 +342,20 @@ def _row_tiles(rows: int, n: int, k: int, itemsize: int, from_bits: bool,
     """The tiles of a row-major aggregation of rows vectors of length n
     through k maps, in order: the length of their runs of z, and for each
     run, slices of z and of the runs of the maps' run fields over it, and
-    the blocks of rows that it takes.  Each coordinate of a tile holds k
-    signs, k partners and the 2^b XOR shifts of its row, so a tile takes
-    rows of aligned runs of z of a power of two, all of z where a row fits;
-    from bits, a run's coset index holds k intp a coordinate for all of its
-    blocks.  budget is rmpa.fod.BUILD_BYTES, which _step reads, and keys
-    the cache."""
+    the blocks of rows that it takes, chunks of budget bytes
+    (rmpa.fod._chunks).  Each coordinate of a tile holds k signs, k
+    partners and the 2^b XOR shifts of its row, so a tile takes rows of
+    aligned runs of z, of the widest power of two that a chunk of whole
+    runs holds (all of z where a row fits); from bits, a run's coset index
+    holds k intp a coordinate for all of its blocks.  budget is
+    rmpa.fod.BUILD_BYTES."""
     run = 1 << _run_bits(n.bit_length() - 1)
-    size = _step(max(k, run) * itemsize, run)
-    most = min(size, _step(8 * k, run)) if from_bits else size
-    width = min(n, 1 << (most.bit_length() - 1))
-    step = size // width
-    return width, tuple((slice(start, start + width),
-                         slice(start // run, (start + width) // run),
-                         tuple(slice(first, first + step)
-                               for first in range(0, rows, step)))
-                        for start in range(0, n, width))
+    size = max(k, run) * itemsize
+    most = max(size, 8 * k) if from_bits else size
+    width = 1 << (_chunks(n, most, run, budget)[0].stop.bit_length() - 1)
+    blocks = _chunks(rows, width * size, 1, budget)
+    return width, tuple((z, slice(z.start // run, z.stop // run), blocks)
+                        for z in _chunks(n, most, width, budget))
 
 
 def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
@@ -391,8 +384,8 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     sums it.
 
     Every map goes into each sum, and the outputs go a tile of rows and of
-    z at a time, each of its temporaries within BUILD_BYTES
-    (rmpa.fod._step): row-major, aligned runs of z of a power of two (all
+    z at a time, each of its temporaries within BUILD_BYTES (the chunks of
+    rmpa.fod._chunks): row-major, aligned runs of z of a power of two (all
     of z when a row's signs and its coset index fit), whose coset index
     and partner runs serve each of its blocks of rows (_row_tiles);
     coordinates first, blocks of at least two rows (over one row the
@@ -445,22 +438,20 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     out = np.empty((n, rows), dtype=l.dtype)
     # one value of the high bits of z, over which the low-bit factor runs
     unit = 1 << (m - m // 2)
-    step = _step(k * l.itemsize * unit, 2)
-    for first in range(0, rows - 1, step):
-        # the last block takes a lone last row
-        block = slice(first, first + step if first + step < rows - 1
-                      else rows)
+    # blocks of two rows or more: the chunks of all rows but the last, and
+    # the last chunk takes that row too
+    *blocks, last = _chunks(rows - 1, k * l.itemsize * unit, 2,
+                            fod.BUILD_BYTES)
+    for block in (*blocks, slice(last.start, rows)):
         cols = np.ascontiguousarray(flat[block].T)
         factors = (None if forms is None else
                    _form_signs(forms[block], m, l.dtype, True))
-        width = min(n, 1 << (_step(k * l.itemsize * cols.shape[1], unit)
-                             .bit_length() - 1))
-        for start in range(0, n, width):
-            z = slice(start, start + width)
+        for z in _chunks(n, k * l.itemsize * cols.shape[1], unit,
+                         fod.BUILD_BYTES):
             signs = (_coset_signs(chat[block], _coset_index(cmap, z),
                                   l.dtype, True)
                      if forms is None else
-                     (factors[0][start // unit:z.stop // unit], factors[1]))
+                     (factors[0][z.start // unit:z.stop // unit], factors[1]))
             sizes = tuple(len(factor) for factor in signs)
             # one letter per factor for its bits of z: "abtr,atr,btr->abr"
             bits = "abcdefgh"[:len(signs)]

@@ -16,9 +16,10 @@ from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   preset, select_projection_indices)
 from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa import decoder
-from rmpa.decoder import _converged, _stacked_maps
-from rmpa.geometry import (CosetMap, _build_coset_table, _run_bits,
-                           clamp_llr, coset_table, project_llr)
+from rmpa.decoder import _converged, _map_chunks, _stacked_maps
+from rmpa.fod import _chunks
+from rmpa.geometry import (CosetMap, _build_coset_table, _row_tiles,
+                           _run_bits, clamp_llr, coset_table, project_llr)
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
@@ -658,13 +659,12 @@ def test_decode_batch_matches_per_frame(m):
 @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
 def test_block_size_changes_no_result(block_bytes, monkeypatch):
     # the default budget splits RM(7,2) RPA into blocks of 32 frames; the
-    # kernels' budget goes with it, so that every kernel takes one item a
-    # chunk, or all of its input in one
+    # walk's blocks go with the kernels' budget, so that one row a block
+    # and one item a kernel chunk, or all of the input in one, decode alike
     p = CodeParams(7, 2)
     llrs = np.random.default_rng(7).normal(size=(70, p.n)) * 2
     default = FodCounter()
     expected = decode_batch(llrs, p, preset("rpa"), default)
-    monkeypatch.setattr("rmpa.decoder.BLOCK_BYTES", block_bytes)
     monkeypatch.setattr("rmpa.fod.BUILD_BYTES", block_bytes)
     counter = FodCounter()
     assert np.array_equal(decode_batch(llrs, p, preset("rpa"), counter),
@@ -683,7 +683,6 @@ def test_block_size_changes_no_bit_of_the_headline_decode(block_bytes, frames,
     llrs = np.random.default_rng(9).normal(1.0, 1.0, (frames, p.n)) * 2
     default = FodCounter()
     expected = decode_batch(llrs, p, MFP_83, default)
-    monkeypatch.setattr("rmpa.decoder.BLOCK_BYTES", block_bytes)
     monkeypatch.setattr("rmpa.fod.BUILD_BYTES", block_bytes)
     counter = FodCounter()
     assert np.array_equal(decode_batch(llrs, p, MFP_83, counter), expected)
@@ -692,16 +691,18 @@ def test_block_size_changes_no_bit_of_the_headline_decode(block_bytes, frames,
 
 def test_a_budget_set_after_warm_caches_still_binds(monkeypatch):
     # the chunk plans are cached per shape and keyed on the budget, so a
-    # budget of one byte set after a decode has warmed them takes one map
-    # a chunk, as it would from cold caches
-    p = CodeParams(9, 2)
+    # budget of one byte set after decodes have warmed them takes one map
+    # a chunk and one row a block of the walk, as it would from cold caches
+    p, headline = CodeParams(9, 2), CodeParams(8, 3)
     cfg = preset("rpa", early_stop_theta=0.2)
     llr = np.random.default_rng(12).normal(1.0, 1.0, p.n) * 2
+    llrs = np.random.default_rng(13).normal(1.0, 1.0, (2, headline.n)) * 2
     decode(llr, p, cfg)
-    chunks = []
+    decode_batch(llrs, headline, MFP_83)
+    calls = []
 
     def recording(l, cmap):
-        chunks.append(len(cmap.reps))
+        calls.append((len(l), cmap.reps.shape))
         return project_llr(l, cmap)
 
     monkeypatch.setattr("rmpa.fod.BUILD_BYTES", 1)
@@ -709,7 +710,29 @@ def test_a_budget_set_after_warm_caches_still_binds(monkeypatch):
     indices = decode_plan(p, cfg).steps[0][0]
     row = clamp_llr(llr).astype(decoder.WALK_DTYPE)[None, :]
     decoder._decode_lifted(row, p.m, indices)
-    assert chunks == [1] * len(indices)
+    assert [shape[0] for _, shape in calls] == [1] * len(indices)
+    # the top node of RM(8,3) MFP took the 2 frames in one block when warmed
+    calls.clear()
+    decode_batch(llrs, headline, MFP_83)
+    top = [rows for rows, shape in calls if shape[-1] == headline.n // 2]
+    assert top == [1] * 2 * MFP_83.n_max
+
+
+def test_warm_decodes_find_every_chunk_plan_cached():
+    # every kernel and the walk share the planner's caches, so a warm decode
+    # must find its chunk plans there: from cleared caches, a one-row
+    # RM(7,2) RPA decode at theta = 0.05 fills 6 keys of rmpa.fod._chunks
+    # and a 64-frame RM(8,3) MFP batch 134, of its 256
+    p, headline = CodeParams(7, 2), CodeParams(8, 3)
+    llr = np.random.default_rng(14).normal(1.0, 1.0, p.n) * 2
+    llrs = np.random.default_rng(15).normal(1.0, 1.0, (64, headline.n)) * 2
+    caches = (_chunks, _row_tiles, _map_chunks)
+    for run in (partial(decode, llr, p, preset("rpa", early_stop_theta=0.05)),
+                partial(decode_batch, llrs, headline, MFP_83)):
+        run()
+        misses = [cache.cache_info().misses for cache in caches]
+        run()
+        assert [cache.cache_info().misses for cache in caches] == misses
 
 
 @pytest.mark.parametrize("build_bytes", [1, 1 << 40])

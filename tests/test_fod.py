@@ -113,7 +113,8 @@ def test_column_held_batches_decode_like_their_row_held_copy(m, dtype):
 
 # columns as the walk hands them on: at m' = 6 the RM(8,3) MFP walk's
 # widths, 42 rows by 32 or 96 level-2 maps and 14 rows by 227 pairs (one
-# shared-step block) or twice that; at m' = 7-12 blocks of BLOCK_BYTES
+# shared-step block) or twice that; at m' = 7-12 blocks of the walk's rows,
+# 4 * rmpa.fod.BUILD_BYTES (1 MiB)
 @pytest.mark.parametrize("m, columns", [(6, 42 * 32), (6, 42 * 96),
                                         (6, 14 * 227), (6, 14 * 455),
                                         (7, 2048), (8, 1024), (9, 512),

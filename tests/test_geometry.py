@@ -585,7 +585,7 @@ CACHED_CALLS = {
     "geometry.coset_table": ((5,), True),
     "fod._form_table": ((4, np.float32), True),
     "fod._band_keys": ((64,), True),
-    "fod._chunks": ((10, 256, 1 << 18), False),
+    "fod._chunks": ((10, 256, 1, 1 << 18), False),
     "decoder._stacked_maps": ((5, range(1, 32, 3)), True),
     "decoder._top_bits": ((range(1, 16),), True),
     "decoder._lift_table": ((5,), True),

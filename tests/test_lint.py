@@ -2,11 +2,11 @@
 standard library only: every imported name is used, no module makes a bare
 call at its top level or calls a function of its own on import, every
 top-level name of the package is read or exported, no take() writes to
-out= through numpy's buffer, every exported name exists, every exported
-name is read by the package or shown in the README's library example,
-every dotted rmpa.<module>.<name> in the README and in the package's
-docstrings and comments names something, and the change log stays a
-readable size."""
+out= through numpy's buffer, the chunk budget is only handed on to the
+planner, every exported name exists, every exported name is read by the
+package or shown in the README's library example, every dotted
+rmpa.<module>.<name> in the README and in the package's docstrings and
+comments names something, and the change log stays a readable size."""
 
 import ast
 import importlib
@@ -175,6 +175,49 @@ def test_no_take_writes_through_a_buffer(path):
     # write a chunk where it goes only with mode='wrap' or 'clip', whose
     # indices are known to be in range
     assert buffered_takes(path.read_text()) == []
+
+
+def budget_arithmetic(source: str) -> list:
+    """The lines that read BUILD_BYTES other than to hand it on as the
+    budget of a call: its last positional argument, alone or times an
+    integer.  Only rmpa.fod._chunks turns the budget into chunks, so that
+    no kernel plans its own."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    lines = []
+    for node in ast.walk(tree):
+        if (getattr(node, "id", getattr(node, "attr", None)) != "BUILD_BYTES"
+                or not isinstance(node.ctx, ast.Load)):
+            continue
+        arg, above = node, parent[node]
+        if isinstance(above, ast.BinOp) and isinstance(above.op, ast.Mult):
+            other = above.right if above.left is node else above.left
+            if isinstance(other, ast.Constant) and type(other.value) is int:
+                arg, above = above, parent[above]
+        if not (isinstance(above, ast.Call) and above.args
+                and above.args[-1] is arg):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_checker_finds_budget_arithmetic():
+    source = ("from . import fod\nfrom .fod import BUILD_BYTES, _chunks\n"
+              "for c in _chunks(9, 4, 1, fod.BUILD_BYTES):\n    pass\n"
+              "blocks = _chunks(9, 4, 1, 4 * BUILD_BYTES)\n"
+              "step = max(1, fod.BUILD_BYTES // 64)\n"
+              "for start in range(0, 9, BUILD_BYTES // 8):\n    pass\n"
+              "tiles = _chunks(9, 4, fod.BUILD_BYTES, 1)\n"
+              "limit = fod.BUILD_BYTES\nBUILD_BYTES = 1 << 18\n")
+    assert budget_arithmetic(source) == [6, 7, 9, 10]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_budget_is_only_handed_on(path):
+    # which chunk a kernel takes is one decision, rmpa.fod._chunks's: a
+    # kernel that divided the budget itself would be a second planner
+    assert budget_arithmetic(path.read_text()) == []
 
 
 def unread_names(sources, exported=()) -> list:

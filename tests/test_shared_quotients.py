@@ -270,7 +270,7 @@ def test_one_quotient_per_block_changes_no_bit(monkeypatch):
     params = CodeParams(6, 3)
     llrs = gaussian_rows(params, 2, 3)
     expected = decode_batch(llrs, params, preset("rpa"))
-    monkeypatch.setattr(decoder, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(fod, "BUILD_BYTES", 1)
     assert np.array_equal(decode_batch(llrs, params, preset("rpa")),
                           expected)
 
