@@ -246,9 +246,6 @@ def _stacked_maps(m: int, indices: range) -> CosetMap:
     return coset_table(m)[indices.start - 1:indices.stop - 1:indices.step]
 
 
-_top_bits = lru_cache(maxsize=128)(top_bits)
-
-
 @lru_cache(maxsize=64)
 def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     """The plan every decode of params under cfg walks.
@@ -360,9 +357,9 @@ def _spans(m: int, outer: range, inner: range) -> np.ndarray:
     (k_i, k_j): pair (t, s) projects onto i = outer[t], whose top bit is h,
     and then onto j = inner[s], which is the projection onto
     span{i, lift_h(j)}, named by two of its three nonzero members."""
-    i, h = _top_bits(outer)
+    i, h = top_bits(outer)
     i, h = i[:, None], h[:, None]
-    v = insert_zero_bit(_top_bits(inner)[0], h)
+    v = insert_zero_bit(top_bits(inner)[0], h)
     w = i ^ v
     return (np.minimum(np.minimum(i, v), w) << m) | np.maximum(
         np.maximum(i, v), w)
@@ -421,8 +418,8 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
         return None
     rows, k, half = proj.shape
     quarter = half // 2
-    i, h = _top_bits(outer)
-    j = _top_bits(inner)[0]
+    i, h = top_bits(outer)
+    j = top_bits(inner)[0]
     maps = _stacked_maps(m - 1, inner)
     lifted = np.empty((rows, len(canon_t)), dtype=_lift_table(m).dtype)
     # Each temporary of a block fits BUILD_BYTES: its pairs' two index
@@ -498,7 +495,7 @@ def _map_chunks(m: int, indices: range, row_bytes: int,
     in order: the chunk's stacked maps, and the offset (i - 1) * 2^m of
     each map i in the lift table of m.  budget is rmpa.fod.BUILD_BYTES."""
     return tuple((_stacked_maps(m, indices[maps]),
-                  _read_only((_top_bits(indices[maps])[0] - 1) << m)[0])
+                  _read_only((top_bits(indices[maps])[0] - 1) << m)[0])
                  for maps in _chunks(len(indices), row_bytes << (m - 1), 1,
                                      budget))
 

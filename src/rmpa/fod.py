@@ -107,15 +107,16 @@ def _spectra(batch: np.ndarray) -> np.ndarray:
     walk's column counts, one x86 core).  Up to CHAIN_M bits one product is
     faster than two digits.
 
-    A C-ordered batch is transformed up to RADIX_M bits by batch @ H, H
+    Any other batch is transformed up to RADIX_M bits by batch @ H, H
     symmetric, written through the transpose of the spectra: 9 us at the
-    one-row walk's 127 rows of 64 points, against 15 for H @ batch.T, which
-    any other batch takes.  Above it the digits of at most RADIX_M bits,
-    the widest lowest (4 + 3 bits for m = 7 measured faster than 6 + 1),
-    are each transformed row by row, and the spectra are the transpose of
-    the rows: for m = 8-11 at the one-row walk's shapes 1.4 to 2.5 times
-    faster than a copy into columns and the chain, and with the search 1.2
-    to 2.7 times faster than a spectrum-major copy."""
+    one-row walk's 127 rows of 64 points, against 15 for H @ batch.T, and
+    as fast as that on column-held batches of up to CHAIN_M bits, such as
+    the RM(4,1) leaves of a batch.  Above it the digits of at most RADIX_M
+    bits, the widest lowest (4 + 3 bits for m = 7 measured faster than
+    6 + 1), are each transformed row by row, and the spectra are the
+    transpose of the rows: for m = 8-11 at the one-row walk's shapes 1.4 to
+    2.5 times faster than a copy into columns and the chain, and with the
+    search 1.2 to 2.7 times faster than a spectrum-major copy."""
     rows, n = batch.shape
     m = n.bit_length() - 1
     if m > CHAIN_M and (batch.flags.f_contiguous
@@ -126,11 +127,9 @@ def _spectra(batch: np.ndarray) -> np.ndarray:
                             out.reshape(outer, 1 << c, -1))
             outer <<= c
         return out.reshape(n, rows)
-    if m <= RADIX_M and batch.flags.c_contiguous:
+    if m <= RADIX_M:
         out = np.empty((rows, n), batch.dtype, order="F")
         return np.matmul(batch, _form_table(m, batch.dtype)[:n], out=out).T
-    if m <= RADIX_M:
-        return _form_table(m, batch.dtype)[:n] @ batch.T
     digits = _digits(m, RADIX_M)
     done = digits[0]
     out = batch.reshape(-1, 1 << done) @ _form_table(done, batch.dtype)[

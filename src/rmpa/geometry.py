@@ -36,7 +36,7 @@ class CosetMap:
     A stack of k maps (rows of coset_table) has a leading axis of length k
     on every array, and each map numbers its own cosets from 0, so that any
     row slice of a stack is a stack: map[a:b:s] holds views (index arrays
-    copy).  Every index lies in [0, n), n the length of partner_of, as
+    copy).  Every index lies in [0, n), n the length of coset_of, as
     built: the kernels gather through a map of their vectors' length
     unchecked.
 
@@ -49,17 +49,16 @@ class CosetMap:
     n hold w at the representatives of the maps 2^h for h < b and at the
     partners of the maps 1 ... 2^b - 1.  Every map's operands are then runs
     of that table, which the run fields name: w[z ^ i] for the run of z
-    from a multiple of 2^b is run z ^ i, so partner_of_runs is partner_of
+    from a multiple of 2^b is run z ^ i, so partner_of_runs is z ^ i over z
     strided by 2^b, and so are rep_runs and partner_runs, reps and partners
     strided, for h >= b."""
 
     reps: np.ndarray      # canonical representatives, ascending (n/2,)
-    partners: np.ndarray  # reps ^ i (n/2,)
+    partners: np.ndarray  # reps ^ i (n/2,); partners[0] is i
     coset_of: np.ndarray  # coordinate z -> coset index (n,)
-    partner_of: np.ndarray  # coordinate z -> z ^ i (n,)
     rep_runs: np.ndarray  # the runs that hold w[reps] (n/2^(b+1),)
     partner_runs: np.ndarray  # those that hold w[partners] (n/2^(b+1),)
-    partner_of_runs: np.ndarray  # those that hold w[partner_of] (n/2^b,)
+    partner_of_runs: np.ndarray  # those that hold w[z ^ i] (n/2^b,)
 
     def __getitem__(self, rows) -> CosetMap:
         return CosetMap(*(a[rows] for a in vars(self).values()))
@@ -114,7 +113,7 @@ def _xor_index(m: int) -> np.ndarray:
 
 
 def _runs(m: int, i: np.ndarray, h: np.ndarray, reps: np.ndarray,
-          partners: np.ndarray, partner_of: np.ndarray) -> tuple:
+          partners: np.ndarray) -> tuple:
     """The run fields of CosetMap for the maps i, (k, 1), of top bits h and
     of the given index fields: indices of runs of 2^b values in the table
     of _xor_index(m)."""
@@ -129,7 +128,7 @@ def _runs(m: int, i: np.ndarray, h: np.ndarray, reps: np.ndarray,
     wide = h >= b
     return (np.where(wide, reps[:, ::run], rows + h * cosets),
             np.where(wide, partners[:, ::run], rows + (b + i - 1) * cosets),
-            partner_of[:, ::run])
+            np.arange(0, n, run) ^ i)
 
 
 def _build_coset_table(m: int) -> CosetMap:
@@ -139,27 +138,26 @@ def _build_coset_table(m: int) -> CosetMap:
     i, h = top_bits(range(1, n))
     runs = n >> _run_bits(m)
     stack = CosetMap(*(np.empty((i.size, size), dtype=np.intp)
-                       for size in (n // 2, n // 2, n, n,
+                       for size in (n // 2, n // 2, n,
                                     runs // 2, runs // 2, runs)))
     z = np.arange(n)
     # a block of maps at a time, each temporary within rmpa.fod.BUILD_BYTES
     for block in _chunks(i.size, n * z.itemsize, 1, fod.BUILD_BYTES):
-        reps, partners, coset_of, partner_of, *run_fields = vars(
-            stack[block]).values()
+        reps, partners, coset_of, *run_fields = vars(stack[block]).values()
         ib, hb = i[block, None], h[block, None]
         reps[...] = insert_zero_bit(z[:n // 2], hb)
         np.bitwise_xor(reps, ib, out=partners)
-        np.bitwise_xor(z, ib, out=partner_of)
-        coset_of[...] = drop_bit(np.minimum(z, partner_of), hb)
-        for field, values in zip(run_fields, _runs(m, ib, hb, reps, partners,
-                                                   partner_of)):
+        np.bitwise_xor(z, ib, out=coset_of)
+        drop_bit(np.minimum(z, coset_of, out=coset_of), hb)
+        for field, values in zip(run_fields, _runs(m, ib, hb, reps,
+                                                   partners)):
             field[...] = values
     return CosetMap(*_read_only(*vars(stack).values()))
 
 
 @lru_cache(maxsize=None)
 def coset_table(m: int) -> CosetMap:
-    """All n - 1 maps of F_2^m, built once: 24 n (n - 1) bytes and their
+    """All n - 1 maps of F_2^m, built once: 16 n (n - 1) bytes and their
     runs, 2 n (n - 1) more from m = 4; map i is row i - 1."""
     return _build_coset_table(m)
 
@@ -197,7 +195,7 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     l = float_array(l)
     lead, n = l.shape[:-1], l.shape[-1]
     if (l.size == n and isinstance(cmap, CosetMap)
-            and cmap.partner_of.shape[-1] == n):
+            and cmap.coset_of.shape[-1] == n):
         row = l.reshape(n)
         w = np.empty((2, n), dtype=l.dtype)
         u = np.minimum(np.abs(row, out=w[0]), LLR_CLAMP, out=w[0])
@@ -293,16 +291,15 @@ def _coset_index(cmap: CosetMap, z: slice = slice(None)) -> np.ndarray:
 def _coset_signs(chat: np.ndarray, cosets: np.ndarray, dtype,
                  columns: bool) -> tuple:
     """The signs (-1)^chat[r, t, coset] of the cosets (k, z) of
-    _coset_index, from the decoded projection bits chat, (rows, k, n/2), in
-    dtype: one array (rows, k, z) row-major, else one factor (z, k, rows)
-    if columns, coordinates first.  The bits are gathered, a byte each, and
-    then made 1 - 2 * bit, exact in dtype."""
-    flat = chat.reshape(-1, chat.shape[-2] * chat.shape[-1])
-    if columns:
-        bits = np.take(np.ascontiguousarray(flat.T), cosets.T, axis=0,
-                       mode="wrap")
-    else:
-        bits = np.take(flat, cosets, axis=-1, mode="wrap")
+    _coset_index, in dtype, from the decoded projection bits chat: row-major
+    chat is (rows, k, n/2) and the signs one array (rows, k, z); if columns,
+    coordinates first, chat is laid out (k * n/2, rows), as aggregate copies
+    a block's bits once, and the signs are one factor (z, k, rows).  The
+    bits are gathered, a byte each, and then made 1 - 2 * bit, exact in
+    dtype."""
+    bits = (np.take(chat, cosets.T, axis=0, mode="wrap") if columns else
+            np.take(chat.reshape(-1, chat.shape[-2] * chat.shape[-1]),
+                    cosets, axis=-1, mode="wrap"))
     sign = np.multiply(bits, -2, dtype=dtype)
     sign += 1
     return (sign,)
@@ -389,8 +386,9 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     of z when a row's signs and its coset index fit), whose coset index
     and partner runs serve each of its blocks of rows (_row_tiles);
     coordinates first, blocks of at least two rows (over one row the
-    einsum would sum the maps innermost, in another order), then runs of z
-    of whole values of its high bits.
+    einsum would sum the maps innermost, in another order), whose bits are
+    laid out coordinates first once, (k * n/2, rows), then runs of z of
+    whole values of its high bits.
     """
     if (chat is None) == (forms is None):
         raise ValueError("aggregation takes either decoded bits or forms")
@@ -398,9 +396,9 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     lead, n = l.shape[:-1], l.shape[-1]
     k = len(cmap.reps)
     rows = math.prod(lead)
-    if cmap.partner_of.shape[-1] != n:
+    if cmap.coset_of.shape[-1] != n:
         raise ValueError(f"LLRs of length {n} do not match maps of length "
-                         f"{cmap.partner_of.shape[-1]}")
+                         f"{cmap.coset_of.shape[-1]}")
     if k == 0:
         raise ValueError("aggregation needs at least one projection")
     decoded, shape = ((chat, lead + (k, n // 2)) if forms is None
@@ -439,24 +437,29 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     # one value of the high bits of z, over which the low-bit factor runs
     unit = 1 << (m - m // 2)
     # blocks of two rows or more: the chunks of all rows but the last, and
-    # the last chunk takes that row too
-    *blocks, last = _chunks(rows - 1, k * l.itemsize * unit, 2,
-                            fod.BUILD_BYTES)
+    # the last chunk takes that row too.  A row holds a unit of partners
+    # and, from bits, its k * n/2 bits laid out coordinates first
+    row_bytes = k * l.itemsize * unit
+    *blocks, last = _chunks(rows - 1, row_bytes if chat is None else max(
+        row_bytes, chat[0].nbytes), 2, fod.BUILD_BYTES)
+    # the partner of coordinate z through map t is z ^ i_t, i = partners[:, 0]
+    z_col, i = np.arange(n)[:, None], cmap.partners[:, 0]
     for block in (*blocks, slice(last.start, rows)):
         cols = np.ascontiguousarray(flat[block].T)
-        factors = (None if forms is None else
-                   _form_signs(forms[block], m, l.dtype, True))
+        decoded = (_form_signs(forms[block], m, l.dtype, True) if chat is None
+                   else np.ascontiguousarray(chat[block].reshape(
+                       -1, k * n // 2).T))
         for z in _chunks(n, k * l.itemsize * cols.shape[1], unit,
                          fod.BUILD_BYTES):
-            signs = (_coset_signs(chat[block], _coset_index(cmap, z),
-                                  l.dtype, True)
-                     if forms is None else
-                     (factors[0][z.start // unit:z.stop // unit], factors[1]))
+            signs = ((decoded[0][z.start // unit:z.stop // unit], decoded[1])
+                     if chat is None else
+                     _coset_signs(decoded, _coset_index(cmap, z), l.dtype,
+                                  True))
             sizes = tuple(len(factor) for factor in signs)
             # one letter per factor for its bits of z: "abtr,atr,btr->abr"
             bits = "abcdefgh"[:len(signs)]
             np.einsum(f"{bits}tr,{','.join(c + 'tr' for c in bits)}->{bits}r",
-                      cols.take(cmap.partner_of.T[z], axis=0).reshape(
+                      cols.take(z_col[z] ^ i, axis=0).reshape(
                           sizes + (k, cols.shape[1])), *signs,
                       out=out[z, block].reshape(sizes + (cols.shape[1],)))
     out /= k

@@ -84,8 +84,9 @@ def ml_decode_oracle(llr: np.ndarray, params: CodeParams) -> np.ndarray:
 def build_coset_map(m: int, i: int) -> SimpleNamespace:
     """The coset map of the one subspace {0, i}, from the definition: the
     cosets {z, z ^ i}, each named by its smaller member, in ascending order.
-    It has the index fields of a single rmpa.geometry.CosetMap, read-only,
-    as each map is built once."""
+    It has the index fields of a single rmpa.geometry.CosetMap and the
+    partner z ^ i of each coordinate z (partner_of), which CosetMap does not
+    store, read-only, as each map is built once."""
     n = 1 << m
     if not 1 <= i <= n - 1:
         raise ValueError(f"subspace index must be in [1, {n - 1}], got {i}")
@@ -103,8 +104,8 @@ def build_coset_map(m: int, i: int) -> SimpleNamespace:
 def mask_coset_maps(m: int, indices) -> SimpleNamespace:
     """The coset maps of the subspaces in indices, stacked along a first
     axis, from a mask: each row keeps its n/2 coordinates below their
-    partner, ascending, and numbers its cosets from 0.  It has the fields
-    of rmpa.geometry.CosetMap.
+    partner, ascending, and numbers its cosets from 0.  It has the index
+    fields of rmpa.geometry.CosetMap and partner_of, z ^ i.
 
     The reference that rmpa's bit-rule build is checked against."""
     n = 1 << m

@@ -375,7 +375,7 @@ def hollow_maps(m):
     n = 1 << m
     rows, runs = n - 1, n >> _run_bits(m)
     return CosetMap(*(np.broadcast_to(np.intp(0), (rows, size))
-                      for size in (n // 2, n // 2, n, n,
+                      for size in (n // 2, n // 2, n,
                                    runs // 2, runs // 2, runs)))
 
 
@@ -387,7 +387,7 @@ def hollow_maps(m):
 ])
 def test_cached_maps_are_one_table_per_m(record_tables, m, r, cfg):
     # ask for the maps of every step of every node, as the walk does, and
-    # count the tables built: at most one per m, of n - 1 maps of 24 n bytes
+    # count the tables built: at most one per m, of n - 1 maps of 16 n bytes
     built = record_tables(hollow_maps)
     plan = decode_plan(CodeParams(m, r), cfg)
     todo = [plan]
@@ -398,8 +398,8 @@ def test_cached_maps_are_one_table_per_m(record_tables, m, r, cfg):
             todo.append(inner)
     levels = [m - d for d in range(r - 1)]
     assert sorted(built) == sorted((k, (1 << k) - 1) for k in levels)
-    assert sum(24 * (1 << k) * rows for k, rows in built) <= sum(
-        24 * (1 << k) * ((1 << k) - 1) for k in levels)
+    assert sum(16 * (1 << k) * rows for k, rows in built) <= sum(
+        16 * (1 << k) * ((1 << k) - 1) for k in levels)
 
 
 def test_a_decode_builds_one_table_per_m(record_tables):

@@ -288,9 +288,11 @@ def test_the_kernels_equal_the_per_map_loops_bit_for_bit(inputs):
     assert np.array_equal(bit_pattern(got),
                           bit_pattern(project_per_map(l, m, indices)))
     columns = geometry._coordinates_first(len(l), 1 << m)
+    # coordinates first, the bits are laid out (k * n/2, rows)
+    laid_out = chat.reshape(len(chat), -1).T if columns else chat
     for bits, decoded_input, signs in [
             (chat, {"chat": chat},
-             geometry._coset_signs(chat, geometry._coset_index(cmap),
+             geometry._coset_signs(laid_out, geometry._coset_index(cmap),
                                    l.dtype, columns)),
             (form_bits, {"forms": forms},
              geometry._form_signs(forms, m, l.dtype, columns))]:
@@ -517,13 +519,15 @@ def test_stacked_maps_are_the_single_maps_with_offset_cosets():
                                  for m in range(1, 6)]
     for m, indices in cases:
         stacked = stack(m, indices)
-        # the partner of coordinate 0 is i
-        assert tuple(stacked.partner_of[:, 0]) == indices
-        for t, i in enumerate(indices):
-            single = build_coset_map(m, i)
+        # the partner of coordinate 0 is i, and of z, z ^ i
+        i = stacked.partners[:, :1]
+        assert tuple(i[:, 0]) == indices
+        partner_of = np.arange(1 << m) ^ i
+        for t, i_t in enumerate(indices):
+            single = build_coset_map(m, i_t)
             assert np.array_equal(stacked.reps[t], single.reps)
             assert np.array_equal(stacked.partners[t], single.partners)
-            assert np.array_equal(stacked.partner_of[t], single.partner_of)
+            assert np.array_equal(partner_of[t], single.partner_of)
             # each map numbers its own cosets, so row slices are stacks
             assert np.array_equal(stacked.coset_of[t], single.coset_of)
         l = np.random.default_rng(3).normal(size=(2, 1 << m))
@@ -531,13 +535,15 @@ def test_stacked_maps_are_the_single_maps_with_offset_cosets():
             [project_llr(l, build_coset_map(m, i)) for i in indices], axis=1))
 
 
-MAP_FIELDS = ("reps", "partners", "coset_of", "partner_of")
+MAP_FIELDS = ("reps", "partners", "coset_of")
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_strided_maps_are_rows_of_the_coset_table(m):
     # every strided set the pruning rule can keep, as a basic slice of the
-    # one table of m, equals the maps built for its indices by a mask
+    # one table of m, equals the maps built for its indices by a mask; the
+    # partners z ^ i of every coordinate are not stored, and the runs of
+    # them start at the multiples of 2^b
     n = 1 << m
     table = coset_table(m)
     masked = mask_coset_maps(m, range(1, n))
@@ -545,10 +551,16 @@ def test_strided_maps_are_rows_of_the_coset_table(m):
         indices = select_projection_indices(n, count)
         rows = slice(indices.start - 1, indices.stop - 1, indices.step)
         view = table[rows]
+        for name in MAP_FIELDS + ("partner_of_runs",):
+            assert np.shares_memory(getattr(view, name),
+                                    getattr(table, name))
         for name in MAP_FIELDS:
-            got = getattr(view, name)
-            assert np.shares_memory(got, getattr(table, name))
-            assert np.array_equal(got, getattr(masked, name)[rows])
+            assert np.array_equal(getattr(view, name),
+                                  getattr(masked, name)[rows])
+        partner_of = masked.partner_of[rows]
+        assert np.array_equal(np.arange(n) ^ view.partners[:, :1], partner_of)
+        assert np.array_equal(view.partner_of_runs,
+                              partner_of[:, ::1 << geometry._run_bits(m)])
 
 
 def test_building_the_coset_table_holds_little_besides_it():
@@ -561,8 +573,8 @@ def test_building_the_coset_table_holds_little_besides_it():
     finally:
         tracemalloc.stop()
     size = sum(a.nbytes for a in vars(table).values())
-    # 24 n bytes of maps and 2 n of runs (runs of 8 values) per map
-    assert size == 26 * 1024 * 1023
+    # 16 n bytes of maps and 2 n of runs (runs of 8 values) per map
+    assert size == 18 * 1024 * 1023
     assert peak <= 1.1 * size
     assert not any(a.flags.writeable for a in vars(table).values())
 
@@ -587,7 +599,6 @@ CACHED_CALLS = {
     "fod._band_keys": ((64,), True),
     "fod._chunks": ((10, 256, 1, 1 << 18), False),
     "decoder._stacked_maps": ((5, range(1, 32, 3)), True),
-    "decoder._top_bits": ((range(1, 16),), True),
     "decoder._lift_table": ((5,), True),
     "decoder._map_chunks": ((5, range(1, 32, 3), 4, 1 << 18), True),
     "geometry._row_tiles": ((4, 64, 7, 4, True, 1 << 18), False),
@@ -664,3 +675,24 @@ def test_the_level_3_aggregation_holds_budget_sized_tiles():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 4 * rmpa.fod.BUILD_BYTES
+
+
+def test_a_block_of_bits_is_laid_out_coordinates_first_once():
+    # 14 rows through 500 maps of n = 1,024 go coordinates first, in blocks
+    # of rows whose bits, k * n/2 bytes a row, are copied into columns once:
+    # copied again for every run of z, they peak at 6.2 times the budget
+    m, rows, count = 10, 14, 500
+    n = 1 << m
+    rng = np.random.default_rng(5)
+    l = rng.normal(size=(rows, n)).astype(np.float32)
+    cmap = stack(m, select_projection_indices(n, count))
+    chat = rng.integers(0, 2, (rows, count, n // 2), dtype=np.uint8)
+    assert geometry._coordinates_first(rows, n)
+    aggregate(l, cmap, chat=chat)
+    tracemalloc.start()
+    try:
+        out = aggregate(l, cmap, chat=chat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 5.5 * rmpa.fod.BUILD_BYTES

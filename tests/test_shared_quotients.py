@@ -19,6 +19,7 @@ from rmpa import (CodeParams, FodCounter, aggregate, analytic_fod_count,
 from rmpa import decoder, fod, geometry
 from rmpa.cli import main
 from rmpa.fod import _form_table, form_bits
+from rmpa.geometry import top_bits
 
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
 
@@ -83,7 +84,7 @@ def test_the_lift_table_holds_every_lift(m):
     table = decoder._lift_table(m)
     assert table.dtype == (np.uint8 if m <= 7 else np.uint16)
     assert not table.flags.writeable
-    i, h = decoder._top_bits(range(1, n))
+    i, h = top_bits(range(1, n))
     assert np.array_equal(table, decoder._lift(np.arange(n), h[:, None],
                                                i[:, None]).ravel())
 
@@ -296,7 +297,7 @@ def test_aggregating_forms_equals_aggregating_their_bits(m, table_m, columns,
     decoded = a + (n // 2) * u0
     chat = _form_table(m - 1, np.uint8)[decoded]
     cmap = coset_table(m)
-    i, h = decoder._top_bits(indices)
+    i, h = top_bits(indices)
     forms = decoder._lift(decoded, h, i)
     l = (rng.normal(size=(rows, n)) * 4).astype(np.float32)
     with pytest.MonkeyPatch.context() as patch:

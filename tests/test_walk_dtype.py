@@ -37,9 +37,9 @@ def test_each_kernel_computes_in_its_input_dtype(dtype, monkeypatch):
     chat = rng.integers(0, 2, size=(3, 3, n // 2), dtype=np.uint8)
     forms = rng.integers(0, 2 * n, size=(3, 3))
     # the signs aggregate builds, in each layout, and its sums
-    for columns in (False, True):
-        cosets = geometry._coset_index(cmap)
-        for signs in (geometry._coset_signs(chat, cosets, l.dtype, columns)
+    cosets = geometry._coset_index(cmap)
+    for columns, bits in ((False, chat), (True, chat.reshape(3, -1).T)):
+        for signs in (geometry._coset_signs(bits, cosets, l.dtype, columns)
                       + geometry._form_signs(forms, m, l.dtype, columns)):
             assert signs.dtype == dtype
     assert aggregate(l, cmap, chat=chat).dtype == dtype
