@@ -422,12 +422,13 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     j = top_bits(inner)[0]
     maps = _stacked_maps(m - 1, inner)
     lifted = np.empty((rows, len(canon_t)), dtype=_lift_table(m).dtype)
-    # Each temporary of a block fits BUILD_BYTES: its pairs' two index
+    # Each temporary of a block fits BUILD_BYTES: its pairs' two intp index
     # arrays, their projections, gathered operands and spectra, and the copy
     # of the maps of proj that it reads.  Bounded twice, the blocks are not
     # the planner's: each is at most one chunk of pairs and of maps of proj
     step = _chunks(len(canon_t), quarter * max(
-        maps.reps.itemsize, rows * proj.itemsize), 1, fod.BUILD_BYTES)[0].stop
+        np.dtype(np.intp).itemsize, rows * proj.itemsize), 1,
+        fod.BUILD_BYTES)[0].stop
     most = _chunks(k, half * rows * proj.itemsize, 1,
                    fod.BUILD_BYTES)[0].stop
     start = 0
@@ -444,8 +445,10 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
         lo, k_b = t[0], t[-1] + 1 - t[0]
         flat = np.ascontiguousarray(proj.T[:, lo:lo + k_b]).reshape(
             half * k_b, rows).T
-        reps = maps.reps.T[:, s] * k_b + (t - lo)
-        partners = maps.partners.T[:, s] * k_b + (t - lo)
+        # widened first: k_b * n/4 passes what the maps' dtype holds
+        reps = np.multiply(maps.reps.T[:, s], k_b, dtype=np.intp) + (t - lo)
+        partners = np.multiply(maps.partners.T[:, s], k_b,
+                               dtype=np.intp) + (t - lo)
         decoded = fht_decode(project_llr(flat, SimpleNamespace(
             reps=reps.T, partners=partners.T)).swapaxes(0, 1).reshape(
                 -1, quarter))

@@ -36,9 +36,14 @@ class CosetMap:
     A stack of k maps (rows of coset_table) has a leading axis of length k
     on every array, and each map numbers its own cosets from 0, so that any
     row slice of a stack is a stack: map[a:b:s] holds views (index arrays
-    copy).  Every index lies in [0, n), n the length of coset_of, as
-    built: the kernels gather through a map of their vectors' length
-    unchecked.
+    copy).  As built (coset_table), reps, partners and partner_of_runs lie
+    in [0, n), n the length of coset_of, coset_of in [0, n/2), and rep_runs
+    and partner_runs in [0, 13 n/8) from m = 4, the runs of _xor_index(m):
+    the kernels gather through a map of their vectors' length unchecked.
+    Each field is held in the narrowest unsigned dtype of its range: uint8
+    up to m = 7, uint16 from m = 10, and at m = 8 uint16 for rep_runs and
+    partner_runs, at m = 9 for all but coset_of.  So arithmetic on a field
+    widens it to intp first.
 
     The run fields serve the row-major gathers, which go by the maps' XOR
     structure.  A map's representatives depend only on the top bit h of i,
@@ -112,13 +117,17 @@ def _xor_index(m: int) -> np.ndarray:
             -1, 1 << b))[0]
 
 
-def _runs(m: int, i: np.ndarray, h: np.ndarray, reps: np.ndarray,
-          partners: np.ndarray) -> tuple:
-    """The run fields of CosetMap for the maps i, (k, 1), of top bits h and
-    of the given index fields: indices of runs of 2^b values in the table
-    of _xor_index(m)."""
+def _map_fields(m: int, i: np.ndarray, h: np.ndarray) -> tuple:
+    """The fields of CosetMap for the maps i, (k, 1), of top bits h, in
+    intp; the run fields index runs of 2^b values in the table of
+    _xor_index(m)."""
     b = _run_bits(m)
     n, run = 1 << m, 1 << b
+    z = np.arange(n)
+    reps = insert_zero_bit(z[:n // 2], h)
+    partners = reps ^ i
+    coset_of = z ^ i
+    drop_bit(np.minimum(z, coset_of, out=coset_of), h)
     # h >= b: the representatives come in runs of 2^b from multiples of
     # 2^b, and so do their partners, each a run of the shifts.  h < b: the
     # runs that follow the n of the shifts, those of the representatives of
@@ -126,39 +135,44 @@ def _runs(m: int, i: np.ndarray, h: np.ndarray, reps: np.ndarray,
     cosets = n // 2 // run
     rows = n + np.arange(cosets)
     wide = h >= b
-    return (np.where(wide, reps[:, ::run], rows + h * cosets),
+    return (reps, partners, coset_of,
+            np.where(wide, reps[:, ::run], rows + h * cosets),
             np.where(wide, partners[:, ::run], rows + (b + i - 1) * cosets),
             np.arange(0, n, run) ^ i)
 
 
 def _build_coset_table(m: int) -> CosetMap:
     """All n - 1 maps of F_2^m, stacked along a first axis, map i as row
-    i - 1; the arrays are read-only."""
+    i - 1, each field in the narrowest unsigned dtype of its range
+    (CosetMap); the arrays are read-only."""
     n = 1 << m
     i, h = top_bits(range(1, n))
-    runs = n >> _run_bits(m)
-    stack = CosetMap(*(np.empty((i.size, size), dtype=np.intp)
-                       for size in (n // 2, n // 2, n,
-                                    runs // 2, runs // 2, runs)))
-    z = np.arange(n)
-    # a block of maps at a time, each temporary within rmpa.fod.BUILD_BYTES
-    for block in _chunks(i.size, n * z.itemsize, 1, fod.BUILD_BYTES):
-        reps, partners, coset_of, *run_fields = vars(stack[block]).values()
-        ib, hb = i[block, None], h[block, None]
-        reps[...] = insert_zero_bit(z[:n // 2], hb)
-        np.bitwise_xor(reps, ib, out=partners)
-        np.bitwise_xor(z, ib, out=coset_of)
-        drop_bit(np.minimum(z, coset_of, out=coset_of), hb)
-        for field, values in zip(run_fields, _runs(m, ib, hb, reps,
-                                                   partners)):
+    b = _run_bits(m)
+    runs, cosets = n >> b, n >> (b + 1)
+    # the runs of _xor_index(m): n of the shifts, then cosets of each map
+    # 2^h for h < b and of each map 1 ... 2^b - 1
+    xor_runs = n + (b + (1 << b) - 1) * cosets
+    stack = CosetMap(*(np.empty((i.size, size),
+                                dtype=np.min_scalar_type(bound - 1))
+                       for size, bound in ((n // 2, n), (n // 2, n),
+                                           (n, n // 2), (cosets, xor_runs),
+                                           (cosets, xor_runs), (runs, n))))
+    # a block of maps at a time, computed in intp and cast as it is stored:
+    # its reps, partners and coset_of, 2 n values a map, fit
+    # rmpa.fod.BUILD_BYTES
+    for block in _chunks(i.size, 2 * n * i.itemsize, 1, fod.BUILD_BYTES):
+        for field, values in zip(vars(stack[block]).values(), _map_fields(
+                m, i[block, None], h[block, None])):
             field[...] = values
     return CosetMap(*_read_only(*vars(stack).values()))
 
 
 @lru_cache(maxsize=None)
 def coset_table(m: int) -> CosetMap:
-    """All n - 1 maps of F_2^m, built once: 16 n (n - 1) bytes and their
-    runs, 2 n (n - 1) more from m = 4; map i is row i - 1."""
+    """All n - 1 maps of F_2^m, built once; map i is row i - 1.  Its narrow
+    fields (CosetMap) hold 2.25 n (n - 1) bytes for m = 4 ... 7 (36.6 KB at
+    m = 7), 2.375 n (n - 1) at m = 8, 3.5 n (n - 1) at m = 9 and
+    4.5 n (n - 1) from m = 10 (4.7 MB at m = 10, 75.5 MB at m = 12)."""
     return _build_coset_table(m)
 
 
@@ -228,7 +242,8 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
         sign = np.sign(cols)
         for maps in _chunks(len(reps), half * cols.shape[1] * l.itemsize, 1,
                             fod.BUILD_BYTES):
-            a, b = ((reps[maps].T.copy(), partners[maps].T.copy()) if columns
+            a, b = ((reps[maps].T.astype(np.intp),
+                     partners[maps].T.astype(np.intp)) if columns
                     else (reps[maps], partners[maps]))
             part = _soft_xor(u.take(a, axis=0), u.take(b, axis=0),
                              out[:, maps, block] if columns else out[maps])
@@ -283,9 +298,11 @@ def _coset_index(cmap: CosetMap, z: slice = slice(None)) -> np.ndarray:
     unchecked.  The maps' XOR structure does not pay here: a sign's coset
     is z's own for half the coordinates and its partner's for the rest,
     which needs each map's decoded bits shifted by its own i, one value per
-    index."""
+    index.  The sum is intp: the offsets pass what coset_of's dtype
+    holds."""
     k, half = cmap.reps.shape
-    return cmap.coset_of[:, z] + np.arange(0, k * half, half)[:, None]
+    return np.add(cmap.coset_of[:, z], np.arange(0, k * half, half)[:, None],
+                  dtype=np.intp)
 
 
 def _coset_signs(chat: np.ndarray, cosets: np.ndarray, dtype,
@@ -417,11 +434,12 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
                                   fod.BUILD_BYTES)
         # the partners of a row: its low-bit XOR shifts, one value per
         # index, and then the runs of them that the maps' run fields name,
-        # gathered unchecked, as the indices are in range as built
+        # gathered unchecked, as the indices are in range as built.  A
+        # tile's runs are widened to intp once, not by each block's gather
         shifts = _xor_index(m)[:n]
         out = np.empty((rows, n), dtype=l.dtype)
         for z, runs, blocks in tiles:
-            partner_runs = cmap.partner_of_runs[:, runs]
+            partner_runs = cmap.partner_of_runs[:, runs].astype(np.intp)
             cosets = None if forms is not None else _coset_index(cmap, z)
             for block in blocks:
                 signs = (_coset_signs(chat[block], cosets, l.dtype, False)

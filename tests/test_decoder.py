@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial
@@ -10,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (build_coset_map, converged_per_coordinate,
                      decode_per_path, fht, fod_bits, is_codeword,
                      ml_decode_oracle)
+import rmpa
 from rmpa import (CodeParams, FodCounter, PruningConfig, analytic_fod_count,
                   build_generator, decode, decode_batch, decode_plan, encode,
                   executed_fod_count, explicit_schedule_config, fht_decode,
@@ -371,12 +375,23 @@ def record_tables(monkeypatch):
 
 
 def hollow_maps(m):
-    """A table of the right shapes that holds no memory."""
+    """A table of the right shapes and dtypes that holds no memory: each
+    field in the narrowest unsigned dtype of its range (CosetMap), the run
+    fields' 13 n/8 from m = 4."""
     n = 1 << m
     rows, runs = n - 1, n >> _run_bits(m)
-    return CosetMap(*(np.broadcast_to(np.intp(0), (rows, size))
-                      for size in (n // 2, n // 2, n,
-                                   runs // 2, runs // 2, runs)))
+    return CosetMap(*(np.broadcast_to(np.min_scalar_type(bound - 1).type(0),
+                                      (rows, size))
+                      for size, bound in ((n // 2, n), (n // 2, n),
+                                          (n, n // 2),
+                                          (runs // 2, 13 * n // 8),
+                                          (runs // 2, 13 * n // 8),
+                                          (runs, n))))
+
+
+def map_bytes(m):
+    """The bytes of one map of the coset table of m."""
+    return sum(field[0].nbytes for field in vars(hollow_maps(m)).values())
 
 
 @pytest.mark.parametrize("m, r, cfg", [
@@ -387,7 +402,8 @@ def hollow_maps(m):
 ])
 def test_cached_maps_are_one_table_per_m(record_tables, m, r, cfg):
     # ask for the maps of every step of every node, as the walk does, and
-    # count the tables built: at most one per m, of n - 1 maps of 16 n bytes
+    # count the tables built and their bytes: at most one per m, of n - 1
+    # maps
     built = record_tables(hollow_maps)
     plan = decode_plan(CodeParams(m, r), cfg)
     todo = [plan]
@@ -398,8 +414,8 @@ def test_cached_maps_are_one_table_per_m(record_tables, m, r, cfg):
             todo.append(inner)
     levels = [m - d for d in range(r - 1)]
     assert sorted(built) == sorted((k, (1 << k) - 1) for k in levels)
-    assert sum(16 * (1 << k) * rows for k, rows in built) <= sum(
-        16 * (1 << k) * ((1 << k) - 1) for k in levels)
+    assert sum(map_bytes(k) * rows for k, rows in built) <= sum(
+        map_bytes(k) * ((1 << k) - 1) for k in levels)
 
 
 def test_a_decode_builds_one_table_per_m(record_tables):
@@ -836,6 +852,30 @@ def test_a_one_row_decode_holds_budget_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from Linux's /proc")
+def test_a_decode_at_the_largest_m_peaks_below_200_mib_rss():
+    # one iteration of one-row RM(12,2) full RPA holds the 75.5 MB coset
+    # table and the 33.5 MB lift table: 144 MiB peak RSS, 360 MiB when the
+    # table's fields were intp.  A process of its own, as the peak of this
+    # one is that of every test before; it reads the peak of its own
+    # address space (VmHWM), as its ru_maxrss keeps this process's peak
+    # across exec
+    script = ("import numpy as np\n"
+              "from rmpa import CodeParams, decode, preset\n"
+              "p = CodeParams(12, 2)\n"
+              "decode(np.random.default_rng(12).normal(1.0, 1.0, p.n) * 2, p,"
+              " preset('rpa', n_max=1))\n"
+              "print(next(line.split()[1] for line in open('/proc/self/status')"
+              " if line.startswith('VmHWM')))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(
+        os.path.dirname(rmpa.__file__))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    # in KiB
+    assert int(done.stdout) < 200 * 1024
 
 
 def test_counting_fods_builds_no_coset_maps():

@@ -573,10 +573,18 @@ def test_building_the_coset_table_holds_little_besides_it():
     finally:
         tracemalloc.stop()
     size = sum(a.nbytes for a in vars(table).values())
-    # 16 n bytes of maps and 2 n of runs (runs of 8 values) per map
-    assert size == 18 * 1024 * 1023
-    assert peak <= 1.1 * size
+    # uint16 fields: 4 n bytes of maps and n/2 of runs (runs of 8 values)
+    # per map, a quarter of intp's
+    assert size == 4.5 * 1024 * 1023
+    # a block's intp fields and drop_bit's low bits, 1.97 budgets measured
+    assert peak <= size + 2.5 * rmpa.fod.BUILD_BYTES
     assert not any(a.flags.writeable for a in vars(table).values())
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_each_map_field_is_held_in_the_narrowest_dtype(m):
+    for name, field in vars(coset_table(m)).items():
+        assert field.dtype == np.min_scalar_type(int(field.max())), name
 
 
 def arrays_in(value):

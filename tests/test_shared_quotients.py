@@ -199,7 +199,10 @@ def saturated_rows(params, count, seed):
     (CodeParams(7, 3), preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3),
                               delta_rec=F(3, 4)), 6),
     (CodeParams(8, 3), MFP_83, 4),
-], ids=["rm63-rpa", "rm73-mfp", "rm83-mfp"])
+    # uint16 coset tables at the top node (uint8 up to m = 8)
+    (CodeParams(9, 3), preset("mfp", gamma=F(1, 2), delta_itr=F(1, 3),
+                              delta_rec=F(1, 2)), 2),
+], ids=["rm63-rpa", "rm73-mfp", "rm83-mfp", "rm93-mfp"])
 @pytest.mark.parametrize("rows", [gaussian_rows, saturated_rows])
 def test_the_shared_walk_equals_the_per_path_walk(params, cfg, count, rows):
     llrs = rows(params, count, params.m)
@@ -233,6 +236,23 @@ def test_the_shared_quotients_of_one_row_are_gathered_in_range(monkeypatch):
     assert not all(calls) and any(calls)
     assert np.array_equal(bits, decode_per_path(llr[None, :], params,
                                                 MFP_83)[0][0])
+
+
+def test_the_shared_step_of_one_row_sizes_its_blocks_by_intp_indices():
+    # each block of first pairs builds two intp index arrays, n/4 values a
+    # pair: sized by the uint8 maps of RM(8,3)'s inner level instead, the
+    # blocks took twice the pairs, and a one-row decode peaked at 2.19 MiB
+    # traced, 1.17 MiB as sized
+    params = CodeParams(8, 3)
+    llr = gaussian_rows(params, 1, 10)[0]
+    decode(llr, params, MFP_83)
+    tracemalloc.start()
+    try:
+        decode(llr, params, MFP_83)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20
 
 
 def test_early_stopping_equals_the_per_path_walk():
