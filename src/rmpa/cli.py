@@ -24,10 +24,10 @@ from .decoder import DECODERS, PruningConfig, analytic_fod_count, decode, preset
 from .fod import FodCounter
 
 SPEC_SCHEMA_VERSION = 1
-# the largest m the CLI takes: any decode at m = 12 holds the 75.5 MB coset
-# table and, at r >= 2, the 33.5 MB lift table; one iteration of full RPA on
-# RM(12,2) peaks at 144 MiB RSS, and memory grows at least with n^2.  The
-# plans the CLI compiles are bounded by rmpa.decoder.MAX_PLAN_STEPS.
+# the largest m the CLI takes: any decode at m = 12 holds the 109 MB coset
+# table, 33.5 MB of it the lifts; one iteration of full RPA on RM(12,2)
+# peaks at 144 MiB RSS, and memory grows at least with n^2.  The plans the
+# CLI compiles are bounded by rmpa.decoder.MAX_PLAN_STEPS.
 MAX_M = 12
 
 EXIT_OK = 0

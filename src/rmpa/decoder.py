@@ -20,7 +20,7 @@ decoded bits are therefore those of decoding every path on its own, bar a
 spectrum tie broken differently in another pair's coordinates.  Decoders
 whose inner decoder is first-order aggregate from the decoded forms, not
 from their bits: rmpa.geometry.aggregate builds the signs from the form
-tables of rmpa.fod, and lift each form by one gather (_lift_table).
+tables of rmpa.fod, and lift each form by one gather (coset_table's lifts).
 
 The walk runs in float32 (WALK_DTYPE): decode and decode_batch clamp the
 LLRs and cast them once, and every projection, first-order decoding,
@@ -43,8 +43,7 @@ import numpy as np
 
 from . import fod
 from .codes import CodeParams, _is_int
-from .fod import (FodCounter, _chunks, _parity, _read_only, fht_decode,
-                  form_bits)
+from .fod import FodCounter, _chunks, _read_only, fht_decode, form_bits
 from .geometry import (CosetMap, aggregate, clamp_llr,
                        coset_table, drop_bit, insert_zero_bit, project_llr,
                        top_bits)
@@ -318,38 +317,10 @@ def decode_plan(params: CodeParams, cfg: PruningConfig) -> DecodePlan:
     return node(params.m, params.r, cfg.gamma)
 
 
-# A form f = b + 2^m * u0 names the codeword u0 ^ <b, z> (rmpa.fod).
-
-
-def _lift(f: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """The forms f on F_2^m as forms on F_2^(m+1) that are zero on i, whose
-    top bit is h: f with a 0 inserted at bit h, so that it is unchanged on
-    the z with bit h clear (the coset representatives of {0, i}), then bit
-    h set where that makes it orthogonal to i (b & i of odd parity)."""
-    b = insert_zero_bit(f, h)
-    # 16 bits are past the m of any code that can be decoded
-    return b | (_parity(b & i) << h)
-
-
-@lru_cache(maxsize=None)
-def _lift_table(m: int) -> np.ndarray:
-    """_lift of every form f < 2^m on F_2^(m-1) by every map i of F_2^m,
-    flat, f of map i at (i - 1) * 2^m + f, in uint8 up to m = 7, else uint16
-    (33.5 MB at m = 12); read-only.  Filled a block of maps at a time, as
-    the coset table is, each temporary holds at most rmpa.fod.BUILD_BYTES."""
-    n = 1 << m
-    i, h = top_bits(range(1, n))
-    table = np.empty((n - 1, n), dtype=np.min_scalar_type(2 * n - 1))
-    f = np.arange(n)
-    for block in _chunks(n - 1, n * f.itemsize, 1, fod.BUILD_BYTES):
-        table[block] = _lift(f, h[block, None], i[block, None])
-    return _read_only(table)[0].ravel()
-
-
 def _lifted(forms: np.ndarray, m: int, i: np.ndarray) -> np.ndarray:
     """_lift of the forms (rows, k) on F_2^(m-1) by the maps i (k,) of
-    F_2^m, gathered from the lift table of m."""
-    return _lift_table(m).take(((i - 1) << m) + forms)
+    F_2^m, gathered from the lifts of coset_table(m) read flat."""
+    return coset_table(m).lifts.take(((i - 1) << m) + forms)
 
 
 def _spans(m: int, outer: range, inner: range) -> np.ndarray:
@@ -421,7 +392,7 @@ def _shared_forms(m: int, outer: range, inner: range, proj: np.ndarray,
     i, h = top_bits(outer)
     j = top_bits(inner)[0]
     maps = _stacked_maps(m - 1, inner)
-    lifted = np.empty((rows, len(canon_t)), dtype=_lift_table(m).dtype)
+    lifted = np.empty((rows, len(canon_t)), dtype=coset_table(m).lifts.dtype)
     # Each temporary of a block fits BUILD_BYTES: its pairs' two intp index
     # arrays, their projections, gathered operands and spectra, and the copy
     # of the maps of proj that it reads.  Bounded twice, the blocks are not
@@ -475,15 +446,15 @@ def _decode_lifted(llr: np.ndarray, m: int, indices: range,
     lifted to be zero on its map (_lift); decoded map by map, a chunk of
     maps at a time whose projections fit BUILD_BYTES (_map_chunks).  Each
     chunk is projected (project_llr), decoded (fht_decode) and lifted by
-    one gather from the lift table at its maps' offsets; one chunk's forms
-    are the result."""
+    one gather from the lifts of coset_table(m) at its maps' offsets; one
+    chunk's forms are the result."""
     half = 1 << (m - 1)
     lifted = []
     for maps, offsets in _map_chunks(m, indices, len(llr) * llr.itemsize,
                                      fod.BUILD_BYTES):
         proj = project_llr(llr, maps)
         forms = fht_decode(proj.swapaxes(0, 1).reshape(-1, half), counter)
-        lifted.append(_lift_table(m).take(
+        lifted.append(coset_table(m).lifts.take(
             offsets + forms.reshape(len(offsets), len(llr)).T))
     return lifted[0] if len(lifted) == 1 else np.concatenate(lifted, axis=1)
 
@@ -496,7 +467,7 @@ def _map_chunks(m: int, indices: range, row_bytes: int,
     """The chunks of the maps of indices, of F_2^m, whose projections fit
     budget bytes (rmpa.fod._chunks), at row_bytes a projected coordinate,
     in order: the chunk's stacked maps, and the offset (i - 1) * 2^m of
-    each map i in the lift table of m.  budget is rmpa.fod.BUILD_BYTES."""
+    each map i in the lifts of m read flat.  budget is BUILD_BYTES."""
     return tuple((_stacked_maps(m, indices[maps]),
                   _read_only((top_bits(indices[maps])[0] - 1) << m)[0])
                  for maps in _chunks(len(indices), row_bytes << (m - 1), 1,

@@ -37,13 +37,12 @@ class CosetMap:
     on every array, and each map numbers its own cosets from 0, so that any
     row slice of a stack is a stack: map[a:b:s] holds views (index arrays
     copy).  As built (coset_table), reps, partners and partner_of_runs lie
-    in [0, n), n the length of coset_of, coset_of in [0, n/2), and rep_runs
-    and partner_runs in [0, 13 n/8) from m = 4, the runs of _xor_index(m):
-    the kernels gather through a map of their vectors' length unchecked.
-    Each field is held in the narrowest unsigned dtype of its range: uint8
-    up to m = 7, uint16 from m = 10, and at m = 8 uint16 for rep_runs and
-    partner_runs, at m = 9 for all but coset_of.  So arithmetic on a field
-    widens it to intp first.
+    in [0, n), n the length of coset_of, coset_of in [0, n/2), rep_runs
+    and partner_runs in [0, 13 n/8) from m = 4, the runs of _xor_index(m),
+    and lifts in [0, 2n): the kernels gather through them unchecked.  Each
+    field is held in the narrowest unsigned dtype of its range: uint8 up
+    to m = 7, uint16 from m = 10, at m = 8 for rep_runs, partner_runs and
+    lifts, at m = 9 for all but coset_of.  Arithmetic widens a field to intp.
 
     The run fields serve the row-major gathers, which go by the maps' XOR
     structure.  A map's representatives depend only on the top bit h of i,
@@ -64,6 +63,7 @@ class CosetMap:
     rep_runs: np.ndarray  # the runs that hold w[reps] (n/2^(b+1),)
     partner_runs: np.ndarray  # those that hold w[partners] (n/2^(b+1),)
     partner_of_runs: np.ndarray  # those that hold w[z ^ i] (n/2^b,)
+    lifts: np.ndarray     # _lift of each form f < n on F_2^(m-1) (n,)
 
     def __getitem__(self, rows) -> CosetMap:
         return CosetMap(*(a[rows] for a in vars(self).values()))
@@ -77,6 +77,16 @@ def top_bits(indices) -> tuple:
 
 def insert_zero_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
     return z + (z >> h << h)
+
+
+def _lift(f: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The forms f on F_2^m (rmpa.fod) as forms on F_2^(m+1) that are zero
+    on i, whose top bit is h: f with a 0 inserted at bit h, so that it is
+    unchanged on the z with bit h clear (the coset representatives of
+    {0, i}), then bit h set where that makes it orthogonal to i."""
+    b = insert_zero_bit(f, h)
+    # 16 bits are past the m of any code that can be decoded
+    return b | (_parity(b & i) << h)
 
 
 def drop_bit(z: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -138,13 +148,15 @@ def _map_fields(m: int, i: np.ndarray, h: np.ndarray) -> tuple:
     return (reps, partners, coset_of,
             np.where(wide, reps[:, ::run], rows + h * cosets),
             np.where(wide, partners[:, ::run], rows + (b + i - 1) * cosets),
-            np.arange(0, n, run) ^ i)
+            np.arange(0, n, run) ^ i, _lift(z, h, i))
 
 
-def _build_coset_table(m: int) -> CosetMap:
-    """All n - 1 maps of F_2^m, stacked along a first axis, map i as row
-    i - 1, each field in the narrowest unsigned dtype of its range
-    (CosetMap); the arrays are read-only."""
+@lru_cache(maxsize=None)
+def coset_table(m: int) -> CosetMap:
+    """All n - 1 maps of F_2^m, built once, map i as row i - 1, each field
+    read-only in the narrowest unsigned dtype of its range (CosetMap):
+    3.25 n (n - 1) bytes for m = 4 ... 7, 4.375 at m = 8, 5.5 at m = 9 and
+    6.5 from m = 10 (52.8 KB at m = 7, 6.8 MB at m = 10, 109 MB at m = 12)."""
     n = 1 << m
     i, h = top_bits(range(1, n))
     b = _run_bits(m)
@@ -156,24 +168,15 @@ def _build_coset_table(m: int) -> CosetMap:
                                 dtype=np.min_scalar_type(bound - 1))
                        for size, bound in ((n // 2, n), (n // 2, n),
                                            (n, n // 2), (cosets, xor_runs),
-                                           (cosets, xor_runs), (runs, n))))
+                                           (cosets, xor_runs), (runs, n),
+                                           (n, 2 * n))))
     # a block of maps at a time, computed in intp and cast as it is stored:
-    # its reps, partners and coset_of, 2 n values a map, fit
-    # rmpa.fod.BUILD_BYTES
-    for block in _chunks(i.size, 2 * n * i.itemsize, 1, fod.BUILD_BYTES):
+    # its reps, partners, coset_of and lifts, 3 n a map, fit BUILD_BYTES
+    for block in _chunks(i.size, 3 * n * i.itemsize, 1, fod.BUILD_BYTES):
         for field, values in zip(vars(stack[block]).values(), _map_fields(
                 m, i[block, None], h[block, None])):
             field[...] = values
     return CosetMap(*_read_only(*vars(stack).values()))
-
-
-@lru_cache(maxsize=None)
-def coset_table(m: int) -> CosetMap:
-    """All n - 1 maps of F_2^m, built once; map i is row i - 1.  Its narrow
-    fields (CosetMap) hold 2.25 n (n - 1) bytes for m = 4 ... 7 (36.6 KB at
-    m = 7), 2.375 n (n - 1) at m = 8, 3.5 n (n - 1) at m = 9 and
-    4.5 n (n - 1) from m = 10 (4.7 MB at m = 10, 75.5 MB at m = 12)."""
-    return _build_coset_table(m)
 
 
 def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
@@ -186,14 +189,14 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     sign(a)*sign(b).  LLRs beyond +-LLR_CLAMP count as +-LLR_CLAMP, as
     decode clamps them on entry, so the output stays within the clamp up to
     rounding; a zero LLR projects to 0.  Only cmap's reps and partners are
-    read, bar one row through a CosetMap of l's length: any pair of
-    equal-shaped index arrays into the last axis of l projects the same
-    way, gathered checked, so that an index outside it raises.  The
-    projection is in l's float dtype.
+    read, bar one row through a CosetMap (of l's length, else ValueError):
+    any pair of equal-shaped index arrays into the last axis of l projects
+    the same way, gathered checked, so that an index outside it raises.
+    The projection is in l's float dtype.
 
-    One row through a CosetMap of its length is gathered by the maps' XOR
-    structure, unchecked, as the map's indices are in range as built: u and
-    the signs go into one table of 2^b low-bit XOR shifts and low-bit maps
+    One row through a CosetMap is gathered by the maps' XOR structure,
+    unchecked, as the map's indices are in range as built: u and the signs
+    go into one table of 2^b low-bit XOR shifts and low-bit maps
     (_xor_index), one value per index, and each map's operands are runs of
     2^b values of it (the map's run fields), a chunk of the rows of those
     fields at a time.  Otherwise u and the signs are taken coordinates
@@ -208,8 +211,8 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
     """
     l = float_array(l)
     lead, n = l.shape[:-1], l.shape[-1]
-    if (l.size == n and isinstance(cmap, CosetMap)
-            and cmap.coset_of.shape[-1] == n):
+    _check_length(cmap, n)
+    if l.size == n and isinstance(cmap, CosetMap):
         row = l.reshape(n)
         w = np.empty((2, n), dtype=l.dtype)
         u = np.minimum(np.abs(row, out=w[0]), LLR_CLAMP, out=w[0])
@@ -250,6 +253,13 @@ def project_llr(l: np.ndarray, cmap: CosetMap) -> np.ndarray:
             part *= sign.take(a, axis=0)
             part *= sign.take(b, axis=0)
     return (out.T if columns else out).reshape(lead + cmap.reps.shape)
+
+
+def _check_length(cmap, n: int) -> None:
+    """ValueError if cmap is a CosetMap of another length than the LLRs'."""
+    if isinstance(cmap, CosetMap) and cmap.coset_of.shape[-1] != n:
+        raise ValueError(f"LLRs of length {n} do not match maps of length "
+                         f"{cmap.coset_of.shape[-1]}")
 
 
 def _soft_xor(ua: np.ndarray, ub: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -381,9 +391,9 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     one of chat and forms gives what their decoders returned: chat the
     projections' bits, shape l.shape[:-1] + (k, n/2); forms, below a
     first-order decoder, the forms f = b + 2^m * u0 lifted to F_2^m, shape
-    (rows, k) for the rows of l.  Output coordinate z is
-    (1/k) * sum_t s_t(z) * l[z ^ i_t], s_t(z) the +-1 of map t's decoding
-    at z, summed in the order of the stack, in l's float dtype.
+    (rows, k) for the rows of l, in [0, 2n).  Output z is (1/k) * sum_t
+    s_t(z) * l[z ^ i_t], s_t(z) the +-1 of map t's decoding at z, summed in
+    the order of the stack, in l's float dtype.
 
     The layout is chosen once for l's rows (_coordinates_first), and the
     signs are built in it, in l's dtype: row-major, (rows, k, z) arrays;
@@ -413,9 +423,7 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
     lead, n = l.shape[:-1], l.shape[-1]
     k = len(cmap.reps)
     rows = math.prod(lead)
-    if cmap.coset_of.shape[-1] != n:
-        raise ValueError(f"LLRs of length {n} do not match maps of length "
-                         f"{cmap.coset_of.shape[-1]}")
+    _check_length(cmap, n)
     if k == 0:
         raise ValueError("aggregation needs at least one projection")
     decoded, shape = ((chat, lead + (k, n // 2)) if forms is None
@@ -426,12 +434,18 @@ def aggregate(l: np.ndarray, cmap: CosetMap, *, chat: np.ndarray = None,
                          f"shape {l.shape}")
     m = n.bit_length() - 1
     columns = _coordinates_first(rows, n)
+    if not columns:
+        width, tiles = _row_tiles(rows, n, k, l.itemsize, forms is None,
+                                  fod.BUILD_BYTES)
+    # raise on f < 0, and on f >= 2n where the layout masks f's bits
+    if forms is not None and (
+            forms.dtype.kind != "u" and forms.min(initial=0) < 0
+            or (columns or width < n) and forms.max(initial=0) >= 2 * n):
+        raise IndexError(f"forms must lie in [0, {2 * n})")
     flat = l.reshape(rows, n)
     if forms is None:
         chat = chat.reshape(rows, k, n // 2)
     if not columns:
-        width, tiles = _row_tiles(rows, n, k, l.itemsize, forms is None,
-                                  fod.BUILD_BYTES)
         # the partners of a row: its low-bit XOR shifts, one value per
         # index, and then the runs of them that the maps' run fields name,
         # gathered unchecked, as the indices are in range as built.  A

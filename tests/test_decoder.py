@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ from rmpa.channel import ChannelConfig, llr_from_channel, transmit
 from rmpa import decoder
 from rmpa.decoder import _converged, _map_chunks, _stacked_maps
 from rmpa.fod import _chunks
-from rmpa.geometry import (CosetMap, _build_coset_table, _row_tiles,
-                           _run_bits, clamp_llr, coset_table, project_llr)
+from rmpa.geometry import (CosetMap, _row_tiles, _run_bits, clamp_llr,
+                           coset_table, project_llr)
 
 MFP_72 = preset("mfp", gamma=F(2, 3), delta_itr=F(1, 4), delta_rec=F(1, 2))
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
@@ -353,31 +353,33 @@ def test_plans_of_equal_configs_share_their_coset_maps(monkeypatch):
 
 @pytest.fixture
 def record_tables(monkeypatch):
-    """A function that routes the coset-table builds through build(m),
-    from empty map caches, and returns the list of the (m, rows) of each;
-    the caches are emptied again after the test."""
+    """A function that routes the decoder's coset tables through build(m),
+    each m built once as coset_table caches it, from empty stack caches,
+    and returns the list of the (m, rows) of each build; the stack caches
+    are emptied again after the test."""
     built = []
 
     def route(build):
+        @lru_cache(maxsize=None)
         def recording(m):
             table = build(m)
             built.append((m, len(table.reps)))
             return table
 
-        coset_table.cache_clear()
         _stacked_maps.cache_clear()
-        monkeypatch.setattr("rmpa.geometry._build_coset_table", recording)
+        _map_chunks.cache_clear()
+        monkeypatch.setattr("rmpa.decoder.coset_table", recording)
         return built
 
     yield route
-    coset_table.cache_clear()
     _stacked_maps.cache_clear()
+    _map_chunks.cache_clear()
 
 
 def hollow_maps(m):
     """A table of the right shapes and dtypes that holds no memory: each
     field in the narrowest unsigned dtype of its range (CosetMap), the run
-    fields' 13 n/8 from m = 4."""
+    fields' 13 n/8 from m = 4 and the lifts' 2 n."""
     n = 1 << m
     rows, runs = n - 1, n >> _run_bits(m)
     return CosetMap(*(np.broadcast_to(np.min_scalar_type(bound - 1).type(0),
@@ -386,11 +388,11 @@ def hollow_maps(m):
                                           (n, n // 2),
                                           (runs // 2, 13 * n // 8),
                                           (runs // 2, 13 * n // 8),
-                                          (runs, n))))
+                                          (runs, n), (n, 2 * n))))
 
 
 def map_bytes(m):
-    """The bytes of one map of the coset table of m."""
+    """The bytes of one map of the coset table of m, its lifts too."""
     return sum(field[0].nbytes for field in vars(hollow_maps(m)).values())
 
 
@@ -419,7 +421,7 @@ def test_cached_maps_are_one_table_per_m(record_tables, m, r, cfg):
 
 
 def test_a_decode_builds_one_table_per_m(record_tables):
-    built = record_tables(_build_coset_table)
+    built = record_tables(coset_table.__wrapped__)
     p = CodeParams(7, 3)
     llr = np.random.default_rng(4).normal(size=(3, p.n))
     decode_batch(llr, p, MFP_83)
@@ -857,8 +859,8 @@ def test_a_one_row_decode_holds_budget_sized_temporaries():
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from Linux's /proc")
 def test_a_decode_at_the_largest_m_peaks_below_200_mib_rss():
-    # one iteration of one-row RM(12,2) full RPA holds the 75.5 MB coset
-    # table and the 33.5 MB lift table: 144 MiB peak RSS, 360 MiB when the
+    # one iteration of one-row RM(12,2) full RPA holds the 109 MB coset
+    # table, 33.5 MB of it the lifts: 144 MiB peak RSS, 360 MiB when the
     # table's fields were intp.  A process of its own, as the peak of this
     # one is that of every test before; it reads the peak of its own
     # address space (VmHWM), as its ru_maxrss keeps this process's peak

@@ -20,9 +20,9 @@ import rmpa
 from rmpa import (CodeParams, LLR_CLAMP, aggregate, build_generator,
                   coset_table, encode, preset, project_llr)
 from rmpa import geometry
-from rmpa.decoder import _lift, select_projection_indices
+from rmpa.decoder import select_projection_indices
 from rmpa.fod import _form_table
-from rmpa.geometry import _build_coset_table, clamp_llr, top_bits
+from rmpa.geometry import _lift, _row_tiles, clamp_llr, top_bits
 
 
 def stack(m: int, indices):
@@ -313,9 +313,9 @@ def test_the_kernels_equal_the_per_map_loops_bit_for_bit(inputs):
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_project_llr_raises_on_an_index_outside_the_llrs(rows):
-    # one row is gathered unchecked through a CosetMap of the LLRs'
-    # length; index arrays of any other kind, and maps built for longer
-    # vectors, are checked, with one row as with several
+    # one row is gathered unchecked through a CosetMap; index arrays of
+    # any other kind are checked, and maps built for vectors of another
+    # length raise as aggregate does, with one row as with several
     m = 4
     l = np.random.default_rng(9).normal(size=(rows, 1 << m)) * 4
     table = coset_table(m)
@@ -325,8 +325,36 @@ def test_project_llr_raises_on_an_index_outside_the_llrs(rows):
     pairs.partners[2, 5] = 1 << m
     with pytest.raises(IndexError):
         project_llr(l, pairs)
-    with pytest.raises(IndexError):
-        project_llr(l, stack(m + 1, [1, 17, 31]))
+    # longer maps index past the LLRs, and shorter ones would project
+    # their first half unchecked
+    for maps in (stack(m + 1, [1, 17, 31]), stack(m - 1, [1, 5, 7])):
+        with pytest.raises(ValueError, match="do not match maps"):
+            project_llr(l, maps)
+
+
+@pytest.mark.parametrize("m, rows, k, layout", [
+    (5, 1, 31, "row-major"),
+    (5, 40, 31, "coordinates first"),
+    (9, 1, 511, "runs of z"),
+])
+def test_aggregate_raises_on_a_form_outside_its_range(m, rows, k, layout):
+    # a form indexes the form table of m bits, of 2n rows; the layouts
+    # that mask its bits took 2n and more, and every layout took -1, each
+    # as the form of its value mod 2n
+    n = 1 << m
+    l = np.random.default_rng(3).normal(size=(rows, n))
+    cmap = coset_table(m)[:k]
+    width = _row_tiles(rows, n, k, l.itemsize, False,
+                       rmpa.fod.BUILD_BYTES)[0]
+    assert layout == ("coordinates first"
+                      if geometry._coordinates_first(rows, n)
+                      else "runs of z" if width < n else "row-major")
+    forms = np.zeros((rows, k), dtype=np.int64)
+    aggregate(l, cmap, forms=forms)
+    for bad in (2 * n, 2 * n + 3, 4 * n + 3, -1):
+        forms[-1, -1] = bad
+        with pytest.raises(IndexError):
+            aggregate(l, cmap, forms=forms)
 
 
 def test_project_llr_takes_any_finite_llr_without_a_warning():
@@ -565,26 +593,31 @@ def test_strided_maps_are_rows_of_the_coset_table(m):
 
 def test_building_the_coset_table_holds_little_besides_it():
     # the table is filled a block of maps at a time, not through full-size
-    # temporaries
+    # temporaries: built in one piece, the lifts alone held 17 MB of
+    # temporaries beside their 2 MB
     tracemalloc.start()
     try:
-        table = _build_coset_table(10)
+        table = coset_table.__wrapped__(10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = sum(a.nbytes for a in vars(table).values())
-    # uint16 fields: 4 n bytes of maps and n/2 of runs (runs of 8 values)
-    # per map, a quarter of intp's
-    assert size == 4.5 * 1024 * 1023
-    # a block's intp fields and drop_bit's low bits, 1.97 budgets measured
+    # uint16 fields: 4 n bytes of maps, n/2 of runs (runs of 8 values) and
+    # 2 n of lifts per map, a quarter of intp's
+    assert table.lifts.nbytes == 2 * 1024 * 1023
+    assert size == 6.5 * 1024 * 1023 == 6_809_088
+    # a block's intp fields and drop_bit's low bits, 2.36 budgets measured
     assert peak <= size + 2.5 * rmpa.fod.BUILD_BYTES
     assert not any(a.flags.writeable for a in vars(table).values())
 
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_each_map_field_is_held_in_the_narrowest_dtype(m):
-    for name, field in vars(coset_table(m)).items():
+    table = coset_table(m)
+    for name, field in vars(table).items():
         assert field.dtype == np.min_scalar_type(int(field.max())), name
+    # the lifts are forms on F_2^m, f = b + 2^m * u0, in [0, 2n)
+    assert table.lifts.max() < 2 << m
 
 
 def arrays_in(value):
@@ -607,7 +640,6 @@ CACHED_CALLS = {
     "fod._band_keys": ((64,), True),
     "fod._chunks": ((10, 256, 1, 1 << 18), False),
     "decoder._stacked_maps": ((5, range(1, 32, 3)), True),
-    "decoder._lift_table": ((5,), True),
     "decoder._map_chunks": ((5, range(1, 32, 3), 4, 1 << 18), True),
     "geometry._row_tiles": ((4, 64, 7, 4, True, 1 << 18), False),
     "decoder._shared_quotients": ((6, range(1, 64, 2), range(1, 32, 3)),

@@ -19,7 +19,7 @@ from rmpa import (CodeParams, FodCounter, aggregate, analytic_fod_count,
 from rmpa import decoder, fod, geometry
 from rmpa.cli import main
 from rmpa.fod import _form_table, form_bits
-from rmpa.geometry import top_bits
+from rmpa.geometry import _lift, top_bits
 
 MFP_83 = preset("mfp", gamma=F(3, 4), delta_itr=F(1, 3), delta_rec=F(3, 4))
 
@@ -80,13 +80,13 @@ def test_fod_counts_are_python_ints(params, cfg):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_the_lift_table_holds_every_lift(m):
+    # each map of the coset table holds the lift of every form by it
     n = 1 << m
-    table = decoder._lift_table(m)
-    assert table.dtype == (np.uint8 if m <= 7 else np.uint16)
-    assert not table.flags.writeable
+    lifts = coset_table(m).lifts
+    assert lifts.dtype == (np.uint8 if m <= 7 else np.uint16)
+    assert not lifts.flags.writeable
     i, h = top_bits(range(1, n))
-    assert np.array_equal(table, decoder._lift(np.arange(n), h[:, None],
-                                               i[:, None]).ravel())
+    assert np.array_equal(lifts, _lift(np.arange(n), h[:, None], i[:, None]))
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -102,19 +102,6 @@ def test_a_lifted_form_is_zero_on_its_map_and_keeps_its_codeword(m):
         assert np.array_equal(bits, bits[:, z ^ i])
         reps = geometry.insert_zero_bit(z[:n // 2], h)
         assert np.array_equal(bits[:, reps], form_bits(f[:, None], m - 1))
-
-
-def test_building_the_lift_table_holds_little_besides_it():
-    # filled a block of maps at a time: built in one piece, the m = 10
-    # table held 17 MB of temporaries beside its 2 MB
-    tracemalloc.start()
-    try:
-        table = decoder._lift_table.__wrapped__(10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.nbytes == 2 * 1023 * 1024
-    assert peak <= table.nbytes + 5 * fod.BUILD_BYTES
 
 
 def test_counting_executed_fods_holds_no_share_table():
@@ -318,7 +305,7 @@ def test_aggregating_forms_equals_aggregating_their_bits(m, table_m, columns,
     chat = _form_table(m - 1, np.uint8)[decoded]
     cmap = coset_table(m)
     i, h = top_bits(indices)
-    forms = decoder._lift(decoded, h, i)
+    forms = _lift(decoded, h, i)
     l = (rng.normal(size=(rows, n)) * 4).astype(np.float32)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fod, "FORM_TABLE_M", table_m)
