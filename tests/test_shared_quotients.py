@@ -104,6 +104,22 @@ def test_a_lifted_form_is_zero_on_its_map_and_keeps_its_codeword(m):
         assert np.array_equal(bits[:, reps], form_bits(f[:, None], m - 1))
 
 
+def test_building_the_lift_table_holds_little_besides_it():
+    # the lifts are filled with the coset table's other fields, a block of
+    # maps at a time: built in one piece, the m = 10 lifts held 17 MB of
+    # temporaries beside their 2 MB
+    tracemalloc.start()
+    try:
+        table = coset_table.__wrapped__(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lifts = table.lifts
+    others = sum(a.nbytes for a in vars(table).values()) - lifts.nbytes
+    assert lifts.nbytes == 2 * 1023 * 1024
+    assert peak <= others + lifts.nbytes + 5 * fod.BUILD_BYTES
+
+
 def test_counting_executed_fods_holds_no_share_table():
     # 16 iterations of RM(10,3), each with its own share table of up to
     # 2 MB: counting them held 72.6 MB of tables, and 278.6 MB at n_max 128
